@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-override", type=float, default=None)
     p.add_argument("--model-out", default=None)
     p.add_argument("--check", action="store_true",
-                   help="print the optimality report")
+                   help="print the optimality report; exit 1 if it fails")
 
     p = sub.add_parser("train-svmplus", help="train with privileged features")
     p.add_argument("--data", required=True)
@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_args(p, prefix="priv-")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--model-out", default=None)
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true",
+                   help="print the optimality report; exit 1 if it fails")
 
     p = sub.add_parser("learn-weights",
                        help="learn instance weights on a validation split")
@@ -169,8 +170,10 @@ def _cmd_train_wsvm(args) -> int:
     print(f"objective_dual {model.objective_dual:.17g}")
     print(f"b {model.b:.17g}")
     if args.check:
-        print(check_wsvm_kkt(model, tol=max(args.tol, 1e-8)).to_text())
+        report = check_wsvm_kkt(model, tol=max(args.tol, 1e-8))
+        print(report.to_text())
         print(b_uniqueness(model).to_text())
+        return 0 if report.passed else 1
     return 0
 
 
@@ -188,7 +191,9 @@ def _cmd_train_svmplus(args) -> int:
     print(f"b {model.b:.17g}")
     print(f"b_tilde {model.b_tilde:.17g}")
     if args.check:
-        print(check_svmplus_kkt(model, tol=max(args.tol, 1e-8)).to_text())
+        report = check_svmplus_kkt(model, tol=max(args.tol, 1e-8))
+        print(report.to_text())
+        return 0 if report.passed else 1
     return 0
 
 

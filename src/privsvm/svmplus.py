@@ -7,16 +7,11 @@ The dual is
 
 with F(a) = 1/2 a'YKY a - 1'a, Ft(at) = 1/2 at' Kt at and at = a + b - C 1
 (b being the second block of nonnegative duals).  We optimize over
-(a, b) >= 0 under the two equality constraints y'a = 0 and 1'(a + b) = nC
-using a small dictionary of sparse feasible directions:
-
-  * b-transfer (i -> j), touching only the correcting term;
-  * same-label a-transfer (i -> j);
-  * opposite-label a-pair up/down with compensating b moves.
-
-Every step is an exact 1-D minimization of the quadratic objective clipped
-to the nonnegativity box; the most violating direction is chosen each
-round, with ties broken deterministically by lowest index.
+z = (a, b) >= 0 under the two equality constraints y'a = 0 and
+1'(a + b) = nC with the package's active-set QP core (``privsvm.qp``).
+Its moves are the same-class pairs of the classes a+, a- and b (an
+a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
+one a of each label up, one b down by twice as much, or the reverse.
 """
 
 from __future__ import annotations
@@ -27,7 +22,8 @@ import numpy as np
 
 from .data import Dataset, PrivilegedSet
 from .kernels import KernelSpec, gram
-from .wsvm import ConvergenceError, DEFAULT_MAX_ITER, DEFAULT_TOL, solve_wsvm
+from .qp import solve_qp
+from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_wsvm
 
 __all__ = ["SvmPlusModel", "solve_svmplus", "correcting_values"]
 
@@ -74,22 +70,13 @@ class SvmPlusModel:
         return Kx.T @ (self.data.y * self.alpha) + self.b
 
 
-def _best_two_largest(score: np.ndarray, mask: np.ndarray):
-    """Indices of the two largest masked scores (lowest index on ties)."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return None
-    order = idx[np.argsort(-score[idx], kind="stable")]
-    if order.size == 1:
-        return int(order[0]), int(order[0])
-    return int(order[0]), int(order[1])
-
-
 def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
                   priv_spec: KernelSpec, C: float, gamma: float,
                   tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> SvmPlusModel:
     """Solve the SVM+ problem for hyperparameters C > 0, gamma >= 0."""
+    # an integer C would make b an integer array and truncate every step
+    C, gamma = float(C), float(gamma)
     if C <= 0:
         raise ValueError("C must be positive")
     if gamma < 0:
@@ -105,209 +92,19 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     K = gram(spec, data)
     Kt = gram(priv_spec, priv)
     Q = (y[:, None] * y[None, :]) * K
-    pos = y > 0
-
-    alpha = np.zeros(n)
-    beta = np.full(n, C)
-    at = alpha + beta - C  # = 0
-    ga = Q @ alpha - 1.0 + (Kt @ at) / gamma
-    gb = (Kt @ at) / gamma
-
-    def apply(dalpha_idx, dalpha_val, dbeta_idx, dbeta_val, t):
-        nonlocal ga, gb
-        d_at = np.zeros(n)
-        for idx, val in zip(dalpha_idx, dalpha_val):
-            alpha[idx] = max(alpha[idx] + t * val, 0.0)
-            ga += (t * val) * Q[:, idx]
-            d_at[idx] += t * val
-        for idx, val in zip(dbeta_idx, dbeta_val):
-            beta[idx] = max(beta[idx] + t * val, 0.0)
-            d_at[idx] += t * val
-        corr = (Kt @ d_at) / gamma
-        ga += corr
-        gb += corr
-
-    last_resid = np.inf
-    for it in range(max_iter):
-        at = alpha + beta - C
-        candidates = []
-
-        # beta transfer: beta_i -> beta_j
-        bi = _argmax_masked(gb, beta > 0)
-        bj = int(np.argmin(gb))
-        if bi is not None:
-            viol = gb[bi] - gb[bj]
-            if viol > 0:
-                curv = (Kt[bi, bi] + Kt[bj, bj] - 2 * Kt[bi, bj]) / gamma
-                candidates.append((viol, ([], [], [bi, bj], [-1.0, 1.0]),
-                                   curv, beta[bi]))
-
-        # same-label alpha transfer within each class
-        for cls_mask in (pos, ~pos):
-            ai = _argmax_masked(ga, cls_mask & (alpha > 0))
-            aj = _argmin_masked(ga, cls_mask)
-            if ai is None or aj is None:
-                continue
-            viol = ga[ai] - ga[aj]
-            if viol > 0:
-                curv = (Q[ai, ai] + Q[aj, aj] - 2 * Q[ai, aj]
-                        + (Kt[ai, ai] + Kt[aj, aj] - 2 * Kt[ai, aj]) / gamma)
-                candidates.append((viol, ([ai, aj], [-1.0, 1.0], [], []),
-                                   curv, alpha[ai]))
-
-        # opposite-label pair up: alpha_i, alpha_j += t, betas -= t total 2t
-        # (either split over the two largest-gradient betas or taken twice
-        # from the single largest; both are feasible and either can win)
-        ui = _argmin_masked(ga, pos)
-        uj = _argmin_masked(ga, ~pos)
-        ks = _best_two_largest(gb, beta > 0)
-        if ui is not None and uj is not None and ks is not None:
-            pair_options = {ks, (ks[0], ks[0])}
-            for k, l in sorted(pair_options):
-                viol = gb[k] + gb[l] - ga[ui] - ga[uj]
-                t_max = beta[k] / 2 if k == l else min(beta[k], beta[l])
-                if viol > 0 and t_max > 0:
-                    candidates.append(
-                        (viol, _pair_dirs(ui, uj, k, l, up=True),
-                         _pair_curv(Q, Kt, gamma, ui, uj, k, l), t_max))
-
-        # opposite-label pair down: alpha_i, alpha_j -= t, betas += t total
-        # 2t; beta increases are unbounded, so both units may land on the
-        # single smallest-gradient index
-        di = _argmax_masked(ga, pos & (alpha > 0))
-        dj = _argmax_masked(ga, ~pos & (alpha > 0))
-        if di is not None and dj is not None:
-            order = np.argsort(gb, kind="stable")
-            k1 = int(order[0])
-            k2 = int(order[1]) if n > 1 else k1
-            for k, l in sorted({(k1, k1), (k1, k2)}):
-                viol = ga[di] + ga[dj] - gb[k] - gb[l]
-                t_max = min(alpha[di], alpha[dj])
-                if viol > 0 and t_max > 0:
-                    candidates.append(
-                        (viol, _pair_dirs(di, dj, k, l, up=False),
-                         _pair_curv(Q, Kt, gamma, di, dj, k, l), t_max))
-
-        if not candidates:
-            last_resid = 0.0
-            break
-        viol, dirs, curv, t_max = max(candidates, key=lambda cnd: cnd[0])
-        last_resid = viol
-        if viol <= tol:
-            break
-        if it % 64 == 63:
-            # pairwise steps can cycle on a degenerate face; an exact
-            # equality-constrained solve over the free variables breaks it
-            moved = _face_step(alpha, beta, ga, gb, Q, Kt, gamma, y)
-            if moved:
-                at2 = alpha + beta - C
-                gb = (Kt @ at2) / gamma
-                ga = Q @ alpha - 1.0 + gb
-                continue
-        t = min(t_max, viol / curv) if curv > 1e-300 else t_max
-        if not np.isfinite(t) or t <= 0:
-            raise ConvergenceError("SVM+ step stalled", float(viol))
-        apply(*dirs, t)
-    else:
-        raise ConvergenceError("SVM+ solver did not converge", float(last_resid))
-
+    # z = (a, b): the correcting term (1/2g) at' Kt at with at = a + b - C1
+    # is quadratic in a + b, so it adds Kt/g to every block of H
+    H = np.tile(Kt / gamma, (2, 2))
+    H[:n, :n] += Q
+    shift = H[n:, n:] @ np.full(n, C)
+    z, n_iter = solve_qp(
+        H, np.r_[-1.0 - shift, -shift],
+        np.block([[y, np.zeros(n)], [np.ones(n), np.ones(n)]]),
+        np.full(2 * n, np.inf), np.r_[np.zeros(n), np.full(n, C)],
+        tol, max_iter)
+    alpha, beta = np.split(z, 2)
     return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta,
-                   K, Kt, Q, it)
-
-
-def _face_step(alpha, beta, ga, gb, Q, Kt, gamma, y) -> bool:
-    """Exact minimization with the currently-zero variables held at zero.
-
-    Classic primal active-set inner loop: solve the equality-constrained
-    problem on the free set, clip the move to the nonnegativity box, drop
-    any variable that lands on zero, repeat.  Terminates because the free
-    set only shrinks.  Mutates alpha/beta in place; returns True if moved.
-    """
-    free_a = alpha > 0
-    free_b = beta > 0
-    moved = False
-    for _ in range(int(np.sum(free_a) + np.sum(free_b)) + 1):
-        A = np.flatnonzero(free_a)
-        B = np.flatnonzero(free_b)
-        na, nb = A.size, B.size
-        m = na + nb
-        if m == 0:
-            break
-        H = np.zeros((m, m))
-        H[:na, :na] = Q[np.ix_(A, A)] + Kt[np.ix_(A, A)] / gamma
-        H[:na, na:] = Kt[np.ix_(A, B)] / gamma
-        H[na:, :na] = Kt[np.ix_(B, A)] / gamma
-        H[na:, na:] = Kt[np.ix_(B, B)] / gamma
-        Ceq = np.zeros((2, m))
-        Ceq[0, :na] = y[A]
-        Ceq[1, :] = 1.0
-        g = np.concatenate([ga[A], gb[B]])
-        kkt = np.zeros((m + 2, m + 2))
-        kkt[:m, :m] = H
-        kkt[:m, m:] = Ceq.T
-        kkt[m:, :m] = Ceq
-        rhs = np.concatenate([-g, [0.0, 0.0]])
-        d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]
-        if not np.all(np.isfinite(d)):
-            break
-        # re-project onto the equality null space so feasibility cannot drift
-        basis = np.linalg.qr(Ceq.T)[0]
-        d -= basis @ (basis.T @ d)
-        if float(g @ d) >= -1e-15 or np.max(np.abs(d)) <= 1e-16:
-            break
-        cur = np.concatenate([alpha[A], beta[B]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(d < -1e-300, -cur / d, np.inf)
-        tau = min(1.0, float(np.min(ratios)))
-        if tau <= 0:
-            break
-        step = tau * d
-        alpha[A] = np.maximum(alpha[A] + step[:na], 0.0)
-        beta[B] = np.maximum(beta[B] + step[na:], 0.0)
-        moved = True
-        if tau >= 1.0:
-            break
-        # drop variables pinned at zero, refresh gradients, and continue
-        free_a = free_a & (alpha > 0)
-        free_b = free_b & (beta > 0)
-        d_at = np.zeros(alpha.shape[0])
-        d_at[A] += step[:na]
-        d_at[B] += step[na:]
-        corr = (Kt @ d_at) / gamma
-        da = np.zeros(alpha.shape[0])
-        da[A] = step[:na]
-        ga = ga + Q @ da + corr
-        gb = gb + corr
-    return moved
-
-
-def _pair_dirs(i, j, k, l, up: bool):
-    s = 1.0 if up else -1.0
-    if k == l:
-        return ([i, j], [s, s], [k], [-2.0 * s])
-    return ([i, j], [s, s], [k, l], [-s, -s])
-
-
-def _pair_curv(Q, Kt, gamma, i, j, k, l):
-    # direction d_alpha = e_i + e_j, d_beta = -(e_k + e_l); the correcting
-    # term sees d_at = e_i + e_j - e_k - e_l
-    qa = Q[i, i] + Q[j, j] + 2 * Q[i, j]
-    sel = np.array([i, j, k, l])
-    sgn = np.array([1.0, 1.0, -1.0, -1.0])
-    qt = sgn @ Kt[np.ix_(sel, sel)] @ sgn
-    return qa + qt / gamma
-
-
-def _argmax_masked(score, mask):
-    if not mask.any():
-        return None
-    return int(np.argmax(np.where(mask, score, -np.inf)))
-
-
-def _argmin_masked(score, mask):
-    if not mask.any():
-        return None
-    return int(np.argmin(np.where(mask, score, np.inf)))
+                   K, Kt, Q, n_iter)
 
 
 def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, K, Kt, Q,

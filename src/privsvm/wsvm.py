@@ -4,9 +4,10 @@ Solves
 
     min_a  1/2 a' Y K Y a - 1' a   s.t.  y' a = 0,  0 <= a_i <= c_i
 
-by SMO-style pairwise coordinate descent with most-violating-pair selection
-and deterministic tie-breaking (lowest index).  The primal model is
-recovered afterwards, including the exact interval of optimal offsets b.
+with the package's active-set QP core (``privsvm.qp``): H = YKY, one
+equality row y' and the box [0, c], so the working set is the most
+violating pair of SMO.  The primal model is recovered afterwards,
+including the exact interval of optimal offsets b.
 
 Slacks are reported under the lower-bound convention xi_i = h_i (the hinge
 loss), which keeps xi well defined even where c_i = 0.
@@ -20,6 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, gram
+from .qp import ConvergenceError, solve_qp
 
 __all__ = [
     "WsvmModel",
@@ -32,12 +34,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10**6
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (final residual {residual:.3e})")
-        self.residual = residual
 
 
 def check_weights(c, n: int, allow_all_zero: bool = False) -> np.ndarray:
@@ -78,113 +74,6 @@ class WsvmModel:
         if self._gram is None:
             self._gram = gram(self.spec, self.data)
         return self._gram
-
-
-def _face_step(alpha: np.ndarray, G: np.ndarray, Q: np.ndarray,
-               y: np.ndarray, c: np.ndarray) -> bool:
-    """Exact minimization over the variables currently strictly inside the
-    box, holding the rest at their bounds.
-
-    Primal active-set inner loop: solve the equality-constrained problem on
-    the free set, clip the move to the box with a ratio test, drop pinned
-    variables, repeat.  Breaks the tiny-step zigzag most-violating-pair
-    descent falls into on ill-conditioned faces.  Mutates alpha and G in
-    place; returns True if anything moved.
-    """
-    free = (alpha > 0) & (alpha < c)
-    moved = False
-    for _ in range(int(np.sum(free)) + 1):
-        F = np.flatnonzero(free)
-        m = F.size
-        if m == 0:
-            break
-        yF = y[F]
-        g = G[F]
-        QFF = Q[np.ix_(F, F)]
-        # With a rank-deficient face Hessian the objective can decrease
-        # linearly along a feasible null direction (QFF v = 0, yF'v = 0);
-        # a least-squares Newton solve is blind to that component, so look
-        # for such a direction first and ride it to the nearest bound.
-        _, s, Vt = np.linalg.svd(np.vstack([QFF, yF]))
-        smax = s[0] if s.size else 0.0
-        d = None
-        cap = 1.0
-        for k in range(m - 1, -1, -1):
-            if s[k] > max(m, 3) * np.finfo(float).eps * smax:
-                break
-            v = Vt[k]
-            gv = float(g @ v)
-            if abs(gv) > 1e-10 * max(1.0, float(np.linalg.norm(g))):
-                d = -np.sign(gv) * v
-                cap = np.inf
-                break
-        if d is None:
-            kkt = np.zeros((m + 1, m + 1))
-            kkt[:m, :m] = QFF
-            kkt[:m, m] = yF
-            kkt[m, :m] = yF
-            d = np.linalg.lstsq(kkt, np.r_[-g, 0.0], rcond=None)[0][:m]
-            if not np.all(np.isfinite(d)):
-                break
-            # re-project onto the equality null space: feasibility must not drift
-            d -= yF * float(yF @ d) / m
-            if float(g @ d) >= -1e-15 or np.max(np.abs(d)) <= 1e-16:
-                break
-        cur = alpha[F]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lim = np.where(d < -1e-300, -cur / d,
-                           np.where(d > 1e-300, (c[F] - cur) / d, np.inf))
-        tau = min(cap, float(np.min(lim)))
-        if not np.isfinite(tau) or tau <= 0:
-            break
-        step = tau * d
-        alpha[F] = np.clip(cur + step, 0.0, c[F])
-        G += Q[:, F] @ step
-        moved = True
-        if tau >= cap:
-            break
-        free = free & (alpha > 0) & (alpha < c)
-    return moved
-
-
-def _smo(Q: np.ndarray, K: np.ndarray, y: np.ndarray, c: np.ndarray,
-         tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of the dual objective, Q a - 1
-    pos = y > 0
-    for it in range(max_iter):
-        up = (pos & (alpha < c)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < c))
-        if not up.any() or not low.any():
-            return alpha, it
-        myg = -y * G
-        score_up = np.where(up, myg, -np.inf)
-        score_low = np.where(low, myg, np.inf)
-        i = int(np.argmax(score_up))
-        j = int(np.argmin(score_low))
-        m, M = score_up[i], score_low[j]
-        if m - M <= tol:
-            return alpha, it
-        if it % 64 == 63 and _face_step(alpha, G, Q, y, c):
-            continue
-        # direction a_i += y_i t, a_j -= y_j t keeps y'a = 0
-        curv = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        t_box_i = c[i] - alpha[i] if pos[i] else alpha[i]
-        t_box_j = alpha[j] if pos[j] else c[j] - alpha[j]
-        t_max = min(t_box_i, t_box_j)
-        if curv > 1e-300:
-            t = min(t_max, (m - M) / curv)
-        else:
-            t = t_max
-        alpha[i] = np.clip(alpha[i] + y[i] * t, 0.0, c[i])
-        alpha[j] = np.clip(alpha[j] - y[j] * t, 0.0, c[j])
-        G += t * (y[i] * Q[:, i] - y[j] * Q[:, j])
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0))
-    low = (pos & (alpha > 0)) | (~pos & (alpha < c))
-    myg = -y * G
-    resid = np.max(np.where(up, myg, -np.inf)) - np.min(np.where(low, myg, np.inf))
-    raise ConvergenceError("WSVM solver did not converge", float(resid))
 
 
 def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
@@ -251,7 +140,8 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     y = data.y
     K = gram(spec, data)
     Q = (y[:, None] * y[None, :]) * K
-    alpha, n_iter = _smo(Q, K, y, c, tol, max_iter)
+    alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
+                             np.zeros(data.n), tol, max_iter)
     f0 = K @ (y * alpha)
     interval = _optimal_offset_interval(y, c, f0)
     if b_override is not None:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from privsvm import Dataset, record_from_text, save_sparse, save_weights
+from privsvm import (Dataset, KktReport, record_from_text, save_sparse,
+                     save_weights)
+from privsvm import cli
 from privsvm.cli import build_parser, main
 from privsvm.serialize import WsvmRecord
 
@@ -137,3 +139,22 @@ def test_figure3_and_wshape_csv(tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["transmogrify"])
+
+
+@pytest.mark.parametrize("command", ["train-wsvm", "train-svmplus"])
+def test_check_exits_nonzero_when_report_fails(command, three_point_files,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+    failing = KktReport(residuals={"stationarity_b": 1.0}, max_violation=1.0,
+                        gap=0.0, tol=1e-8)
+    monkeypatch.setattr(cli, "check_wsvm_kkt", lambda *a, **k: failing)
+    monkeypatch.setattr(cli, "check_svmplus_kkt", lambda *a, **k: failing)
+    data_path, weights_path = three_point_files
+    priv_path = tmp_path / "ce.priv"
+    save_sparse(priv_path, [[0.0], [1.0], [0.0]])
+    extra = (["--weights", weights_path] if command == "train-wsvm"
+             else ["--priv", str(priv_path)])
+    assert main([command, "--data", data_path, *extra, "--check"]) == 1
+    assert "pass 0" in capsys.readouterr().out
+    # without --check the report is not consulted
+    assert main([command, "--data", data_path, *extra]) == 0

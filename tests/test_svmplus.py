@@ -8,6 +8,7 @@ from privsvm import (
     PrivilegedSet,
     check_svmplus_kkt,
     correcting_values,
+    generate_blobs_with_outliers,
     gram,
     solve_svmplus,
     solve_wsvm,
@@ -110,3 +111,30 @@ def test_predict_matches_decision_train(rng):
     model = _random_plus(rng)
     np.testing.assert_allclose(model.predict(model.data.X),
                                model.decision_train, atol=1e-10)
+
+
+def test_integer_cost_matches_float(rng):
+    data = random_dataset(rng, 10)
+    priv = random_privileged(rng, 10)
+    spec = KernelSpec(LINEAR)
+    as_int = solve_svmplus(data, priv, spec, spec, 2, 1)
+    as_float = solve_svmplus(data, priv, spec, spec, 2.0, 1.0)
+    np.testing.assert_array_equal(as_int.alpha, as_float.alpha)
+    assert as_int.b == as_float.b
+    assert check_svmplus_kkt(as_int, tol=1e-6).passed
+
+
+def test_rank_deficient_linear_fits_converge():
+    # linear kernels on 2-D points and a 1-D privileged flag: the face
+    # Hessians are rank deficient, and without a null-direction face step
+    # the C = 4, gamma = 0.25 fit cycles past 20,000 iterations
+    sample = generate_blobs_with_outliers(n_per_class=50, outlier_count=2,
+                                          outlier_distance=100, seed=0)
+    lin = KernelSpec(LINEAR)
+    for C in (0.25, 1.0, 4.0):
+        for gamma in (0.25, 1.0, 4.0):
+            model = solve_svmplus(sample.data, sample.priv, lin, lin, C,
+                                  gamma, max_iter=2000)
+            assert model.n_iter <= 2000
+            report = check_svmplus_kkt(model, tol=1e-6)
+            assert report.passed, (C, gamma, report.to_text())
