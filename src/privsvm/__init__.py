@@ -26,7 +26,7 @@ from .serialize import (SvmPlusRecord, WsvmRecord, model_to_text,
                         record_from_text)
 from .schemes import (ConfidenceScores, hinge_losses, nadaraya_watson,
                       probability_weights, weighted_risk, zero_one_losses)
-from .smooth import PrimalModel, SmoothLossSpec, smooth_hinge, solve_primal
+from .smooth import PrimalModel, smooth_hinge, solve_primal
 from .svmplus import SvmPlusModel, correcting_values, solve_svmplus
 from .weightlearn import (GradientWorkspace, WeightLearningConfig,
                           WeightLearningResult, implicit_gradient,

@@ -3,7 +3,9 @@
 Subcommands: train-wsvm, train-svmplus, learn-weights, equiv, experiment,
 counterexample, figure3, wshape.  Flags may be preloaded from a plain-text
 ``key=value`` config file via --config; explicit flags win.  All tabular
-output is CSV and deterministic for a fixed seed.
+output is CSV and deterministic for a fixed seed.  A solve that does not
+converge ends the command with one ``error:`` line on stderr and exit
+status 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .experiments import (ExperimentConfig, counterexample_dataset,
                           wshape_study)
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF
 from .kkt import b_uniqueness, check_svmplus_kkt, check_wsvm_kkt
+from .qp import ConvergenceError
 from .serialize import model_to_text
 from .svmplus import solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
@@ -349,7 +352,11 @@ def main(argv=None) -> int:
                 action.required = False  # the file satisfied it
             subparser.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

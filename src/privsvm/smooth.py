@@ -12,7 +12,9 @@ bounded by 3 / (4 delta).
 
 The objective 1/2 a' K a + sum_i c_i l_delta(y_i f(x_i)) with
 f = K a + b is minimized by a damped Newton method on the stationarity
-residual; when Newton stalls a quasi-Newton fallback takes over.
+residual (Chapelle 2007, *Training a SVM in the primal*).  A solve either
+meets its one stop test or raises ConvergenceError; there is no
+quasi-Newton fallback.
 """
 
 from __future__ import annotations
@@ -20,34 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset
 from .kernels import KernelSpec, gram
+from .qp import ConvergenceError
 from .wsvm import check_weights
 
-__all__ = ["SmoothLossSpec", "smooth_hinge", "PrimalModel", "solve_primal"]
+__all__ = ["smooth_hinge", "PrimalModel", "solve_primal"]
 
 PRIMAL_TOL = 1e-10
 PRIMAL_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class SmoothLossSpec:
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-
-
-def smooth_hinge(t, delta):
-    if isinstance(delta, SmoothLossSpec):
-        delta = delta.delta
-    return _smooth_hinge(t, delta)
-
-
-def _smooth_hinge(t, delta: float):
+def smooth_hinge(t, delta: float):
     """Value, first and second derivative of l_delta, elementwise."""
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -105,6 +92,16 @@ def _objective(alpha, b, K, y, c, delta):
     return obj, f, u, v
 
 
+def _offset_shift(t, y, c, delta, r2):
+    """Move of b against the offset gradient r2 that puts the first
+    weighted margin to reach the curvature band delta inside it."""
+    s = -np.sign(r2)
+    # distance each margin travels before it reaches the band; margins
+    # moving away from the band get a negative distance
+    dist = np.where(y * s > 0, 1.0 - 2.0 * delta - t, t - 1.0)
+    return float(s * (np.min(dist[(c > 0) & (dist >= 0)]) + delta))
+
+
 def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
                  tol: float = PRIMAL_TOL,
                  max_iter: int = PRIMAL_MAX_ITER) -> PrimalModel:
@@ -116,109 +113,59 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
 
     solved by damped Newton with Jacobian
 
-        J = [[I + diag(v) K,  v], [v' K,  1' v]],   v_i = c_i l''(y_i f_i).
+        J = [[I + diag(v) K,  v], [v' K,  1' v]],   v_i = c_i l''(y_i f_i),
 
-    In the fully kink-free regime (v = 0) the offset equation drops out; a
-    is set from the first block and b is left at its current value.
+    which is nonsingular for any PSD K once v >= 0 is nonzero.  Each step
+    is halved until the objective does not rise.  The solve stops when
+    max |r| <= tol * (1 + max c) and raises ConvergenceError, carrying the
+    residual, when no step is accepted or max_iter steps do not get there.
+
+    Where no weighted margin lies in the curvature band (v = 0), J is
+    diag(I, 0): the step solves the first block for a and keeps b, and once
+    that block holds b moves against <u, c> until the first weighted margin
+    to reach the band is delta inside it.
     """
-    if isinstance(delta, SmoothLossSpec):
-        delta = delta.delta
     c = check_weights(c, data.n, allow_all_zero=True)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
     y = data.y
-    K0 = gram(spec, data)
+    K = gram(spec, data)
     n = data.n
-    # tiny ridge so the Newton system stays solvable for singular K
-    K = K0 + (1e-10 * np.trace(K0) / n) * np.eye(n)
-
+    stop = tol * (1.0 + float(np.max(c)))
     alpha = np.zeros(n)
     b = 0.0
-    it = 0
-
-    def newton_loop(alpha, b, budget):
-        """Damped Newton on r; returns (alpha, b, iters, converged)."""
-        obj, f, u, v = _objective(alpha, b, K, y, c, delta)
-        for it in range(1, budget + 1):
-            r1 = alpha + u * c
-            r2 = float(u @ c)
-            kink_free = np.max(v) <= 0
-            resid = max(float(np.max(np.abs(r1))), abs(r2))
-            if resid <= tol:
-                return alpha, b, it, True
-            if kink_free:
-                if float(np.max(np.abs(r1))) > tol:
-                    # no curvature: fix the expansion block directly, keep b
-                    step_a = -r1
-                    step_b = 0.0
-                else:
-                    # offset gradient persists with zero curvature
-                    # everywhere; hand over to the quasi-Newton fallback
-                    return alpha, b, it, False
-            else:
-                J = np.empty((n + 1, n + 1))
-                J[:n, :n] = np.eye(n) + v[:, None] * K
-                J[:n, n] = v
-                J[n, :n] = v @ K
-                J[n, n] = float(np.sum(v))
-                try:
-                    step = np.linalg.solve(J, -np.r_[r1, r2])
-                except np.linalg.LinAlgError:
-                    return alpha, b, it, False
-                step_a, step_b = step[:n], float(step[n])
-            t = 1.0
-            improved = False
-            for _ in range(40):
-                obj_new, f_new, u_new, v_new = _objective(
-                    alpha + t * step_a, b + t * step_b, K, y, c, delta)
-                if obj_new <= obj + 1e-12 * (1.0 + abs(obj)):
-                    alpha = alpha + t * step_a
-                    b = b + t * step_b
-                    obj, f, u, v = obj_new, f_new, u_new, v_new
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                return alpha, b, it, False
-        return alpha, b, budget, False
-
-    alpha, b, it, converged = newton_loop(alpha, b, max_iter)
-    method = "newton" if converged else "bfgs"
-
-    if method == "bfgs":
-        def fun(z):
-            a_, b_ = z[:n], z[n]
-            f_ = K @ a_ + b_
-            value, d1, _ = smooth_hinge(y * f_, delta)
-            g_f = c * y * d1
-            grad_a = K @ (a_ + g_f)
-            grad_b = float(np.sum(g_f))
-            val = 0.5 * float(a_ @ K @ a_) + float(c @ value)
-            return val, np.r_[grad_a, grad_b]
-
-        res = minimize(fun, np.r_[alpha, b], jac=True, method="BFGS",
-                       options={"gtol": 1e-12, "maxiter": 2000})
-        alpha, b = res.x[:n], float(res.x[n])
-        obj = float(res.fun)
-        it += int(res.nit)
-        # BFGS stationarity only controls the expansion through K, leaving
-        # alpha free along the kernel null space when K is rank deficient.
-        # Project onto the fixed point a = -c y l' — the decision function
-        # is unchanged, and sensitivity analysis differentiates this point.
-        for _ in range(5):
-            _, d1, _ = smooth_hinge(y * (K0 @ alpha + b), delta)
-            a_fix = -(c * y * d1)
-            if np.max(np.abs(a_fix - alpha)) <= 1e-14 * (1.0 + np.max(np.abs(alpha))):
+    obj, f, u, v = _objective(alpha, b, K, y, c, delta)
+    for it in range(max_iter + 1):
+        r1 = alpha + u * c
+        r2 = float(u @ c)
+        resid = max(float(np.max(np.abs(r1))), abs(r2))
+        if resid <= stop:
+            return PrimalModel(
+                data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
+                b=float(b), objective=obj, n_iter=it, _gram=K,
+            )
+        if it == max_iter:
+            raise ConvergenceError("primal Newton did not converge", resid)
+        if np.any(v > 0):
+            J = np.empty((n + 1, n + 1))
+            J[:n, :n] = np.eye(n) + v[:, None] * K
+            J[:n, n] = v
+            J[n, :n] = v @ K
+            J[n, n] = float(np.sum(v))
+            step = np.linalg.solve(J, -np.r_[r1, r2])
+            step_a, step_b = step[:n], float(step[n])
+        elif float(np.max(np.abs(r1))) > stop:
+            step_a, step_b = -r1, 0.0
+        else:
+            step_a, step_b = -r1, _offset_shift(y * f, y, c, delta, r2)
+        # halve until the objective does not rise; a step too small to
+        # move the iterate (or a non-finite one, once t underflows) stalls
+        t = 1.0
+        while True:
+            a_new, b_new = alpha + t * step_a, b + t * step_b
+            if t == 0.0 or (b_new == b and np.array_equal(a_new, alpha)):
+                raise ConvergenceError("primal line search stalled", resid)
+            trial = _objective(a_new, b_new, K, y, c, delta)
+            if trial[0] <= obj + 1e-12 * (1.0 + abs(obj)):
+                alpha, b = a_new, b_new
+                obj, f, u, v = trial
                 break
-            alpha = a_fix
-        # near the fixed point Newton converges quadratically: polish the
-        # quasi-Newton iterate down to the stationarity tolerance
-        alpha, b, extra, _ = newton_loop(alpha, b, 50)
-        it += extra
-
-    value, _, _ = smooth_hinge(y * (K0 @ alpha + b), delta)
-    obj = 0.5 * float(alpha @ K0 @ alpha) + float(c @ value)
-    return PrimalModel(
-        data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
-        b=float(b), objective=obj, n_iter=it, method=method, _gram=K0,
-    )
+            t *= 0.5

@@ -7,9 +7,11 @@ differentiation of the stationarity system.  The outer objective
 
     V(c) = sum_j l_delta(y'_j f_c(x'_j))
 
-over a validation set is then minimized by quasi-Newton descent in
-log-weights (which keeps c positive) or, alternatively, by projected
-gradient in c directly.
+over a validation set is then minimized by bounded L-BFGS-B in
+log-weights (which keeps c positive and within a factor WEIGHT_SPREAD of
+c_init, so weight ratios are at most WEIGHT_SPREAD**2 and every inner solve
+can be certified) or, alternatively, by projected gradient in c directly.
+An inner solve that cannot be certified raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS = (0.01, 0.1, 1.0)
+# log mode: each weight stays within this factor of c_init
+WEIGHT_SPREAD = 1e4
 
 
 @dataclass
@@ -80,7 +84,7 @@ def implicit_gradient(model: PrimalModel) -> GradientWorkspace:
 class WeightLearningConfig:
     deltas: tuple[float, ...] = DEFAULT_DELTAS
     c_init: float = 1.0
-    mode: str = "log"          # "log" (BFGS in log-weights) or "projected"
+    mode: str = "log"          # "log" (L-BFGS-B in log-weights) or "projected"
     gtol: float = 1e-6
     max_outer_iter: int = 200
     step_init: float = 1.0     # projected mode only
@@ -142,8 +146,10 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             record(c, loss, err, model)
             return loss, grad * c  # chain rule through c = exp(theta)
 
-        theta0 = np.full(n, np.log(config.c_init))
-        res = minimize(fun, theta0, jac=True, method="BFGS",
+        t0 = np.log(config.c_init)
+        spread = np.log(WEIGHT_SPREAD)
+        res = minimize(fun, np.full(n, t0), jac=True, method="L-BFGS-B",
+                       bounds=[(t0 - spread, t0 + spread)] * n,
                        options={"gtol": config.gtol,
                                 "maxiter": config.max_outer_iter})
         n_iter = int(res.nit)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from privsvm import (Dataset, KktReport, record_from_text, save_sparse,
-                     save_weights)
-from privsvm import cli
+from privsvm import (ConvergenceError, Dataset, KktReport, record_from_text,
+                     save_sparse, save_weights)
+from privsvm import cli, weightlearn
 from privsvm.cli import build_parser, main
 from privsvm.serialize import WsvmRecord
 
@@ -158,3 +158,18 @@ def test_check_exits_nonzero_when_report_fails(command, three_point_files,
     assert "pass 0" in capsys.readouterr().out
     # without --check the report is not consulted
     assert main([command, "--data", data_path, *extra]) == 0
+
+
+def test_convergence_error_exits_with_one_line(three_point_files,
+                                              monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("primal Newton did not converge", 1.0)
+
+    monkeypatch.setattr(weightlearn, "solve_primal", fail)
+    data_path, _ = three_point_files
+    rc = main(["learn-weights", "--train", data_path, "--val", data_path])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: primal Newton did not converge "
+                            "(final residual 1.000e+00)\n")

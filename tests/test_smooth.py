@@ -3,22 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsvm import (
+    ConvergenceError,
+    Dataset,
+    GAUSSIAN_RBF,
     KernelSpec,
     LINEAR,
-    SmoothLossSpec,
     smooth_hinge,
     solve_primal,
 )
 
 from conftest import random_dataset, random_kernel
-
-
-def test_loss_spec_validation():
-    SmoothLossSpec(0.5)
-    with pytest.raises(ValueError):
-        SmoothLossSpec(0.0)
-    with pytest.raises(ValueError):
-        SmoothLossSpec(1.5)
 
 
 def test_values_at_transition_points():
@@ -57,13 +51,6 @@ def test_curvature_bound_and_sign():
     assert np.max(d2) <= 3.0 / (4.0 * delta) + 1e-12
     # the maximum curvature is attained mid-band
     assert np.max(d2) == pytest.approx(3.0 / (4.0 * delta), rel=1e-5)
-
-
-def test_accepts_spec_object():
-    v1 = smooth_hinge(0.5, SmoothLossSpec(0.3))
-    v2 = smooth_hinge(0.5, 0.3)
-    for a, b in zip(v1, v2):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_delta_validation():
@@ -138,3 +125,47 @@ def test_predict_matches_training_decision(rng):
     model = solve_primal(data, random_kernel(rng), np.ones(6), 1.0)
     np.testing.assert_allclose(model.predict(data.X), model.decision_train,
                                atol=1e-10)
+
+
+def _hard_instance(rng):
+    """Rank-deficient kernels, duplicate rows, zero weights and weight
+    ratios up to 1e9."""
+    n = int(rng.integers(4, 151))
+    X = rng.normal(size=(n, int(rng.integers(1, 3))))
+    if rng.random() < 0.3:
+        k = max(1, n // 3)
+        X[rng.integers(0, n, k)] = X[rng.integers(0, n, k)]
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    y[0] = -y[1]
+    c = 10.0 ** rng.uniform(-4.5, 4.5, n)
+    if rng.random() < 0.3:
+        c[rng.random(n) < 0.2] = 0.0
+    spec = (KernelSpec(LINEAR) if rng.random() < 0.5
+            else KernelSpec(GAUSSIAN_RBF, float(rng.uniform(0.5, 2.0))))
+    return Dataset(X, y), spec, c, float(rng.choice([0.01, 0.1, 1.0]))
+
+
+def test_primal_certifies_or_raises():
+    rng = np.random.default_rng(2024)
+    certified = 0
+    for _ in range(100):
+        data, spec, c, delta = _hard_instance(rng)
+        try:
+            model = solve_primal(data, spec, c, delta)
+        except ConvergenceError:
+            continue
+        _, d1, _ = smooth_hinge(data.y * model.decision_train, delta)
+        g = c * data.y * d1
+        resid = max(float(np.max(np.abs(model.alpha + g))),
+                    abs(float(np.sum(g))))
+        assert resid <= 1e-10 * (1.0 + np.max(c))
+        certified += 1
+    assert certified >= 90
+
+
+def test_primal_budget_raises(rng):
+    data = random_dataset(rng, 20)
+    c = rng.uniform(0.5, 2.0, 20)
+    assert solve_primal(data, KernelSpec(LINEAR), c, 0.1).n_iter > 1
+    with pytest.raises(ConvergenceError):
+        solve_primal(data, KernelSpec(LINEAR), c, 0.1, max_iter=1)

@@ -12,6 +12,7 @@ from privsvm import (
     solve_primal,
 )
 from privsvm.experiments import generate_blobs_with_outliers
+from privsvm.weightlearn import WEIGHT_SPREAD
 
 from conftest import random_dataset
 
@@ -99,6 +100,18 @@ def test_projected_mode_decreases_validation_loss():
     losses = [loss for loss, _ in result.history]
     assert losses[-1] <= losses[0] + 1e-12
     assert np.all(result.weights >= 0.0)
+
+
+def test_log_mode_weights_stay_bounded():
+    # unbounded log-weights run off to 2e-36 and 8e9 on this instance
+    sample, val = _outlier_setup(seed=21)
+    c_init = 2.0
+    config = WeightLearningConfig(deltas=(1.0,), c_init=c_init,
+                                  max_outer_iter=40)
+    result = learn_weights(sample.data, val, KernelSpec(LINEAR), config)
+    slack = 1.0 + 1e-12  # exp(log c) rounds by an ulp or two
+    assert np.all(result.weights >= c_init / WEIGHT_SPREAD / slack)
+    assert np.all(result.weights <= c_init * WEIGHT_SPREAD * slack)
 
 
 def test_dimension_mismatch_rejected(rng):
