@@ -1,24 +1,34 @@
 """Command-line front end.
 
 Subcommands: train-wsvm, train-svmplus, learn-weights, equiv, experiment,
-counterexample, figure3, wshape.  Flags may be preloaded from a plain-text
-``key=value`` config file via --config; explicit flags win.  All tabular
-output is CSV and deterministic for a fixed seed.  A solve that does not
-converge ends the command with one ``error:`` line on stderr and exit
-status 1.
+counterexample, figure3, wshape.  The defaults of the experiment,
+learn-weights and --tol flags are read from ExperimentConfig,
+WeightLearningConfig and wsvm.DEFAULT_TOL.
+
+Flag defaults may be preloaded from a plain-text ``key=value`` config file
+via --config (``#`` starts a comment; a key is a flag name without the
+leading dashes).  The parser is built with the file's values as defaults:
+explicit flags win, a file value satisfies a required flag, true/yes/1
+turns a switch on (any other value leaves it off), and keys that no flag
+of the chosen subcommand takes are ignored.
+
+All tabular output is CSV and deterministic for a fixed seed.  A solve
+that does not converge ends the command with one ``error:`` line on stderr
+and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import data as dataio
 from .equivalence import (NotRepresentableError, construct_privileged,
                           equivalence_report)
-from .experiments import (ExperimentConfig, counterexample_dataset,
+from .experiments import (SPLITS, ExperimentConfig, counterexample_dataset,
                           emit_results, figure3_study, run_experiment,
                           wshape_study)
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF
@@ -27,7 +37,7 @@ from .qp import ConvergenceError
 from .serialize import model_to_text
 from .svmplus import solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
-from .wsvm import solve_wsvm
+from .wsvm import DEFAULT_TOL, solve_wsvm
 
 __all__ = ["main", "build_parser"]
 
@@ -46,102 +56,117 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _add_kernel_args(p, prefix=""):
-    dash = f"--{prefix}" if prefix else "--"
-    p.add_argument(f"{dash}kernel", default=LINEAR,
-                   choices=[LINEAR, GAUSSIAN_RBF])
-    p.add_argument(f"{dash}bandwidth", type=float, default=None)
+def _comma_list(cast):
+    """A ``type=`` converter for comma-separated values."""
+    def parse(text):
+        return tuple(cast(t) for t in text.split(","))
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _kernel_from(args, prefix="") -> KernelSpec:
-    kind = getattr(args, f"{prefix}kernel" if prefix else "kernel")
-    bw = getattr(args, f"{prefix}bandwidth" if prefix else "bandwidth")
-    return KernelSpec(kind, bw)
+    return KernelSpec(getattr(args, f"{prefix}kernel"),
+                      getattr(args, f"{prefix}bandwidth"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The privsvm parser.  ``defaults`` maps flag names (dashes written as
+    underscores) to raw strings from a --config file; each replaces that
+    flag's default, so explicit flags still win, argparse converts it
+    through the flag's ``type=``, and it satisfies a required flag.  For a
+    switch, true/yes/1 turns it on.  Keys that no flag takes are ignored."""
+    file = defaults or {}
+    exp, wl = ExperimentConfig(), WeightLearningConfig()
+
+    def add(p, name, default=None, required=False, **kwargs):
+        raw = file.get(name[2:].replace("-", "_"))
+        if raw is not None and kwargs.get("action") == "store_true":
+            default = raw.lower() in ("1", "true", "yes")
+        elif raw is not None:
+            default, required = raw, False
+        p.add_argument(name, default=default, required=required, **kwargs)
+
+    def add_kernel(p, prefix=""):
+        add(p, f"--{prefix}kernel", LINEAR, choices=[LINEAR, GAUSSIAN_RBF])
+        add(p, f"--{prefix}bandwidth", type=float)
+
     top = argparse.ArgumentParser(prog="privsvm")
     top.add_argument("--config", default=None,
                      help="key=value file supplying flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-wsvm", help="train a weighted SVM")
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", default=None,
-                   help="companion file; default uniform")
-    p.add_argument("--cost", type=float, default=1.0,
-                   help="uniform scale applied to the weights")
-    _add_kernel_args(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--b-override", type=float, default=None)
-    p.add_argument("--model-out", default=None)
-    p.add_argument("--check", action="store_true",
-                   help="print the optimality report; exit 1 if it fails")
+    add(p, "--data", required=True)
+    add(p, "--weights", help="companion file; default uniform")
+    add(p, "--cost", 1.0, type=float,
+        help="uniform scale applied to the weights")
+    add_kernel(p)
+    add(p, "--tol", DEFAULT_TOL, type=float)
+    add(p, "--b-override", type=float)
+    add(p, "--model-out")
+    add(p, "--check", False, action="store_true",
+        help="print the optimality report; exit 1 if it fails")
 
     p = sub.add_parser("train-svmplus", help="train with privileged features")
-    p.add_argument("--data", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--cost", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    _add_kernel_args(p)
-    _add_kernel_args(p, prefix="priv-")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--model-out", default=None)
-    p.add_argument("--check", action="store_true",
-                   help="print the optimality report; exit 1 if it fails")
+    add(p, "--data", required=True)
+    add(p, "--priv", required=True)
+    add(p, "--cost", 1.0, type=float)
+    add(p, "--gamma", 1.0, type=float)
+    add_kernel(p)
+    add_kernel(p, prefix="priv-")
+    add(p, "--tol", DEFAULT_TOL, type=float)
+    add(p, "--model-out")
+    add(p, "--check", False, action="store_true",
+        help="print the optimality report; exit 1 if it fails")
 
     p = sub.add_parser("learn-weights",
                        help="learn instance weights on a validation split")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    _add_kernel_args(p)
-    p.add_argument("--deltas", default="0.01,0.1,1")
-    p.add_argument("--mode", default="log", choices=["log", "projected"])
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--weights-out", default=None)
-    p.add_argument("--log-out", default=None,
-                   help="per-iteration CSV (iteration,objective,val_error)")
+    add(p, "--train", required=True)
+    add(p, "--val", required=True)
+    add_kernel(p)
+    add(p, "--deltas", wl.deltas, type=_comma_list(float))
+    add(p, "--mode", wl.mode, choices=["log", "projected"])
+    add(p, "--max-iter", wl.max_outer_iter, type=int)
+    add(p, "--weights-out")
+    add(p, "--log-out",
+        help="per-iteration CSV (iteration,objective,val_error)")
 
     p = sub.add_parser("equiv",
                        help="equivalence diagnostics for a weighted solution")
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--cost", type=float, default=1.0)
-    _add_kernel_args(p)
-    p.add_argument("--candidate", default=None,
-                   help="weight file to test for family membership")
+    add(p, "--data", required=True)
+    add(p, "--weights")
+    add(p, "--cost", 1.0, type=float)
+    add_kernel(p)
+    add(p, "--candidate", help="weight file to test for family membership")
 
     p = sub.add_parser("experiment", help="run the evaluation protocol")
-    p.add_argument("--source", default="blobs",
-                   choices=["blobs", "wmixture"])
-    p.add_argument("--methods", default="svm")
-    p.add_argument("--subset-sizes", default="40")
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="1-to-2",
-                   choices=["fixed-validation", "1-to-2", "2-to-1"])
-    p.add_argument("--kernel", default=LINEAR,
-                   choices=[LINEAR, GAUSSIAN_RBF])
-    p.add_argument("--n-pool", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=1000)
-    p.add_argument("--c-grid", default=None,
-                   help="comma-separated override of the cost grid")
-    p.add_argument("--gamma-grid", default=None)
-    p.add_argument("--out", default=None)
+    add(p, "--source", exp.source, choices=["blobs", "wmixture"])
+    add(p, "--methods", exp.methods, type=_comma_list(str))
+    add(p, "--subset-sizes", exp.subset_sizes, type=_comma_list(int))
+    add(p, "--repetitions", exp.repetitions, type=int)
+    add(p, "--seed", exp.seed, type=int)
+    add(p, "--split", exp.split, choices=SPLITS)
+    add(p, "--kernel", exp.kernel, choices=[LINEAR, GAUSSIAN_RBF])
+    add(p, "--n-pool", exp.n_pool, type=int)
+    add(p, "--n-test", exp.n_test, type=int)
+    add(p, "--c-grid", exp.C_grid, type=_comma_list(float), dest="C_grid",
+        help="comma-separated cost grid")
+    add(p, "--gamma-grid", exp.gamma_grid, type=_comma_list(float))
+    add(p, "--out")
 
-    p = sub.add_parser("counterexample",
-                       help="solve the stored three-point instance and "
-                            "verify it against expected values")
+    sub.add_parser("counterexample",
+                   help="solve the stored three-point instance and "
+                        "verify it against expected values")
 
     p = sub.add_parser("figure3", help="blob-outlier comparison study")
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    add(p, "--reps", 50, type=int)
+    add(p, "--seed", 0, type=int)
+    add(p, "--out")
 
     p = sub.add_parser("wshape", help="W-mixture weight-learning study")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    add(p, "--reps", 20, type=int)
+    add(p, "--seed", 0, type=int)
+    add(p, "--out")
     return top
 
 
@@ -203,8 +228,7 @@ def _cmd_train_svmplus(args) -> int:
 def _cmd_learn_weights(args) -> int:
     train = dataio.load_sparse(args.train)
     val = dataio.load_sparse(args.val)
-    deltas = tuple(float(t) for t in args.deltas.split(","))
-    config = WeightLearningConfig(deltas=deltas, mode=args.mode,
+    config = WeightLearningConfig(deltas=args.deltas, mode=args.mode,
                                   max_outer_iter=args.max_iter)
     result = learn_weights(train, val, _kernel_from(args), config)
     if args.weights_out:
@@ -230,24 +254,10 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    kwargs = dict(
-        source=args.source,
-        methods=tuple(args.methods.split(",")),
-        subset_sizes=tuple(int(t) for t in args.subset_sizes.split(",")),
-        repetitions=args.repetitions,
-        seed=args.seed,
-        split=args.split,
-        kernel=args.kernel,
-        n_pool=args.n_pool,
-        n_test=args.n_test,
-    )
-    if args.c_grid:
-        kwargs["C_grid"] = tuple(float(t) for t in args.c_grid.split(","))
-    if args.gamma_grid:
-        kwargs["gamma_grid"] = tuple(
-            float(t) for t in args.gamma_grid.split(","))
-    table = run_experiment(ExperimentConfig(**kwargs))
-    _emit(emit_results(table), args.out)
+    names = {f.name for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(
+        **{k: v for k, v in vars(args).items() if k in names})
+    _emit(emit_results(run_experiment(config)), args.out)
     return 0
 
 
@@ -326,32 +336,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # resolve --config before the real parse so file values become defaults
-    config_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-    if config_path:
-        values = _read_config_file(config_path)
-        for subparser in parser._subparsers._group_actions[0].choices.values():
-            defaults = {}
-            for action in subparser._actions:
-                if action.dest not in values:
-                    continue
-                raw = values[action.dest]
-                if isinstance(action, argparse._StoreTrueAction):
-                    defaults[action.dest] = raw.lower() in ("1", "true", "yes")
-                elif action.type is not None:
-                    defaults[action.dest] = action.type(raw)
-                else:
-                    defaults[action.dest] = raw
-                action.required = False  # the file satisfied it
-            subparser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+    # read --config first, so its values become the flags' defaults
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    args = build_parser(_read_config_file(path) if path else None
+                        ).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except ConvergenceError as exc:

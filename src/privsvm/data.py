@@ -3,7 +3,9 @@
 The on-disk format is the usual sparse text format: one instance per line,
 ``label index:value ...`` with 1-based feature indices and labels that must
 parse to -1 or +1.  Companion files (privileged features, per-instance
-weights, confidence scores) are aligned with the data file line by line.
+weights, confidence scores) are aligned with the data file line by line; a
+sparse companion file is read by the same parser, so index 0 is rejected
+there too, and its leading label is an optional placeholder.
 """
 
 from __future__ import annotations
@@ -135,36 +137,47 @@ def rescale_features(data: Dataset) -> tuple[Dataset, AffineMap]:
     return fmap.apply_dataset(data), fmap
 
 
-def load_sparse(path, n_features: int | None = None) -> Dataset:
-    """Parse the sparse ``label index:value`` text format."""
+def _read_sparse(path, labeled: bool):
+    """Parse ``label index:value ...`` lines (1-based indices) into the
+    labels and a dense matrix.  Unlabeled companion files may still carry
+    a placeholder label, which is skipped."""
     labels: list[float] = []
     rows: list[dict[int, float]] = []
-    max_idx = 0
+    max_idx = 1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            label = float(parts[0])
-            if label not in (-1.0, 1.0):
-                raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not +-1")
+            if labeled:
+                label = float(parts[0])
+                if label not in (-1.0, 1.0):
+                    raise ValueError(
+                        f"{path}:{lineno}: label {parts[0]!r} is not +-1")
+                labels.append(label)
+            if labeled or ":" not in parts[0]:
+                parts = parts[1:]
             entries: dict[int, float] = {}
-            for item in parts[1:]:
+            for item in parts:
                 idx_s, _, val_s = item.partition(":")
                 idx = int(idx_s)
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: indices are 1-based")
                 entries[idx] = float(val_s)
                 max_idx = max(max_idx, idx)
-            labels.append(label)
             rows.append(entries)
-    if not rows:
-        raise ValueError(f"{path}: empty data file")
-    d = n_features if n_features is not None else max_idx
-    X = np.zeros((len(rows), max(d, 1)))
+    X = np.zeros((len(rows), max_idx))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             X[i, idx - 1] = val
+    return labels, X
+
+
+def load_sparse(path) -> Dataset:
+    """Parse the sparse ``label index:value`` text format."""
+    labels, X = _read_sparse(path, labeled=True)
+    if not labels:
+        raise ValueError(f"{path}: empty data file")
     return Dataset(X, labels)
 
 
@@ -190,26 +203,7 @@ def load_privileged(path, data: Dataset) -> PrivilegedSet:
 
 def load_sparse_features(path) -> np.ndarray:
     """Parse a sparse companion file whose labels are ignored placeholders."""
-    rows: list[dict[int, float]] = []
-    max_idx = 1
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            entries: dict[int, float] = {}
-            start = 1 if ":" not in parts[0] else 0
-            for item in parts[start:]:
-                idx_s, _, val_s = item.partition(":")
-                idx = int(idx_s)
-                entries[idx] = float(val_s)
-                max_idx = max(max_idx, idx)
-            rows.append(entries)
-    X = np.zeros((len(rows), max_idx))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            X[i, idx - 1] = val
-    return X
+    return _read_sparse(path, labeled=False)[1]
 
 
 def load_weights(path, n: int | None = None) -> np.ndarray:

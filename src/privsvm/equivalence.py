@@ -253,7 +253,7 @@ def equivalence_report(model: WsvmModel, c=None,
     if c is None:
         c = model.c
     unnorm, norm = rho(c, model.xi)
-    holds = necessary_condition(c, model.h)
+    holds = necessary_condition(c, model.xi)
     report = EquivalenceReport(
         rho_unnormalized=unnorm,
         rho_normalized=norm,

@@ -6,6 +6,12 @@ five-component Gaussian mixture laid out in a W shape whose exact label
 posterior is available in closed form.  ``run_experiment`` wires the
 solvers, the weighting schemes and weight learning into one deterministic
 evaluation loop; everything is keyed off a single integer seed.
+
+``ExperimentConfig`` holds only what callers vary.  The wsvm-prob
+sharpness grid (DEFAULT_TAU_GRID), the fixed-validation pool size (N_VAL)
+and the RBF bandwidth quantiles (``bandwidth_grid``'s default) are
+constants.  In the 1-to-2 and 2-to-1 split modes every subset needs at
+least 3 points: two to train on and one to validate on.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ __all__ = [
 ]
 
 METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus", "wsvm-from-svmplus")
-DEFAULT_TAU_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
+SPLITS = ("fixed-validation", "1-to-2", "2-to-1")
+DEFAULT_TAU_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # wsvm-prob sharpness grid
+N_VAL = 200  # validation pool size in fixed-validation mode
 
 
 def default_log_grid(lo_exp: int = -5, hi_exp: int = 15,
@@ -167,31 +175,31 @@ class ExperimentConfig:
     subset_sizes: tuple[int, ...] = (40,)
     repetitions: int = 1
     seed: int = 0
-    split: str = "1-to-2"                  # "fixed-validation" | "1-to-2" | "2-to-1"
+    split: str = "1-to-2"                  # one of SPLITS
     kernel: str = LINEAR
     n_pool: int = 200
-    n_val: int = 200                       # fixed-validation mode only
     n_test: int = 1000
     C_grid: tuple[float, ...] = default_log_grid()
     gamma_grid: tuple[float, ...] = default_log_grid()
-    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     delta_grid: tuple[float, ...] = (0.1, 1.0)
-    bandwidth_quantiles: tuple[float, ...] = (0.1, 0.5, 0.9)
     max_outer_iter: int = 30
     generator_params: tuple = ()           # key/value overrides for the source
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.split not in ("fixed-validation", "1-to-2", "2-to-1"):
+        if self.split not in SPLITS:
             raise ValueError(f"unknown split mode {self.split!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if self.source not in ("blobs", "wmixture"):
             raise ValueError(f"unknown source {self.source!r}")
-        if any(s < 2 for s in self.subset_sizes):
-            raise ValueError("subset sizes must be >= 2")
+        # a split needs two training points and one validation point
+        least = 2 if self.split == "fixed-validation" else 3
+        if any(s < least for s in self.subset_sizes):
+            raise ValueError(
+                f"subset sizes must be >= {least} in {self.split!r} mode")
         if any(s > self.n_pool for s in self.subset_sizes):
             raise ValueError("subset sizes must not exceed the pool")
 
@@ -272,15 +280,12 @@ def _sample_subset(rng, pool_n: int, size: int, y: np.ndarray):
 
 
 def _split_indices(rng, idx: np.ndarray, mode: str, y: np.ndarray):
-    if mode == "fixed-validation":
-        raise AssertionError("handled by caller")
     perm = rng.permutation(idx)
     n = perm.size
     n_train = n // 3 if mode == "1-to-2" else (2 * n) // 3
     n_train = max(2, n_train)
     tr, va = perm[:n_train], perm[n_train:]
-    if (not (np.any(y[tr] > 0) and np.any(y[tr] < 0))
-            or va.size == 0 or not np.any(np.isfinite(y[va]))):
+    if not (np.any(y[tr] > 0) and np.any(y[tr] < 0)):
         # degenerate split: rotate until the training side has both classes
         for shift in range(1, n):
             rolled = np.roll(perm, shift)
@@ -294,7 +299,7 @@ def _kernel_candidates(config: ExperimentConfig, X) -> list[KernelSpec]:
     if config.kernel == LINEAR:
         return [KernelSpec(LINEAR)]
     # larger bandwidths first so ties resolve toward them
-    bws = sorted(bandwidth_grid(X, config.bandwidth_quantiles), reverse=True)
+    bws = sorted(bandwidth_grid(X), reverse=True)
     return [KernelSpec(GAUSSIAN_RBF, h) for h in bws]
 
 
@@ -328,7 +333,7 @@ def _fit_method(method: str, train: Dataset, val: Dataset, test: Dataset,
         if eta_train is None:
             raise ValueError("wsvm-prob needs confidence scores")
         for si, spec in enumerate(specs):
-            for ti, tau in enumerate(config.tau_grid):
+            for ti, tau in enumerate(DEFAULT_TAU_GRID):
                 w = probability_weights(eta_train, train.y, tau)
                 if not np.any(w > 0):
                     continue
@@ -347,10 +352,7 @@ def _fit_method(method: str, train: Dataset, val: Dataset, test: Dataset,
         if priv_X is None:
             raise ValueError(f"{method} needs privileged features")
         priv = PrivilegedSet(priv_X)
-        priv_specs = ([KernelSpec(LINEAR)] if config.kernel == LINEAR else
-                      [KernelSpec(GAUSSIAN_RBF, h)
-                       for h in sorted(bandwidth_grid(
-                           priv_X, config.bandwidth_quantiles), reverse=True)])
+        priv_specs = _kernel_candidates(config, priv_X)
         for si, spec in enumerate(specs):
             for pi, pspec in enumerate(priv_specs):
                 for C in config.C_grid:
@@ -379,13 +381,11 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     data_seq, proto_seq = root.spawn(2)
     pool, priv_X, eta, test = _generate_pool(config, data_seq)
     if config.split == "fixed-validation":
+        s_val = int(data_seq.spawn(1)[0].generate_state(1)[0])
         val_pool = (generate_blobs_with_outliers(
-            n_per_class=config.n_val // 2, outlier_count=0,
-            seed=int(data_seq.spawn(1)[0].generate_state(1)[0])).data
+            n_per_class=N_VAL // 2, outlier_count=0, seed=s_val).data
             if config.source == "blobs"
-            else generate_w_mixture(
-                config.n_val,
-                seed=int(data_seq.spawn(1)[0].generate_state(1)[0])).data)
+            else generate_w_mixture(N_VAL, seed=s_val).data)
     table = ResultTable()
     rep_seqs = proto_seq.spawn(config.repetitions)
     for subset in config.subset_sizes:

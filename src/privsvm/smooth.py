@@ -38,20 +38,13 @@ def smooth_hinge(t, delta: float):
     """Value, first and second derivative of l_delta, elementwise."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    t = np.asarray(t, dtype=float)
-    s = 1.0 - t
-    value = np.where(s <= 0, 0.0, s - delta)
-    d1 = np.where(s <= 0, 0.0, -1.0)
-    d2 = np.zeros_like(s)
-    mid = (s > 0) & (s < 2.0 * delta)
-    if np.any(mid):
-        sm = s[mid]
-        d3 = delta**3
-        value = value.copy()
-        d1 = d1.copy()
-        value[mid] = sm**3 * (4.0 * delta - sm) / (16.0 * d3)
-        d1[mid] = -(sm**2) * (3.0 * delta - sm) / (4.0 * d3)
-        d2[mid] = 3.0 * sm * (2.0 * delta - sm) / (4.0 * d3)
+    s = 1.0 - np.asarray(t, dtype=float)
+    q = np.clip(s, 0.0, 2.0 * delta)  # q = 0 gives the flat piece t >= 1
+    d3 = delta**3
+    linear = s >= 2.0 * delta
+    value = np.where(linear, s - delta, q**3 * (4.0 * delta - q) / (16.0 * d3))
+    d1 = np.where(linear, -1.0, -(q**2) * (3.0 * delta - q) / (4.0 * d3))
+    d2 = 3.0 * q * (2.0 * delta - q) / (4.0 * d3)
     return value, d1, d2
 
 

@@ -184,7 +184,7 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
     return SvmPlusModel(
         data=data, priv=priv, spec=spec, priv_spec=priv_spec, C=C,
         gamma=0.0, alpha=wsvm.alpha, beta=wsvm.beta, alpha_tilde=at,
-        b=wsvm.b, b_tilde=b_tilde, xi=wsvm.xi.copy(), h=wsvm.h,
+        b=wsvm.b, b_tilde=b_tilde, xi=wsvm.xi.copy(), h=wsvm.xi,
         objective_primal=wsvm.objective_primal,
         objective_dual=wsvm.objective_dual, n_iter=wsvm.n_iter,
         _gram=wsvm.gram_train,

@@ -12,6 +12,10 @@ log-weights (which keeps c positive and within a factor WEIGHT_SPREAD of
 c_init, so weight ratios are at most WEIGHT_SPREAD**2 and every inner solve
 can be certified) or, alternatively, by projected gradient in c directly.
 An inner solve that cannot be certified raises ConvergenceError.
+
+``WeightLearningConfig`` holds what callers vary (deltas, c_init, mode,
+max_outer_iter).  The outer stop GTOL and the projected mode's first step
+STEP_INIT and weight floor WEIGHT_FLOOR are module constants.
 """
 
 from __future__ import annotations
@@ -34,8 +38,13 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS = (0.01, 0.1, 1.0)
+# outer stop: L-BFGS-B's gtol, and the projected loop's bound on max |grad|
+GTOL = 1e-6
 # log mode: each weight stays within this factor of c_init
 WEIGHT_SPREAD = 1e4
+# projected mode: first step length, and the floor that keeps c positive
+STEP_INIT = 1.0
+WEIGHT_FLOOR = 1e-8
 
 
 @dataclass
@@ -85,10 +94,7 @@ class WeightLearningConfig:
     deltas: tuple[float, ...] = DEFAULT_DELTAS
     c_init: float = 1.0
     mode: str = "log"          # "log" (L-BFGS-B in log-weights) or "projected"
-    gtol: float = 1e-6
     max_outer_iter: int = 200
-    step_init: float = 1.0     # projected mode only
-    weight_floor: float = 1e-8  # projected mode only
 
     def __post_init__(self):
         if self.mode not in ("log", "projected"):
@@ -150,22 +156,22 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
         spread = np.log(WEIGHT_SPREAD)
         res = minimize(fun, np.full(n, t0), jac=True, method="L-BFGS-B",
                        bounds=[(t0 - spread, t0 + spread)] * n,
-                       options={"gtol": config.gtol,
+                       options={"gtol": GTOL,
                                 "maxiter": config.max_outer_iter})
         n_iter = int(res.nit)
     else:
         c = np.full(n, config.c_init)
-        step = config.step_init
+        step = STEP_INIT
         loss, grad, err, model = _val_loss_and_grad(
             c, train, val, spec, delta, K_val)
         record(c, loss, err, model)
         n_iter = 0
         for n_iter in range(1, config.max_outer_iter + 1):
-            if np.max(np.abs(grad)) <= config.gtol:
+            if np.max(np.abs(grad)) <= GTOL:
                 break
             moved = False
             while step > 1e-12:
-                c_new = np.maximum(config.weight_floor, c - step * grad)
+                c_new = np.maximum(WEIGHT_FLOOR, c - step * grad)
                 loss_new, grad_new, err_new, model_new = _val_loss_and_grad(
                     c_new, train, val, spec, delta, K_val)
                 if loss_new <= loss - 1e-12:

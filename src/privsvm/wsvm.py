@@ -9,8 +9,8 @@ equality row y' and the box [0, c], so the working set is the most
 violating pair of SMO.  The primal model is recovered afterwards,
 including the exact interval of optimal offsets b.
 
-Slacks are reported under the lower-bound convention xi_i = h_i (the hinge
-loss), which keeps xi well defined even where c_i = 0.
+Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
+(the hinge loss), which keeps xi well defined even where c_i = 0.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class WsvmModel:
     b: float
     b_interval: tuple[float, float]
     xi: np.ndarray
-    h: np.ndarray
     objective_primal: float
     objective_dual: float
     n_iter: int = 0
@@ -148,13 +147,13 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         b = float(b_override)
     else:
         b = _pick_offset(interval, y)
-    h = np.maximum(0.0, 1.0 - y * (f0 + b))
+    xi = np.maximum(0.0, 1.0 - y * (f0 + b))
     beta = c - alpha
-    primal = 0.5 * float(alpha @ Q @ alpha) + float(c @ h)
+    primal = 0.5 * float(alpha @ Q @ alpha) + float(c @ xi)
     dual = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
     return WsvmModel(
         data=data, spec=spec, c=c, alpha=alpha, beta=beta, b=b,
-        b_interval=interval, xi=h.copy(), h=h,
+        b_interval=interval, xi=xi,
         objective_primal=primal, objective_dual=dual, n_iter=n_iter,
         b_overridden=b_override is not None, _gram=K,
     )

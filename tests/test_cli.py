@@ -116,6 +116,41 @@ def test_config_file_supplies_defaults(three_point_files, tmp_path, capsys):
     assert "objective_primal 10" not in out
 
 
+def test_config_file_switch_values(three_point_files, tmp_path, capsys):
+    data_path, _ = three_point_files
+    config = tmp_path / "run.conf"
+    for value, shown in (("false", False), ("no", False), ("yes", True),
+                         ("1", True)):
+        config.write_text(f"data = {data_path}\ncheck = {value}\n")
+        assert main(["--config", str(config), "train-wsvm"]) == 0
+        assert ("pass 1" in capsys.readouterr().out) == shown
+
+
+def test_config_file_value_is_typed(three_point_files, tmp_path, capsys):
+    data_path, weights_path = three_point_files
+    config = tmp_path / "run.conf"
+    config.write_text(f"data = {data_path}\nweights = {weights_path}\n"
+                      "cost = 0.0001\n")
+    args = build_parser({"data": data_path, "cost": "0.0001"}).parse_args(
+        ["train-wsvm"])
+    assert args.cost == 0.0001 and isinstance(args.cost, float)
+    assert main(["--config", str(config), "train-wsvm"]) == 0
+    out = capsys.readouterr().out
+    assert "objective_primal 10" not in out
+    primal = float(out.split()[1])
+    assert 0.0 < primal < 0.01
+
+
+def test_config_file_ignores_unknown_keys(three_point_files, tmp_path,
+                                          capsys):
+    data_path, weights_path = three_point_files
+    config = tmp_path / "run.conf"
+    config.write_text(f"data = {data_path}\nweights = {weights_path}\n"
+                      "no-such-flag = 3\nreps = 7\n")
+    assert main(["--config", str(config), "train-wsvm"]) == 0
+    assert "objective_primal 10" in capsys.readouterr().out
+
+
 def test_config_file_rejects_bad_lines(tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("just-a-token\n")

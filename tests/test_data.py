@@ -93,6 +93,17 @@ def test_load_privileged_companion(tmp_path):
         load_privileged(priv_path, data)
 
 
+def test_privileged_file_rejects_index_zero(tmp_path):
+    data_path = tmp_path / "d.data"
+    save_sparse(data_path, [[1.0], [2.0]], [1.0, -1.0])
+    data = load_sparse(data_path)
+    priv_path = tmp_path / "d.priv"
+    for text in ("0 0:5 1:7\n0 1:1\n", "0:5 1:7\n1:1\n"):
+        priv_path.write_text(text)
+        with pytest.raises(ValueError, match="1-based"):
+            load_privileged(priv_path, data)
+
+
 def test_weight_files(tmp_path):
     p = tmp_path / "w"
     save_weights(p, [0.25, 1.5])

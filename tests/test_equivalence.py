@@ -43,7 +43,7 @@ def test_rho_zero_weight_sum():
 
 def test_necessary_condition_fails_on_three_point_instance():
     model, c = three_point_model()
-    assert not necessary_condition(c, model.h)
+    assert not necessary_condition(c, model.xi)
     with pytest.raises(NotRepresentableError, match="no correcting space"):
         construct_privileged(model)
 

@@ -103,6 +103,11 @@ def test_config_validation():
         ExperimentConfig(source="mnist")
     with pytest.raises(ValueError, match="subset"):
         ExperimentConfig(subset_sizes=(1,))
+    # a split of two points leaves no validation point
+    for split in ("1-to-2", "2-to-1"):
+        with pytest.raises(ValueError, match="subset"):
+            ExperimentConfig(subset_sizes=(2,), split=split)
+    ExperimentConfig(subset_sizes=(2,), split="fixed-validation")
     with pytest.raises(ValueError, match="pool"):
         ExperimentConfig(subset_sizes=(400,), n_pool=200)
 
