@@ -3,7 +3,8 @@
 Subcommands: train-wsvm, train-svmplus, learn-weights, equiv, experiment,
 counterexample, figure3, wshape.  The defaults of the experiment,
 learn-weights and --tol flags are read from ExperimentConfig,
-WeightLearningConfig and wsvm.DEFAULT_TOL.
+WeightLearningConfig and wsvm.DEFAULT_TOL, and those of figure3 and wshape
+from the signatures of figure3_study and wshape_study.
 
 Flag defaults may be preloaded from a plain-text ``key=value`` config file
 via --config (``#`` starts a comment; a key is a flag name without the
@@ -20,6 +21,7 @@ and exit status 1.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields
 
@@ -77,6 +79,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     switch, true/yes/1 turns it on.  Keys that no flag takes are ignored."""
     file = defaults or {}
     exp, wl = ExperimentConfig(), WeightLearningConfig()
+    fig3 = inspect.signature(figure3_study).parameters
+    wsh = inspect.signature(wshape_study).parameters
 
     def add(p, name, default=None, required=False, **kwargs):
         raw = file.get(name[2:].replace("-", "_"))
@@ -159,13 +163,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                         "verify it against expected values")
 
     p = sub.add_parser("figure3", help="blob-outlier comparison study")
-    add(p, "--reps", 50, type=int)
-    add(p, "--seed", 0, type=int)
+    add(p, "--reps", fig3["repetitions"].default, type=int)
+    add(p, "--seed", fig3["seed"].default, type=int)
     add(p, "--out")
 
     p = sub.add_parser("wshape", help="W-mixture weight-learning study")
-    add(p, "--reps", 20, type=int)
-    add(p, "--seed", 0, type=int)
+    add(p, "--reps", wsh["repetitions"].default, type=int)
+    add(p, "--seed", wsh["seed"].default, type=int)
     add(p, "--out")
     return top
 

@@ -14,7 +14,10 @@ The objective 1/2 a' K a + sum_i c_i l_delta(y_i f(x_i)) with
 f = K a + b is minimized by a damped Newton method on the stationarity
 residual (Chapelle 2007, *Training a SVM in the primal*).  A solve either
 meets its one stop test or raises ConvergenceError; there is no
-quasi-Newton fallback.
+quasi-Newton fallback.  A solve may start from an earlier model on the
+same inputs and kernel (``warm``): Newton then begins at that model's
+(a, b) and reuses its Gram matrix, which pays when a caller solves a
+sequence of nearby weight vectors, as weight learning does.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def _offset_shift(t, y, c, delta, r2):
 
 def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
                  tol: float = PRIMAL_TOL,
-                 max_iter: int = PRIMAL_MAX_ITER) -> PrimalModel:
+                 max_iter: int = PRIMAL_MAX_ITER,
+                 warm: PrimalModel | None = None) -> PrimalModel:
     """Minimize the smoothed weighted primal in the expansion (a, b).
 
     Stationarity is the zero of
@@ -117,14 +121,29 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     diag(I, 0): the step solves the first block for a and keeps b, and once
     that block holds b moves against <u, c> until the first weighted margin
     to reach the band is delta inside it.
+
+    With ``warm`` (a PrimalModel fitted with the same kernel spec on the
+    same inputs X) Newton starts from its (a, b) and uses its
+    ``gram_train`` instead of building K again; the stop test and the
+    ways to raise are those of a cold start.  A warm model with another
+    spec or other inputs raises ValueError.
     """
     c = check_weights(c, data.n, allow_all_zero=True)
     y = data.y
-    K = gram(spec, data)
     n = data.n
+    if warm is None:
+        K = gram(spec, data)
+        alpha = np.zeros(n)
+        b = 0.0
+    else:
+        if warm.spec != spec:
+            raise ValueError("warm model has a different kernel spec")
+        if not np.array_equal(warm.data.X, data.X):
+            raise ValueError("warm model was fitted on different inputs")
+        K = warm.gram_train
+        alpha = np.array(warm.alpha, dtype=float)
+        b = float(warm.b)
     stop = tol * (1.0 + float(np.max(c)))
-    alpha = np.zeros(n)
-    b = 0.0
     obj, f, u, v = _objective(alpha, b, K, y, c, delta)
     for it in range(max_iter + 1):
         r1 = alpha + u * c

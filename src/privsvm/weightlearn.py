@@ -13,6 +13,12 @@ c_init, so weight ratios are at most WEIGHT_SPREAD**2 and every inner solve
 can be certified) or, alternatively, by projected gradient in c directly.
 An inner solve that cannot be certified raises ConvergenceError.
 
+The outer loop moves c a little at a time, so each inner solve after the
+first of a delta warm-starts from the model of the previous outer step
+(projected mode: the accepted iterate; log mode: the previous L-BFGS-B
+evaluation) and reuses its training Gram matrix, which is then built once
+per delta.
+
 ``WeightLearningConfig`` holds what callers vary (deltas, c_init, mode,
 max_outer_iter).  The outer stop GTOL and the projected mode's first step
 STEP_INIT and weight floor WEIGHT_FLOOR are module constants.
@@ -118,8 +124,8 @@ class WeightLearningResult:
     n_outer_iter: int = 0
 
 
-def _val_loss_and_grad(c, train, val, spec, delta, K_val):
-    model = solve_primal(train, spec, c, delta)
+def _val_loss_and_grad(c, train, val, spec, delta, K_val, warm):
+    model = solve_primal(train, spec, c, delta, warm=warm)
     f_val = K_val.T @ model.alpha + model.b
     t = val.y * f_val
     value, d1, _ = smooth_hinge(t, delta)
@@ -145,11 +151,14 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             best.update(loss=loss, err=err, c=c.copy(), model=model)
 
     if config.mode == "log":
+        last = None  # the previous evaluation's model, the next start
+
         def fun(theta):
+            nonlocal last
             c = np.exp(theta)
-            loss, grad, err, model = _val_loss_and_grad(
-                c, train, val, spec, delta, K_val)
-            record(c, loss, err, model)
+            loss, grad, err, last = _val_loss_and_grad(
+                c, train, val, spec, delta, K_val, last)
+            record(c, loss, err, last)
             return loss, grad * c  # chain rule through c = exp(theta)
 
         t0 = np.log(config.c_init)
@@ -163,7 +172,7 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
         c = np.full(n, config.c_init)
         step = STEP_INIT
         loss, grad, err, model = _val_loss_and_grad(
-            c, train, val, spec, delta, K_val)
+            c, train, val, spec, delta, K_val, None)
         record(c, loss, err, model)
         n_iter = 0
         for n_iter in range(1, config.max_outer_iter + 1):
@@ -172,8 +181,10 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             moved = False
             while step > 1e-12:
                 c_new = np.maximum(WEIGHT_FLOOR, c - step * grad)
+                # a rejected trial leaves the accepted iterate's model as
+                # the start point of the next one
                 loss_new, grad_new, err_new, model_new = _val_loss_and_grad(
-                    c_new, train, val, spec, delta, K_val)
+                    c_new, train, val, spec, delta, K_val, model)
                 if loss_new <= loss - 1e-12:
                     c, loss, grad, err, model = (
                         c_new, loss_new, grad_new, err_new, model_new)

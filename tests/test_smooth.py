@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privsvm import (
     ConvergenceError,
@@ -61,8 +61,12 @@ def test_delta_validation():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=0.01, max_value=1.0))
+@example(1.0, 0.01)
+@example(0.98, 0.01)
 def test_derivatives_match_finite_differences(t, delta):
-    eps = 1e-6
+    # d2 has kinks at both breakpoints, where the central difference of d1
+    # is off by 3 eps / (8 delta^2)
+    eps = 1e-8
     vm, d1m, _ = smooth_hinge(t - eps, delta)
     vp, d1p, _ = smooth_hinge(t + eps, delta)
     v, d1, d2 = smooth_hinge(t, delta)
@@ -169,3 +173,62 @@ def test_primal_budget_raises(rng):
     assert solve_primal(data, KernelSpec(LINEAR), c, 0.1).n_iter > 1
     with pytest.raises(ConvergenceError):
         solve_primal(data, KernelSpec(LINEAR), c, 0.1, max_iter=1)
+
+
+def test_warm_start_from_own_solution_takes_no_step(rng):
+    data = random_dataset(rng, 12)
+    c = rng.uniform(0.5, 2.0, 12)
+    spec = random_kernel(rng)
+    cold = solve_primal(data, spec, c, 0.1)
+    again = solve_primal(data, spec, c, 0.1, warm=cold)
+    assert again.n_iter == 0
+    np.testing.assert_array_equal(again.alpha, cold.alpha)
+    assert again.b == cold.b
+    assert again.gram_train is cold.gram_train
+
+
+def test_warm_start_certifies_and_matches_cold_solve():
+    rng = np.random.default_rng(2024)
+    certified = compared = 0
+    for _ in range(100):
+        data, spec, c, delta = _hard_instance(rng)
+        c_new = c * rng.uniform(0.5, 2.0, data.n)
+        try:
+            start = solve_primal(data, spec, c, delta)
+            warm = solve_primal(data, spec, c_new, delta, warm=start)
+        except ConvergenceError:
+            continue
+        f = warm.decision_train
+        _, d1, _ = smooth_hinge(data.y * f, delta)
+        g = c_new * data.y * d1
+        resid = max(float(np.max(np.abs(warm.alpha + g))),
+                    abs(float(np.sum(g))))
+        assert resid <= 1e-10 * (1.0 + np.max(c_new))
+        certified += 1
+        try:
+            f_cold = solve_primal(data, spec, c_new, delta).decision_train
+        except ConvergenceError:
+            continue
+        scale = 1.0 + max(np.max(np.abs(f)), np.max(np.abs(f_cold)))
+        assert np.max(np.abs(f - f_cold)) <= 1e-6 * scale
+        compared += 1
+    assert certified >= 80 and compared >= 80
+
+
+def test_warm_model_must_match_spec_and_inputs(rng):
+    data = random_dataset(rng, 8)
+    c = np.ones(8)
+    model = solve_primal(data, KernelSpec(LINEAR), c, 0.5)
+    with pytest.raises(ValueError, match="spec"):
+        solve_primal(data, KernelSpec(GAUSSIAN_RBF, 1.0), c, 0.5,
+                     warm=model)
+    with pytest.raises(ValueError, match="inputs"):
+        solve_primal(Dataset(data.X + 1.0, data.y), KernelSpec(LINEAR), c,
+                     0.5, warm=model)
+    with pytest.raises(ValueError, match="inputs"):
+        solve_primal(Dataset(data.X[:7], data.y[:7]), KernelSpec(LINEAR),
+                     c[:7], 0.5, warm=model)
+    # equal inputs in another array are the same inputs
+    same = Dataset(data.X.copy(), data.y)
+    assert solve_primal(same, KernelSpec(LINEAR), c, 0.5,
+                        warm=model).n_iter == 0

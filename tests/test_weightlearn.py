@@ -11,7 +11,9 @@ from privsvm import (
     learn_weights,
     solve_primal,
 )
+from privsvm import smooth
 from privsvm.experiments import generate_blobs_with_outliers
+from privsvm.kernels import gram
 from privsvm.weightlearn import WEIGHT_SPREAD
 
 from conftest import random_dataset
@@ -119,3 +121,20 @@ def test_dimension_mismatch_rejected(rng):
     val = random_dataset(rng, 4, d=3)
     with pytest.raises(ValueError, match="dimension"):
         learn_weights(train, val, KernelSpec(LINEAR))
+
+
+def test_training_gram_built_once_per_delta(monkeypatch):
+    builds = []
+
+    def counting_gram(spec, a, b=None):
+        if b is None:
+            builds.append(spec)
+        return gram(spec, a, b)
+
+    monkeypatch.setattr(smooth, "gram", counting_gram)
+    sample, val = _outlier_setup()
+    config = WeightLearningConfig(deltas=(0.1, 1.0), mode="projected",
+                                  max_outer_iter=10)
+    result = learn_weights(sample.data, val, KernelSpec(LINEAR), config)
+    assert len(result.history) > 2
+    assert len(builds) == 2
