@@ -219,11 +219,7 @@ class EquivalenceReport:
     rho_unnormalized: float
     rho_normalized: float | None
     necessary_condition_holds: bool
-    constructed_C: float | None = None
-    constructed_gamma: float | None = None
-    constructed_features: np.ndarray | None = None
-    constructed_b_tilde: float | None = None
-    constructed_w_tilde: float | None = None
+    constructed: ConstructedPrivileged | None = None
     family_membership: bool | None = None
 
     def to_text(self) -> str:
@@ -234,12 +230,13 @@ class EquivalenceReport:
             f"rho_normalized {norm}",
             f"necessary_condition {int(self.necessary_condition_holds)}",
         ]
-        if self.constructed_C is not None:
+        built = self.constructed
+        if built is not None:
             lines += [
-                f"constructed_C {self.constructed_C:.17g}",
-                f"constructed_gamma {self.constructed_gamma:.17g}",
-                f"constructed_b_tilde {self.constructed_b_tilde:.17g}",
-                f"constructed_w_tilde {self.constructed_w_tilde:.17g}",
+                f"constructed_C {built.C:.17g}",
+                f"constructed_gamma {built.gamma:.17g}",
+                f"constructed_b_tilde {built.b_tilde:.17g}",
+                f"constructed_w_tilde {built.w_tilde:.17g}",
             ]
         else:
             lines.append("constructed none")
@@ -260,15 +257,9 @@ def equivalence_report(model: WsvmModel, c=None,
         necessary_condition_holds=holds,
     )
     try:
-        built = construct_privileged(model, c)
+        report.constructed = construct_privileged(model, c)
     except NotRepresentableError:
-        built = None
-    if built is not None:
-        report.constructed_C = built.C
-        report.constructed_gamma = built.gamma
-        report.constructed_features = built.priv.X[:, 0]
-        report.constructed_b_tilde = built.b_tilde
-        report.constructed_w_tilde = built.w_tilde
+        pass
     if candidate is not None:
         report.family_membership = family_membership(candidate, model)
     return report

@@ -7,6 +7,12 @@ posterior is available in closed form.  ``run_experiment`` wires the
 solvers, the weighting schemes and weight learning into one deterministic
 evaluation loop; everything is keyed off a single integer seed.
 
+Model selection has one winner rule: every candidate fit is keyed
+(validation error, C, kernel rank, extra rank), the lowest key wins and
+the first one wins a tie.  Only each method's winner is evaluated on the
+test sample.  The SVM+ grid is searched once per split, and
+wsvm-from-svmplus replays only its winner as a weighted SVM.
+
 ``ExperimentConfig`` holds only what callers vary.  The wsvm-prob
 sharpness grid (DEFAULT_TAU_GRID), the fixed-validation pool size (N_VAL)
 and the RBF bandwidth quantiles (``bandwidth_grid``'s default) are
@@ -24,7 +30,6 @@ import numpy as np
 from .data import Dataset, PrivilegedSet
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF
 from .schemes import nadaraya_watson, probability_weights
-from .smooth import PrimalModel
 from .svmplus import SvmPlusModel, solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
 from .wsvm import WsvmModel, solve_wsvm, predict
@@ -307,50 +312,39 @@ def _error(y, f) -> float:
     return float(np.mean(y * f <= 0))
 
 
-def _fit_method(method: str, train: Dataset, val: Dataset, test: Dataset,
-                config: ExperimentConfig, priv_X, eta_train):
-    """Grid-search one method; returns the test error of the winner.
+def _winner(grid):
+    """The fit of the (key, fit) pair with the lowest key; the first one
+    wins a tie."""
+    return min(grid, key=lambda pair: pair[0])[1]
 
-    Tie-breaking is deterministic: lowest validation error, then smaller C,
-    then larger bandwidth (candidate enumeration order encodes the rest).
+
+def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
+                 config: ExperimentConfig, priv_X, eta_train
+                 ) -> dict[str, float]:
+    """Grid-search every method of ``config`` on one split; returns each
+    method's test error at its validation winner.
+
+    Each candidate fit is keyed (validation error, C, kernel rank, extra
+    rank) and the lowest key wins, so ties go to the smaller C, then to
+    the larger bandwidth (candidate enumeration order encodes the rest).
+    Only the winners see the test sample.  svm and wsvm-prob share one
+    WSVM grid (svm is the single weight vector 1).  The SVM+ grid is
+    searched once for both svmplus and wsvm-from-svmplus; the latter
+    replays only the winner as a WSVM with c = alpha + beta and the SVM+
+    offset.
     """
+    methods = set(config.methods)
     specs = _kernel_candidates(config, train.X)
-    best = None  # (val_err, C, spec_rank, extra_rank) -> test_err
 
-    def consider(val_err, C, spec_rank, extra_rank, test_err):
-        nonlocal best
-        key = (val_err, C, spec_rank, extra_rank)
-        if best is None or key < best[0]:
-            best = (key, test_err)
-
-    if method == "svm":
+    def wsvm_grid(weights):  # (extra rank, weight vector) pairs, scaled by C
         for si, spec in enumerate(specs):
-            for C in config.C_grid:
-                model = solve_wsvm(train, spec, np.full(train.n, C))
-                consider(_error(val.y, predict(model, val)), C, si, 0,
-                         _error(test.y, predict(model, test)))
-    elif method == "wsvm-prob":
-        if eta_train is None:
-            raise ValueError("wsvm-prob needs confidence scores")
-        for si, spec in enumerate(specs):
-            for ti, tau in enumerate(DEFAULT_TAU_GRID):
-                w = probability_weights(eta_train, train.y, tau)
-                if not np.any(w > 0):
-                    continue
+            for ei, w in weights:
                 for C in config.C_grid:
                     model = solve_wsvm(train, spec, C * w)
-                    consider(_error(val.y, predict(model, val)), C, si, ti,
-                             _error(test.y, predict(model, test)))
-    elif method == "wsvm-learned":
-        wl = WeightLearningConfig(deltas=tuple(config.delta_grid),
-                                  max_outer_iter=config.max_outer_iter)
-        for si, spec in enumerate(specs):
-            res = learn_weights(train, val, spec, wl)
-            consider(res.val_error, 0.0, si, 0,
-                     _error(test.y, res.model.predict(test.X)))
-    elif method in ("svmplus", "wsvm-from-svmplus"):
-        if priv_X is None:
-            raise ValueError(f"{method} needs privileged features")
+                    val_err = _error(val.y, predict(model, val))
+                    yield (val_err, C, si, ei), model
+
+    def svmplus_grid():
         priv = PrivilegedSet(priv_X)
         priv_specs = _kernel_candidates(config, priv_X)
         for si, spec in enumerate(specs):
@@ -358,19 +352,35 @@ def _fit_method(method: str, train: Dataset, val: Dataset, test: Dataset,
                 for C in config.C_grid:
                     for gi, gam in enumerate(config.gamma_grid):
                         plus = solve_svmplus(train, priv, spec, pspec, C, gam)
-                        if method == "svmplus":
-                            f_test = plus.predict(test.X)
-                        else:
-                            w = solve_wsvm(train, spec,
-                                           plus.alpha + plus.beta,
-                                           b_override=plus.b)
-                            f_test = predict(w, test)
-                        consider(_error(val.y, plus.predict(val.X)), C,
-                                 si, pi * 1000 + gi,
-                                 _error(test.y, f_test))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return best[1]
+                        val_err = _error(val.y, plus.predict(val.X))
+                        yield (val_err, C, si, pi * 1000 + gi), plus
+
+    f_test = {}  # method -> the winner's decision values on the test sample
+    if "svm" in methods:
+        model = _winner(wsvm_grid([(0, np.ones(train.n))]))
+        f_test["svm"] = predict(model, test)
+    if "wsvm-prob" in methods:
+        weights = [(ti, probability_weights(eta_train, train.y, tau))
+                   for ti, tau in enumerate(DEFAULT_TAU_GRID)]
+        model = _winner(wsvm_grid([(ti, w) for ti, w in weights
+                                   if np.any(w > 0)]))
+        f_test["wsvm-prob"] = predict(model, test)
+    if "wsvm-learned" in methods:
+        wl = WeightLearningConfig(deltas=tuple(config.delta_grid),
+                                  max_outer_iter=config.max_outer_iter)
+        results = (learn_weights(train, val, spec, wl) for spec in specs)
+        model = _winner(((res.val_error, 0.0, si, 0), res.model)
+                        for si, res in enumerate(results))
+        f_test["wsvm-learned"] = model.predict(test.X)
+    if methods & {"svmplus", "wsvm-from-svmplus"}:
+        plus = _winner(svmplus_grid())
+        if "svmplus" in methods:
+            f_test["svmplus"] = plus.predict(test.X)
+        if "wsvm-from-svmplus" in methods:
+            replay = solve_wsvm(train, plus.spec, plus.alpha + plus.beta,
+                                b_override=plus.b)
+            f_test["wsvm-from-svmplus"] = predict(replay, test)
+    return {m: _error(test.y, f) for m, f in f_test.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
@@ -401,11 +411,10 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                                                 pool.y)
                 val = pool.subset(va_idx)
             train = pool.subset(tr_idx)
-            pX = None if priv_X is None else priv_X[tr_idx]
-            et = None if eta is None else np.asarray(eta).ravel()[tr_idx]
+            fitted = _fit_methods(train, val, test, config, priv_X[tr_idx],
+                                  eta[tr_idx])
             for m in config.methods:
-                errors[m].append(
-                    _fit_method(m, train, val, test, config, pX, et))
+                errors[m].append(fitted[m])
         for m in config.methods:
             e = np.asarray(errors[m])
             table.rows.append(ResultRow(

@@ -53,26 +53,24 @@ def _features(a) -> np.ndarray:
 def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Pairwise kernel evaluations; entry (i, j) = k(a_i, b_j).
 
-    With ``b`` omitted (or identical to ``a``) the result is symmetrized so
-    it satisfies the Gram-matrix invariants exactly.
+    With ``b`` omitted (or identical to ``a``) the result is exactly
+    symmetric.
     """
-    same = b is None or b is a
     A = _features(a)
-    B = A if same else _features(b)
+    # A @ A.T on one buffer is exactly symmetric (numpy computes one
+    # triangle with syrk and mirrors it, or sums both in the same order),
+    # and the RBF formula below keeps that symmetry entry by entry
+    B = A if b is None or b is a else _features(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
         )
     if spec.kind == LINEAR:
-        G = A @ B.T
-    else:
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        G = np.exp(-sq / (2.0 * spec.bandwidth**2))
-    if same:
-        G = 0.5 * (G + G.T)
-    return G
+        return A @ B.T
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * spec.bandwidth**2))

@@ -68,7 +68,28 @@ class IndexSets:
         )
 
 
-def _report(residuals: dict[str, float], gap: float, tol: float) -> KktReport:
+def _report(model: WsvmModel | SvmPlusModel, stationarity: dict,
+            tol: float) -> KktReport:
+    """Stationarity in b, the model's own further stationarity residuals,
+    then the feasibility and complementarity residuals and the relative gap
+    both models share."""
+    y = model.data.y
+    f = model.decision_train
+    alpha, beta, xi = model.alpha, model.beta, model.xi
+    residuals = {
+        "stationarity_b": np.sum(alpha * y),
+        **stationarity,
+        "primal_feasibility_margin": np.max(
+            np.maximum(0.0, 1.0 - y * f - xi)),
+        "primal_feasibility_slack": np.max(np.maximum(0.0, -xi)),
+        "dual_feasibility_alpha": np.max(np.maximum(0.0, -alpha)),
+        "dual_feasibility_beta": np.max(np.maximum(0.0, -beta)),
+        "complementarity_margin": np.max(
+            np.abs(alpha * (xi - 1.0 + y * f))),
+        "complementarity_slack": np.max(np.abs(beta * xi)),
+    }
+    gap = model.objective_primal - model.objective_dual
+    residuals["gap"] = gap / (1.0 + abs(model.objective_primal))
     clean = {k: float(abs(v)) for k, v in residuals.items()}
     return KktReport(
         residuals=clean,
@@ -79,49 +100,20 @@ def _report(residuals: dict[str, float], gap: float, tol: float) -> KktReport:
 
 
 def check_wsvm_kkt(model: WsvmModel, tol: float = 1e-8) -> KktReport:
-    y = model.data.y
-    f = model.decision_train
-    alpha, beta, c, xi = model.alpha, model.beta, model.c, model.xi
-    residuals = {
-        "stationarity_b": np.sum(alpha * y),
-        "stationarity_xi": np.max(np.abs(alpha + beta - c)),
-        "primal_feasibility_margin": np.max(
-            np.maximum(0.0, 1.0 - y * f - xi)),
-        "primal_feasibility_slack": np.max(np.maximum(0.0, -xi)),
-        "dual_feasibility_alpha": np.max(np.maximum(0.0, -alpha)),
-        "dual_feasibility_beta": np.max(np.maximum(0.0, -beta)),
-        "complementarity_margin": np.max(
-            np.abs(alpha * (xi - 1.0 + y * f))),
-        "complementarity_slack": np.max(np.abs(beta * xi)),
-    }
-    gap = model.objective_primal - model.objective_dual
-    residuals["gap"] = gap / (1.0 + abs(model.objective_primal))
-    return _report(residuals, gap, tol)
+    return _report(model, {
+        "stationarity_xi": np.max(
+            np.abs(model.alpha + model.beta - model.c)),
+    }, tol)
 
 
 def check_svmplus_kkt(model: SvmPlusModel, tol: float = 1e-8) -> KktReport:
-    y = model.data.y
-    f = model.decision_train
-    alpha, beta, at, xi = model.alpha, model.beta, model.alpha_tilde, model.xi
-    C = model.C
     # correcting-space stationarity: Kt at = gamma (xi - bt)
-    corr = model.gram_priv @ at - model.gamma * (xi - model.b_tilde)
-    residuals = {
-        "stationarity_b": np.sum(alpha * y),
-        "stationarity_b_tilde": np.sum(alpha + beta - C),
+    corr = (model.gram_priv @ model.alpha_tilde
+            - model.gamma * (model.xi - model.b_tilde))
+    return _report(model, {
+        "stationarity_b_tilde": np.sum(model.alpha + model.beta - model.C),
         "stationarity_w_tilde": np.max(np.abs(corr)),
-        "primal_feasibility_margin": np.max(
-            np.maximum(0.0, 1.0 - y * f - xi)),
-        "primal_feasibility_slack": np.max(np.maximum(0.0, -xi)),
-        "dual_feasibility_alpha": np.max(np.maximum(0.0, -alpha)),
-        "dual_feasibility_beta": np.max(np.maximum(0.0, -beta)),
-        "complementarity_margin": np.max(
-            np.abs(alpha * (xi - 1.0 + y * f))),
-        "complementarity_slack": np.max(np.abs(beta * xi)),
-    }
-    gap = model.objective_primal - model.objective_dual
-    residuals["gap"] = gap / (1.0 + abs(model.objective_primal))
-    return _report(residuals, gap, tol)
+    }, tol)
 
 
 @dataclass

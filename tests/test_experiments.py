@@ -163,6 +163,61 @@ def test_run_experiment_weighted_methods():
     assert all(0.0 <= r.mean_error <= 1.0 for r in table.rows)
 
 
+PROTOCOL = dict(repetitions=2, n_pool=40, n_test=100,
+                C_grid=(0.25, 1.0, 4.0), gamma_grid=(0.25, 4.0),
+                delta_grid=(1.0,), max_outer_iter=5)
+ALL_METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus",
+               "wsvm-from-svmplus")
+
+
+@pytest.mark.parametrize("params, expected", [
+    (dict(source="blobs", kernel="gaussian-rbf", seed=5, subset_sizes=(12,)),
+     "method,subset,split,mean_error,std,reps\n"
+     "svm,12,1-to-2,0.04,0.03,2\n"
+     "wsvm-prob,12,1-to-2,0.04,0.03,2\n"
+     "wsvm-learned,12,1-to-2,0,0,2\n"
+     "svmplus,12,1-to-2,0,0,2\n"
+     "wsvm-from-svmplus,12,1-to-2,0,0,2\n"),
+    (dict(source="wmixture", kernel=LINEAR, seed=6, subset_sizes=(12, 15)),
+     "method,subset,split,mean_error,std,reps\n"
+     "svm,12,1-to-2,0.105,0.065,2\n"
+     "wsvm-prob,12,1-to-2,0.105,0.065,2\n"
+     "wsvm-learned,12,1-to-2,0.04,0.01,2\n"
+     "svmplus,12,1-to-2,0.085,0.035,2\n"
+     "wsvm-from-svmplus,12,1-to-2,0.085,0.035,2\n"
+     "svm,15,1-to-2,0.12,0.03,2\n"
+     "wsvm-prob,15,1-to-2,0.12,0.03,2\n"
+     "wsvm-learned,15,1-to-2,0.045,0.015,2\n"
+     "svmplus,15,1-to-2,0.09,0,2\n"
+     "wsvm-from-svmplus,15,1-to-2,0.09,0,2\n"),
+], ids=["blobs-rbf", "wmixture-linear"])
+def test_run_experiment_golden_output(params, expected):
+    config = ExperimentConfig(methods=ALL_METHODS, **params, **PROTOCOL)
+    assert emit_results(run_experiment(config)) == expected
+
+
+def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch):
+    from privsvm import experiments
+    calls = {"svmplus": 0, "replay": 0}
+
+    def counting_svmplus(*args, **kwargs):
+        calls["svmplus"] += 1
+        return solve_svmplus(*args, **kwargs)
+
+    def counting_wsvm(*args, **kwargs):
+        calls["replay"] += kwargs.get("b_override") is not None
+        return solve_wsvm(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_svmplus", counting_svmplus)
+    monkeypatch.setattr(experiments, "solve_wsvm", counting_wsvm)
+    config = ExperimentConfig(methods=("svmplus", "wsvm-from-svmplus"),
+                              kernel=LINEAR, seed=4, subset_sizes=(12,),
+                              **PROTOCOL)
+    run_experiment(config)
+    # 2 repetitions x 3 C x 2 gamma, one linear kernel on each side
+    assert calls == {"svmplus": 12, "replay": 2}
+
+
 def test_replication_driver_identical_predictions(rng):
     n = 10
     data = random_dataset(rng, n)
