@@ -67,10 +67,12 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
         )
     if spec.kind == LINEAR:
         return A @ B.T
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    # ||a||^2 + ||b||^2 - 2 a'b, clipped at 0, then exp(-sq / (2 h^2)),
+    # in two n x m buffers
+    sq = np.add.outer(np.sum(A * A, axis=1), np.sum(B * B, axis=1))
+    G = A @ B.T
+    G *= 2.0
+    np.subtract(sq, G, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    np.divide(sq, -2.0 * spec.bandwidth**2, out=sq)
+    return np.exp(sq, out=sq)

@@ -8,20 +8,33 @@ for a symmetric positive semidefinite H, one or two equality rows A with
 small integer entries, and upper bounds hi that may be infinite.  The
 module is internal: ``solve_wsvm`` and ``solve_svmplus`` are its callers.
 
-Working set.  Variables are grouped into classes by their column of A;
-moving one variable up and another of the same class down by the same
-amount keeps A z fixed.  With K classes whose columns span K - 1
-dimensions there is one more feasible move: the integer null combination
-v of the class columns, applied to one variable per class.  The weighted
-SVM (A = y') has the classes y = +1 and y = -1 and v = (1, 1); SVM+ over
-z = (a, b) (A = [y' 0; 1' 1']) has the classes a+, a- and b and
-v = (1, 1, -2).  Each iteration picks every class's best "up" and "down"
-candidate once (lowest gradient among variables below their upper bound,
-highest among variables above zero) and takes the most violating move
-among the same-class pairs and +-v built from those picks.  Each move is
-an exact line search clipped to the box; ties go to the first move in
-that order and to the lowest index.  The largest violation is the
-maximal-violating-pair gap of SMO, and the solver stops when it is <= tol.
+Working set.  Variables are grouped into classes by their column of A,
+numbered in the lexicographic order of the columns; moving one variable
+up and another of the same class down by the same amount keeps A z fixed.
+With r rows and r + 1 classes there is one more feasible move: the integer
+null combination v of the class columns, applied to one variable per class.
+Both are derived once per call in closed form: v holds the signed r x r
+minors of the class columns (a cross product for r = 2), with its first
+entry positive.  The weighted SVM (A = y') has the classes y = -1 and
+y = +1 and v = (1, 1); SVM+ over z = (a, b) (A = [y' 0; 1' 1']) has the
+classes a-, b and a+ and v = (1, -2, 1).  Each iteration picks every
+class's best "up" and "down" candidate once (lowest gradient among
+variables below their upper bound, highest among variables above zero)
+and takes the most violating move among the same-class pairs, +v and -v
+built from those picks.  Each move is an exact line search clipped to the
+box; ties go to the first move in that order and to the lowest index.  The
+largest violation is the maximal-violating-pair gap of SMO, and the solver
+stops when it is <= tol.
+
+Arithmetic.  The candidate search and the gradient update
+G += (new - cur) H[idx] run in numpy over all n variables.  Everything
+else in a step involves the two or three moved variables only and runs on
+Python floats: the gaps, the +-v violations, the room to the bounds, the
+curvature, the step length and the blocking variable.  The move
+coefficients are +-1 or +-2, so every product in those sums is exact and
+only the order of summation can matter; the sums run left to right, the
+order of numpy's dot and matrix-vector products at these sizes, so each
+step has the bits that numpy would give.
 
 Face step.  Pairwise moves can zigzag with tiny steps on an
 ill-conditioned or rank-deficient face, so every 64 iterations an exact
@@ -31,7 +44,6 @@ minimisation over the variables strictly inside the box replaces the move.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
 
 __all__ = ["ConvergenceError", "solve_qp"]
 
@@ -108,6 +120,33 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
     return moved
 
 
+def _classes(A: np.ndarray) -> tuple[np.ndarray, int, list]:
+    """Class id of every column of A, numbered in the order of
+    ``np.unique(A.T, axis=0)``; the number of classes; and the cross moves,
+    +v then -v, each with the classes it moves up (none without a v)."""
+    r = A.shape[0]
+    # A has one or two rows of small integers, and this key orders its
+    # columns lexicographically
+    key = A[0] if r == 1 else A[0] * (2 * np.abs(A[1]).max() + 1) + A[1]
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    cols = A[:, first].tolist()
+    n_cls = len(first)
+    # the class columns span r dimensions, so only r + 1 classes have a
+    # null combination: the signed minors of the class columns
+    if n_cls != r + 1:
+        return cls, n_cls, []
+    if r == 1:
+        (a, b), = cols
+        v = [b, -a]
+    else:
+        (a0, b0, c0), (a1, b1, c1) = cols
+        v = [b0 * c1 - c0 * b1, c0 * a1 - a0 * c1, a0 * b1 - b0 * a1]
+    if v[0] < 0:  # the sign fixes which of +-v comes first in a tie
+        v = [-f for f in v]
+    return cls, n_cls, [(v, [f > 0 for f in v]),
+                        ([-f for f in v], [f < 0 for f in v])]
+
+
 def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
              z0: np.ndarray, tol: float,
              max_iter: int) -> tuple[np.ndarray, int]:
@@ -116,50 +155,69 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     Raises ConvergenceError, carrying the final violation, when max_iter
     iterations do not bring the largest violation down to tol.
     """
-    cols, cls = np.unique(A.T, axis=0, return_inverse=True)
-    rows = np.arange(len(cols))
+    cls, n_cls, cross_moves = _classes(A)
+    inf = np.inf
     # one row per class: 0 on the class's members, +inf elsewhere
-    outside = np.where(cls.ravel() == rows[:, None], 0.0, np.inf)
-    null = null_space(cols.T)
-    cross_moves = []  # (coefficients, which classes move up)
-    if null.shape[1] == 1:
-        # A has small integer entries, so v scales to integers
-        v = np.rint(null[:, 0] / np.min(np.abs(null[:, 0])))
-        cross_moves = [(v, v > 0), (-v, v < 0)]
-    pair = np.array([1.0, -1.0])
+    outside = np.where(cls == np.arange(n_cls)[:, None], 0.0, inf)
     z = np.array(z0, dtype=float)
     G = H @ z + p
-    viol = np.inf
+    # outside, or +inf where a variable cannot move up (down); kept in step
+    # with z, so G + up_pen and G - dn_pen are the candidates of each class
+    up_pen = np.where(z < hi, outside, inf)
+    dn_pen = np.where(z > 0, outside, inf)
+    viol = inf
     for it in range(max_iter):
-        up_g = np.where(z < hi, G, np.inf) + outside
-        dn_g = np.where(z > 0, G, -np.inf) - outside
-        up, dn = np.argmin(up_g, axis=1), np.argmax(dn_g, axis=1)
-        up_val, dn_val = up_g[rows, up], dn_g[rows, dn]
+        up_g = G + up_pen
+        dn_g = G - dn_pen
+        up, dn = up_g.argmin(1).tolist(), dn_g.argmax(1).tolist()
+        up_val = [up_g.item(k, i) for k, i in enumerate(up)]
+        dn_val = [dn_g.item(k, i) for k, i in enumerate(dn)]
         # most violating move: same-class pairs, then +v, then -v; a class
         # without a candidate gives a violation of -inf
-        gaps = dn_val - up_val
-        k = int(np.argmax(gaps))
-        viol, idx, cf = float(gaps[k]), np.array([up[k], dn[k]]), pair
+        gaps = [d - u for u, d in zip(up_val, dn_val)]
+        viol = max(gaps)
+        k = gaps.index(viol)
+        idx, cf = [up[k], dn[k]], (1.0, -1.0)
         for sv, use_up in cross_moves:
-            cross = -float(sv @ np.where(use_up, up_val, dn_val))
-            if cross > viol:
-                viol, idx, cf = cross, np.where(use_up, up, dn), sv
+            # the products are exact, and numpy's dot sums left to right
+            cross = 0.0
+            for f, u, a, b in zip(sv, use_up, up_val, dn_val):
+                cross += f * (a if u else b)
+            if -cross > viol:
+                viol = -cross
+                idx = [a if u else b for u, a, b in zip(use_up, up, dn)]
+                cf = sv
         if viol <= tol:
             return z, it
         if it % FACE_EVERY == FACE_EVERY - 1 and _face_step(z, G, H, A, hi):
+            up_pen = np.where(z < hi, outside, inf)
+            dn_pen = np.where(z > 0, outside, inf)
             continue
-        cur = z[idx]
-        room = np.where(cf > 0, hi[idx] - cur, cur) / np.abs(cf)
-        t_max = float(np.min(room))
-        H_idx = H[idx]
-        curv = float(cf @ H_idx[:, idx] @ cf)
+        cur = [z.item(i) for i in idx]
+        top = [hi.item(i) for i in idx]
+        room = [(h - c if f > 0 else c) / abs(f)
+                for f, c, h in zip(cf, cur, top)]
+        t_max = min(room)
+        H_idx = H.take(idx, 0)
+        # cf' H[idx, idx] cf, summed in the order of numpy's cf @ M @ cf
+        curv = 0.0
+        for fj, j in zip(cf, idx):
+            w = 0.0
+            for row, fi in enumerate(cf):
+                w += fi * H_idx.item(row, j)
+            curv += w * fj
         t = min(t_max, viol / curv) if curv > 1e-300 else t_max
-        if not 0.0 < t < np.inf:
+        if not 0.0 < t < inf:
             raise ConvergenceError("QP step stalled", viol)
-        new = np.minimum(np.maximum(cur + t * cf, 0.0), hi[idx])
+        new = [min(max(c + t * f, 0.0), h) for f, c, h in zip(cf, cur, top)]
         if t == t_max:  # land the blocking variable exactly on its bound
-            j = int(np.argmin(room))
-            new[j] = hi[idx[j]] if cf[j] > 0 else 0.0
-        G += (new - cur) @ H_idx
-        z[idx] = new
+            j = room.index(t_max)
+            new[j] = top[j] if cf[j] > 0 else 0.0
+        G += np.array([a - c for a, c in zip(new, cur)]) @ H_idx
+        for i, c, a, h in zip(idx, cur, new, top):
+            z[i] = a
+            if (a < h) != (c < h):
+                up_pen[:, i] = outside[:, i] if a < h else inf
+            if (a > 0) != (c > 0):
+                dn_pen[:, i] = outside[:, i] if a > 0 else inf
     raise ConvergenceError("QP solver did not converge", float(viol))

@@ -91,7 +91,8 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     y = data.y
     K = gram(spec, data)
     Kt = gram(priv_spec, priv)
-    Q = (y[:, None] * y[None, :]) * K
+    Q = K * y[:, None]
+    Q *= y
     # z = (a, b): the correcting term (1/2g) at' Kt at with at = a + b - C1
     # is quadratic in a + b, so it adds Kt/g to every block of H
     H = np.tile(Kt / gamma, (2, 2))
@@ -99,7 +100,7 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     shift = H[n:, n:] @ np.full(n, C)
     z, n_iter = solve_qp(
         H, np.r_[-1.0 - shift, -shift],
-        np.block([[y, np.zeros(n)], [np.ones(n), np.ones(n)]]),
+        np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
         np.full(2 * n, np.inf), np.r_[np.zeros(n), np.full(n, C)],
         tol, max_iter)
     alpha, beta = np.split(z, 2)

@@ -97,9 +97,9 @@ def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
     cum = slope + np.cumsum(w)
     # merge ties: the right-derivative just past a breakpoint value is the
     # cumulative sum over all events at or below it
-    uniq, last_idx = np.unique(beta, return_index=True)
-    last_of = np.r_[last_idx[1:] - 1, beta.size - 1]
-    d_right = cum[last_of]
+    step = beta[1:] != beta[:-1]
+    uniq = beta[np.r_[True, step]]
+    d_right = cum[np.r_[step, True]]
     if slope >= 0:
         lo = -np.inf
     else:
@@ -138,7 +138,8 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     c = check_weights(c, data.n)
     y = data.y
     K = gram(spec, data)
-    Q = (y[:, None] * y[None, :]) * K
+    Q = K * y[:, None]
+    Q *= y
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
     f0 = K @ (y * alpha)
@@ -149,8 +150,9 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         b = _pick_offset(interval, y)
     xi = np.maximum(0.0, 1.0 - y * (f0 + b))
     beta = c - alpha
-    primal = 0.5 * float(alpha @ Q @ alpha) + float(c @ xi)
-    dual = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
+    quad = float(alpha @ Q @ alpha)
+    primal = 0.5 * quad + float(c @ xi)
+    dual = float(np.sum(alpha)) - 0.5 * quad
     return WsvmModel(
         data=data, spec=spec, c=c, alpha=alpha, beta=beta, b=b,
         b_interval=interval, xi=xi,

@@ -80,3 +80,24 @@ def test_gram_symmetric_psd(n, d, bandwidth, seed):
         np.testing.assert_array_equal(G, G.T)
         eig = np.linalg.eigvalsh(G)
         assert eig.min() >= -1e-9 * max(1.0, eig.max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rbf_gram_bitwise_textbook_formula(n, m, d, bandwidth, square, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, d))
+    B = A if square else rng.normal(size=(m, d))
+    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+          - 2.0 * (A @ B.T))
+    expected = np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
+    spec = KernelSpec(GAUSSIAN_RBF, bandwidth)
+    G = gram(spec, A) if square else gram(spec, A, B)
+    np.testing.assert_array_equal(G, expected)
