@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF
+from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
 from .schemes import nadaraya_watson, probability_weights
 from .svmplus import SvmPlusModel, solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
@@ -71,9 +71,7 @@ def bandwidth_grid(X, quantiles=(0.1, 0.5, 0.9)) -> tuple[float, ...]:
     n = X.shape[0]
     if n < 2:
         return (1.0,)
-    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :]
-          - 2.0 * (X @ X.T))
-    d = np.sqrt(np.maximum(sq[np.triu_indices(n, k=1)], 0.0))
+    d = np.sqrt(_sq_dists(X, X)[np.triu_indices(n, k=1)])
     vals = tuple(float(max(q, 1e-12)) for q in np.quantile(d, quantiles))
     out = []
     for v in vals:

@@ -6,6 +6,11 @@ The Gaussian RBF kernel is parametrized as
 
 with bandwidth h > 0; this convention is shared by the solvers, the
 Nadaraya-Watson estimator, and the CLI config format.
+
+The squared distances behind the RBF Gram, the Nadaraya-Watson weights
+and the bandwidth grid come from one helper, ``_sq_dists``.  It works in
+the buffer of the inner products, a block of rows at a time, so an n x m
+Gram costs one n x m buffer plus one block of rows.
 """
 
 from __future__ import annotations
@@ -50,16 +55,39 @@ def _features(a) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
 
+_BLOCK_ROWS = 256  # rows of the squared-distance pass per temporary
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances ||a_i||^2 + ||b_j||^2 - 2 a_i'b_j, clipped at 0.
+
+    The result lives in the buffer of A @ B.T, rewritten a block of rows
+    at a time, so the only other n x m-sized allocation is one block of
+    the outer sum.  With B identical to A the product is A @ A.T on one
+    buffer, which numpy computes exactly symmetric (one triangle with syrk,
+    mirrored), and the rewrite keeps that symmetry entry by entry.
+    """
+    G = A @ B.T
+    a2 = np.sum(A * A, axis=1)
+    b2 = a2 if B is A else np.sum(B * B, axis=1)
+    for start in range(0, G.shape[0], _BLOCK_ROWS):
+        blk = slice(start, start + _BLOCK_ROWS)
+        g = G[blk]
+        g *= 2.0
+        np.subtract(np.add.outer(a2[blk], b2), g, out=g)
+        np.maximum(g, 0.0, out=g)
+    return G
+
+
 def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Pairwise kernel evaluations; entry (i, j) = k(a_i, b_j).
 
     With ``b`` omitted (or identical to ``a``) the result is exactly
-    symmetric.
+    symmetric.  The result is the only n x m buffer: the RBF Gram is built
+    in the buffer of the squared distances, a block of rows at a time
+    (``_sq_dists``).
     """
     A = _features(a)
-    # A @ A.T on one buffer is exactly symmetric (numpy computes one
-    # triangle with syrk and mirrors it, or sums both in the same order),
-    # and the RBF formula below keeps that symmetry entry by entry
     B = A if b is None or b is a else _features(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError(
@@ -67,12 +95,7 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
         )
     if spec.kind == LINEAR:
         return A @ B.T
-    # ||a||^2 + ||b||^2 - 2 a'b, clipped at 0, then exp(-sq / (2 h^2)),
-    # in two n x m buffers
-    sq = np.add.outer(np.sum(A * A, axis=1), np.sum(B * B, axis=1))
-    G = A @ B.T
-    G *= 2.0
-    np.subtract(sq, G, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    np.divide(sq, -2.0 * spec.bandwidth**2, out=sq)
-    return np.exp(sq, out=sq)
+    # exp(-sq / (2 h^2)) in place
+    G = _sq_dists(A, B)
+    np.divide(G, -2.0 * spec.bandwidth**2, out=G)
+    return np.exp(G, out=G)

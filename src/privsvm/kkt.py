@@ -172,7 +172,12 @@ def dual_uniqueness_condition(K: np.ndarray, y, tol: float = RANK_TOL) -> bool:
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("K must be square")
-    Q = (y[:, None] * y[None, :]) * K
-    stacked = np.vstack([Q, np.ones((1, n)), y[None, :]])
+    # YKY, 1' and y' in one buffer; labels are +-1, so the two sign flips
+    # give the bits of (y_i y_j) K_ij
+    stacked = np.empty((n + 2, n))
+    np.multiply(K, y[:, None], out=stacked[:n])
+    stacked[:n] *= y
+    stacked[n] = 1.0
+    stacked[n + 1] = y
     s = np.linalg.svd(stacked, compute_uv=False)
     return bool(s[-1] > tol * s[0])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .kernels import _sq_dists
 
 __all__ = [
     "ConfidenceScores",
@@ -47,7 +48,8 @@ def nadaraya_watson(train, queries=None, bandwidth: float = 1.0,
     ``train`` is a Dataset or an (X, y) pair; ``queries`` defaults to the
     training inputs themselves.  Where every kernel weight underflows to
     zero the estimate falls back to 0 (no confidence either way) and the
-    underflow flag is set.
+    underflow flag is set.  The weights are built in the one query x
+    train buffer of the squared distances.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
@@ -61,15 +63,14 @@ def nadaraya_watson(train, queries=None, bandwidth: float = 1.0,
         raise ValueError("label count mismatch")
     E = X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
-    sq = (np.sum(E * E, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :]
-          - 2.0 * (E @ X.T))
-    np.maximum(sq, 0.0, out=sq)
+    sq = _sq_dists(E, X)
     # subtract the row minimum before exponentiating so at least one
     # weight per row survives in double precision; the ratio is unchanged
     row_min = sq.min(axis=1)
     underflow = bool(np.any(np.exp(-row_min / (2.0 * bandwidth**2)) == 0.0))
     sq -= row_min[:, None]
-    W = np.exp(-sq / (2.0 * bandwidth**2))
+    np.divide(sq, -(2.0 * bandwidth**2), out=sq)
+    W = np.exp(sq, out=sq)
     eta = (W @ y) / W.sum(axis=1)
     return ConfidenceScores(np.clip(eta, -1.0, 1.0), underflow=underflow)
 

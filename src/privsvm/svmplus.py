@@ -94,9 +94,14 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     Q = K * y[:, None]
     Q *= y
     # z = (a, b): the correcting term (1/2g) at' Kt at with at = a + b - C1
-    # is quadratic in a + b, so it adds Kt/g to every block of H
-    H = np.tile(Kt / gamma, (2, 2))
-    H[:n, :n] += Q
+    # is quadratic in a + b, so it adds Kt/g to every block of H.  Each
+    # block is written straight into H, and each copy reads a block whose
+    # address range misses its target, so numpy makes no n x n temporary
+    H = np.empty((2 * n, 2 * n))
+    np.divide(Kt, gamma, out=H[n:, n:])
+    H[:n, n:] = H[n:, n:]
+    H[n:, :n] = H[:n, n:]
+    np.add(H[n:, n:], Q, out=H[:n, :n])
     shift = H[n:, n:] @ np.full(n, C)
     z, n_iter = solve_qp(
         H, np.r_[-1.0 - shift, -shift],

@@ -9,6 +9,11 @@ equality row y' and the box [0, c], so the working set is the most
 violating pair of SMO.  The primal model is recovered afterwards,
 including the exact interval of optimal offsets b.
 
+Q = YKY is not a separate matrix: the solver flips the signs of the Gram
+it built in place, solves, reads a'Qa and flips them back.  The labels
+are exactly +-1, so both flips are exact and the model holds the same K
+bit for bit, with one n x n buffer in all.
+
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
 """
@@ -138,10 +143,16 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     c = check_weights(c, data.n)
     y = data.y
     K = gram(spec, data)
-    Q = K * y[:, None]
-    Q *= y
-    alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
+    # Q = YKY in K's own buffer (see the module docstring).  Only a Gram
+    # built here may be flipped, never one a caller passed in; if solve_qp
+    # raises, this K is simply dropped.
+    K *= y[:, None]
+    K *= y
+    alpha, n_iter = solve_qp(K, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
+    quad = float(alpha @ K @ alpha)
+    K *= y[:, None]
+    K *= y
     f0 = K @ (y * alpha)
     interval = _optimal_offset_interval(y, c, f0)
     if b_override is not None:
@@ -150,7 +161,6 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         b = _pick_offset(interval, y)
     xi = np.maximum(0.0, 1.0 - y * (f0 + b))
     beta = c - alpha
-    quad = float(alpha @ Q @ alpha)
     primal = 0.5 * quad + float(c @ xi)
     dual = float(np.sum(alpha)) - 0.5 * quad
     return WsvmModel(

@@ -49,6 +49,23 @@ def test_bandwidth_grid_positive_and_deduplicated():
     assert bandwidth_grid(np.zeros((1, 2))) == (1.0,)
 
 
+@pytest.mark.parametrize("n", [2, 3, 40, 257, 400])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_bandwidth_grid_bitwise_textbook_formula(n, duplicates):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    if duplicates:
+        X[n // 2:] = X[: n - n // 2]
+    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :]
+          - 2.0 * (X @ X.T))
+    d = np.sqrt(np.maximum(sq[np.triu_indices(n, k=1)], 0.0))
+    expected = []
+    for q in np.quantile(d, (0.1, 0.5, 0.9)):
+        if float(max(q, 1e-12)) not in expected:
+            expected.append(float(max(q, 1e-12)))
+    assert bandwidth_grid(X) == tuple(expected)
+
+
 def test_blobs_determinism_and_planting():
     a = generate_blobs_with_outliers(n_per_class=10, outlier_count=2, seed=3)
     b = generate_blobs_with_outliers(n_per_class=10, outlier_count=2, seed=3)

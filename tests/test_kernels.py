@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsvm import Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, gram
+from privsvm.kernels import _sq_dists
 
 
 def test_linear_gram_is_outer_product():
@@ -101,3 +102,21 @@ def test_rbf_gram_bitwise_textbook_formula(n, m, d, bandwidth, square, seed):
     spec = KernelSpec(GAUSSIAN_RBF, bandwidth)
     G = gram(spec, A) if square else gram(spec, A, B)
     np.testing.assert_array_equal(G, expected)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("square", [True, False])
+def test_blocked_sq_dists_bitwise_textbook_formula(n, square):
+    # the rows are rewritten 256 at a time: sizes on and around a block edge
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, 3))
+    B = A if square else rng.normal(size=(n + 3, 3))
+    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+          - 2.0 * (A @ B.T))
+    np.testing.assert_array_equal(_sq_dists(A, B), np.maximum(sq, 0.0))
+    spec = KernelSpec(GAUSSIAN_RBF, 0.7)
+    G = gram(spec, A) if square else gram(spec, A, B)
+    np.testing.assert_array_equal(
+        G, np.exp(-np.maximum(sq, 0.0) / (2.0 * 0.7**2)))
+    if square:
+        np.testing.assert_array_equal(G, G.T)

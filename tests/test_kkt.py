@@ -80,6 +80,21 @@ def test_dual_non_uniqueness_planted():
     assert abs(np.sum(v)) <= 1e-12 and abs(v @ y) <= 1e-12
 
 
+def test_dual_uniqueness_stacked_matrix_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(30, 3))
+    K = A @ A.T
+    y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, **kw: seen.append(M.copy()) or svd(M, **kw))
+    dual_uniqueness_condition(K, y)
+    Q = (y[:, None] * y[None, :]) * K
+    np.testing.assert_array_equal(
+        seen[0], np.vstack([Q, np.ones((1, 30)), y[None, :]]))
+
+
 def test_dual_uniqueness_input_validation():
     with pytest.raises(ValueError, match="square"):
         dual_uniqueness_condition(np.ones((2, 3)), [1.0, -1.0])

@@ -1,0 +1,86 @@
+"""Peak memory of the Gram-derived matrices, measured with tracemalloc.
+
+numpy reports its data buffers to tracemalloc, so a peak is the largest
+number of bytes allocated at once during the call, in units of one dense
+n x n float64 matrix.  Each bound leaves the one block of rows that the
+squared-distance pass allocates (256 of n rows) and small vectors; a
+second n x n temporary would break it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from privsvm import (
+    GAUSSIAN_RBF,
+    KernelSpec,
+    gram,
+    nadaraya_watson,
+    solve_svmplus,
+    solve_wsvm,
+)
+from privsvm import svmplus
+from privsvm.experiments import generate_w_mixture
+
+from conftest import random_dataset, random_privileged
+
+
+def _peak(call, n):
+    """Peak bytes allocated by ``call()``, in units of 8 n^2."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak / (8.0 * n * n)
+
+
+@pytest.fixture(scope="module")
+def mixture():
+    return generate_w_mixture(1000, seed=1).data
+
+
+def test_rbf_gram_one_buffer(mixture):
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    assert _peak(lambda: gram(spec, mixture), mixture.n) <= 1.35
+
+
+def test_nadaraya_watson_one_buffer(mixture):
+    assert _peak(lambda: nadaraya_watson(mixture, bandwidth=0.5),
+                 mixture.n) <= 1.35
+
+
+def test_solve_wsvm_q_in_gram_buffer(mixture):
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    c = np.ones(mixture.n)
+    assert _peak(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 1.35
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_svmplus_setup_builds_h_in_place(monkeypatch):
+    # K, Kt, Q and the 2n x 2n H are 7 n^2 live; the setup ends where the
+    # QP core would start, so a stub in its place stops the fit there
+    def stub(*args):
+        raise _Stop
+
+    monkeypatch.setattr(svmplus, "solve_qp", stub)
+    rng = np.random.default_rng(4)
+    n = 502
+    data, priv = random_dataset(rng, n), random_privileged(rng, n)
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+
+    def setup():
+        with pytest.raises(_Stop):
+            solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
+
+    assert _peak(setup, n) <= 7.5

@@ -50,6 +50,34 @@ def test_nadaraya_watson_underflow_guard():
     assert scores.eta[0] == pytest.approx(-1.0, abs=1e-12)
 
 
+def _nadaraya_watson_textbook(X, y, E, bandwidth):
+    sq = (np.sum(E * E, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :]
+          - 2.0 * (E @ X.T))
+    np.maximum(sq, 0.0, out=sq)
+    row_min = sq.min(axis=1)
+    underflow = bool(np.any(np.exp(-row_min / (2.0 * bandwidth**2)) == 0.0))
+    sq -= row_min[:, None]
+    W = np.exp(-sq / (2.0 * bandwidth**2))
+    return np.clip((W @ y) / W.sum(axis=1), -1.0, 1.0), underflow
+
+
+@pytest.mark.parametrize("case", ["square", "cross", "underflow"])
+def test_nadaraya_watson_bitwise_textbook_formula(case):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(300, 2))
+    y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    E = X if case == "square" else rng.normal(size=(280, 2))
+    bandwidth = 0.4
+    if case == "underflow":
+        E = E * 50.0
+        bandwidth = 0.05
+    eta, underflow = _nadaraya_watson_textbook(X, y, E, bandwidth)
+    queries = None if case == "square" else E
+    scores = nadaraya_watson(Dataset(X, y), queries, bandwidth=bandwidth)
+    np.testing.assert_array_equal(scores.eta, eta)
+    assert scores.underflow == underflow == (case == "underflow")
+
+
 def test_nadaraya_watson_validation():
     with pytest.raises(ValueError, match="bandwidth"):
         nadaraya_watson(Dataset([[0.0]], [1.0]), bandwidth=0.0)

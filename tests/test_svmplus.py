@@ -13,6 +13,7 @@ from privsvm import (
     solve_svmplus,
     solve_wsvm,
 )
+from privsvm import svmplus
 
 from conftest import random_dataset, random_kernel, random_privileged
 from reference import reference_svmplus_dual
@@ -138,3 +139,24 @@ def test_rank_deficient_linear_fits_converge():
             assert model.n_iter <= 2000
             report = check_svmplus_kkt(model, tol=1e-6)
             assert report.passed, (C, gamma, report.to_text())
+
+
+def test_h_blocks_bitwise(rng, monkeypatch):
+    # H is written block by block into one buffer: Kt/g in every block,
+    # plus Q = YKY in the top-left one
+    seen = []
+    solve_qp = svmplus.solve_qp
+    monkeypatch.setattr(svmplus, "solve_qp",
+                        lambda H, *a: seen.append(H.copy()) or solve_qp(H, *a))
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        data = random_dataset(rng, n)
+        priv = random_privileged(rng, n)
+        spec, priv_spec = random_kernel(rng), random_kernel(rng)
+        gamma = float(2.0 ** rng.uniform(-1, 3))
+        solve_svmplus(data, priv, spec, priv_spec, 1.0, gamma)
+        Kt = gram(priv_spec, priv)
+        expected = np.tile(Kt / gamma, (2, 2))
+        expected[:n, :n] += (data.y[:, None] * data.y[None, :]) * gram(
+            spec, data)
+        np.testing.assert_array_equal(seen[-1], expected)

@@ -11,7 +11,8 @@ from privsvm import (
     predict,
     solve_wsvm,
 )
-from privsvm.wsvm import check_weights
+from privsvm.qp import solve_qp
+from privsvm.wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, check_weights
 
 from conftest import random_dataset, random_kernel
 from reference import reference_wsvm_dual
@@ -95,6 +96,25 @@ def test_matches_projected_gradient_oracle(rng):
         # the model stores the maximized dual; the oracle minimizes its
         # negation
         assert -model.objective_dual == pytest.approx(obj_ref, abs=1e-6)
+
+
+def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
+    # solve_wsvm flips the signs of its own Gram to make Q and back
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        data = random_dataset(rng, n)
+        spec = random_kernel(rng)
+        c = rng.uniform(0.05, 4.0, n)
+        model = solve_wsvm(data, spec, c)
+        K = gram(spec, data)
+        np.testing.assert_array_equal(model.gram_train, K)
+        Q = (data.y[:, None] * data.y[None, :]) * K
+        alpha, n_iter = solve_qp(Q, -np.ones(n), data.y[None, :], c,
+                                 np.zeros(n), DEFAULT_TOL, DEFAULT_MAX_ITER)
+        np.testing.assert_array_equal(model.alpha, alpha)
+        assert model.n_iter == n_iter
+        assert model.objective_dual == (float(np.sum(alpha))
+                                        - 0.5 * float(alpha @ Q @ alpha))
 
 
 def test_offset_interval_minimizes_weighted_hinge(rng):
