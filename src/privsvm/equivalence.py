@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .data import PrivilegedSet
 from .kernels import KernelSpec, LINEAR
@@ -143,15 +142,15 @@ def family_membership(candidate, model: WsvmModel, tol: float = 1e-6) -> bool:
         ok_pos = np.all(np.abs(c[~zero_slack] - alpha[~zero_slack]) <= tol)
         ok_zero = np.all(c[zero_slack] >= alpha[zero_slack] - tol)
         return bool(ok_pos and ok_zero)
-    return _family_membership_lp(c, model, zero_slack, tol)
+    return _family_membership_lp(c, model, K, zero_slack, tol)
 
 
-def _family_membership_lp(c, model, zero_slack, tol) -> bool:
+def _family_membership_lp(c, model, K, zero_slack, tol) -> bool:
     """Phase-1 feasibility: mu >= 0 with KY mu = KY alpha*, y'mu = 0,
     1'mu = 1'alpha*, mu <= c, and mu = c off the zero-slack set."""
+    from scipy.optimize import linprog  # slow to import; only used here
     n = model.data.n
     y = model.data.y
-    K = model.gram_train
     alpha = model.alpha
     free = np.flatnonzero(zero_slack)
     fixed = np.flatnonzero(~zero_slack)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import Dataset, PrivilegedSet
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
-from .schemes import nadaraya_watson, probability_weights
+from .schemes import probability_weights
 from .svmplus import SvmPlusModel, solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
 from .wsvm import WsvmModel, solve_wsvm, predict

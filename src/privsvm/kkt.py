@@ -108,8 +108,7 @@ def check_wsvm_kkt(model: WsvmModel, tol: float = 1e-8) -> KktReport:
 
 def check_svmplus_kkt(model: SvmPlusModel, tol: float = 1e-8) -> KktReport:
     # correcting-space stationarity: Kt at = gamma (xi - bt)
-    corr = (model.gram_priv @ model.alpha_tilde
-            - model.gamma * (model.xi - model.b_tilde))
+    corr = model.kt_at - model.gamma * (model.xi - model.b_tilde)
     return _report(model, {
         "stationarity_b_tilde": np.sum(model.alpha + model.beta - model.C),
         "stationarity_w_tilde": np.max(np.abs(corr)),

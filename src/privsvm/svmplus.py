@@ -12,18 +12,22 @@ z = (a, b) >= 0 under the two equality constraints y'a = 0 and
 Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
+
+The fitted model holds no Gram.  It keeps the decision values
+f0 = K(y o a) without the offset and the correcting-space product Kt at,
+which are all that decision_train and the KKT report read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
 from .kernels import KernelSpec, gram
 from .qp import solve_qp
-from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_wsvm
+from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
 __all__ = ["SvmPlusModel", "solve_svmplus", "correcting_values"]
 
@@ -45,25 +49,23 @@ class SvmPlusModel:
     h: np.ndarray
     objective_primal: float
     objective_dual: float
+    f0: np.ndarray      # K(y o alpha), the decision values without b
+    kt_at: np.ndarray   # Kt alpha_tilde
     n_iter: int = 0
-    _gram: np.ndarray | None = field(default=None, repr=False)
-    _gram_priv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def gram_train(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = gram(self.spec, self.data)
-        return self._gram
+        """The training Gram K, built anew on every call."""
+        return gram(self.spec, self.data)
 
     @property
     def gram_priv(self) -> np.ndarray:
-        if self._gram_priv is None:
-            self._gram_priv = gram(self.priv_spec, self.priv)
-        return self._gram_priv
+        """The privileged Gram Kt, built anew on every call."""
+        return gram(self.priv_spec, self.priv)
 
     @property
     def decision_train(self) -> np.ndarray:
-        return self.gram_train @ (self.data.y * self.alpha) + self.b
+        return self.f0 + self.b
 
     def predict(self, points) -> np.ndarray:
         Kx = gram(self.spec, self.data, points)
@@ -118,7 +120,8 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, K, Kt, Q,
     y = data.y
     n = data.n
     at = alpha + beta - C
-    gb = (Kt @ at) / gamma
+    kt_at = Kt @ at
+    gb = kt_at / gamma
     ga = Q @ alpha - 1.0 + gb
     f0 = K @ (y * alpha)
 
@@ -145,17 +148,10 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, K, Kt, Q,
         b = -float(np.mean(vals))
     else:
         # no support vector: the optimal offsets form an interval around
-        # the constant classifier; pick the nearest finite endpoint
+        # the constant classifier
         lo = np.max(1.0 - xi[y > 0]) if np.any(y > 0) else -np.inf
         hi = np.min(xi[y < 0] - 1.0) if np.any(y < 0) else np.inf
-        if np.isfinite(lo) and np.isfinite(hi):
-            b = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            b = lo
-        elif np.isfinite(hi):
-            b = hi
-        else:
-            b = 0.0
+        b = _pick_offset((lo, hi))
 
     h = np.maximum(0.0, 1.0 - y * (f0 + b))
     quad = float(alpha @ Q @ alpha)
@@ -166,7 +162,7 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, K, Kt, Q,
         data=data, priv=priv, spec=spec, priv_spec=priv_spec, C=C,
         gamma=gamma, alpha=alpha, beta=beta, alpha_tilde=at, b=b,
         b_tilde=b_tilde, xi=xi, h=h, objective_primal=primal,
-        objective_dual=dual, n_iter=n_iter, _gram=K, _gram_priv=Kt,
+        objective_dual=dual, f0=f0, kt_at=kt_at, n_iter=n_iter,
     )
 
 
@@ -192,8 +188,8 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
         gamma=0.0, alpha=wsvm.alpha, beta=wsvm.beta, alpha_tilde=at,
         b=wsvm.b, b_tilde=b_tilde, xi=wsvm.xi.copy(), h=wsvm.xi,
         objective_primal=wsvm.objective_primal,
-        objective_dual=wsvm.objective_dual, n_iter=wsvm.n_iter,
-        _gram=wsvm.gram_train,
+        objective_dual=wsvm.objective_dual, f0=wsvm.f0,
+        kt_at=np.zeros(data.n), n_iter=wsvm.n_iter,
     )
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset
 from .kernels import KernelSpec, gram
@@ -151,6 +150,7 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             best.update(loss=loss, err=err, c=c.copy(), model=model)
 
     if config.mode == "log":
+        from scipy.optimize import minimize  # slow to import; only used here
         last = None  # the previous evaluation's model, the next start
 
         def fun(theta):

@@ -10,9 +10,10 @@ violating pair of SMO.  The primal model is recovered afterwards,
 including the exact interval of optimal offsets b.
 
 Q = YKY is not a separate matrix: the solver flips the signs of the Gram
-it built in place, solves, reads a'Qa and flips them back.  The labels
-are exactly +-1, so both flips are exact and the model holds the same K
-bit for bit, with one n x n buffer in all.
+it built in place, with one n x n buffer in all.  The fitted model holds
+no Gram, only n-vectors: besides a, b and the slacks it keeps the
+decision values f0 = K(y o a) without the offset, which decision_train,
+the offset interval and the KKT report read.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -20,7 +21,7 @@ Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,20 +65,19 @@ class WsvmModel:
     xi: np.ndarray
     objective_primal: float
     objective_dual: float
+    f0: np.ndarray  # K(y o alpha), the decision values without b
     n_iter: int = 0
     b_overridden: bool = False
-    _gram: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def decision_train(self) -> np.ndarray:
         """Decision values f(x_i) on the training instances."""
-        return self.gram_train @ (self.data.y * self.alpha) + self.b
+        return self.f0 + self.b
 
     @property
     def gram_train(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = gram(self.spec, self.data)
-        return self._gram
+        """The training Gram K, built anew on every call."""
+        return gram(self.spec, self.data)
 
 
 def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
@@ -117,16 +117,16 @@ def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
     return (lo, hi)
 
 
-def _pick_offset(interval: tuple[float, float], y: np.ndarray) -> float:
+def _pick_offset(interval: tuple[float, float]) -> float:
+    """Midpoint of an offset interval, or its finite end if it has one.
+
+    Both duals call this with at least one finite end: a weighted SVM has
+    some weight, and an SVM+ training set is never empty.
+    """
     lo, hi = interval
     if np.isfinite(lo) and np.isfinite(hi):
         return 0.5 * (lo + hi)
-    if np.isfinite(lo):
-        return lo
-    if np.isfinite(hi):
-        return hi
-    # no weight at all: fall back to the class-balance constant classifier
-    return 1.0 if np.sum(y > 0) >= np.sum(y < 0) else -1.0
+    return lo if np.isfinite(lo) else hi
 
 
 def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
@@ -142,23 +142,22 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     c = check_weights(c, data.n)
     y = data.y
-    K = gram(spec, data)
-    # Q = YKY in K's own buffer (see the module docstring).  Only a Gram
-    # built here may be flipped, never one a caller passed in; if solve_qp
-    # raises, this K is simply dropped.
-    K *= y[:, None]
-    K *= y
-    alpha, n_iter = solve_qp(K, -np.ones(data.n), y[None, :], c,
+    # Q = YKY in the Gram's own buffer (see the module docstring).  Only a
+    # Gram built here may be flipped, never one a caller passed in.
+    Q = gram(spec, data)
+    Q *= y[:, None]
+    Q *= y
+    alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
-    quad = float(alpha @ K @ alpha)
-    K *= y[:, None]
-    K *= y
-    f0 = K @ (y * alpha)
+    quad = float(alpha @ Q @ alpha)
+    # the labels are +-1, so row i of Q alpha is y_i times row i of
+    # K (y o alpha) term by term, and f0 has the bits of K (y o alpha)
+    f0 = y * (Q @ alpha)
     interval = _optimal_offset_interval(y, c, f0)
     if b_override is not None:
         b = float(b_override)
     else:
-        b = _pick_offset(interval, y)
+        b = _pick_offset(interval)
     xi = np.maximum(0.0, 1.0 - y * (f0 + b))
     beta = c - alpha
     primal = 0.5 * quad + float(c @ xi)
@@ -166,15 +165,14 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     return WsvmModel(
         data=data, spec=spec, c=c, alpha=alpha, beta=beta, b=b,
         b_interval=interval, xi=xi,
-        objective_primal=primal, objective_dual=dual, n_iter=n_iter,
-        b_overridden=b_override is not None, _gram=K,
+        objective_primal=primal, objective_dual=dual, f0=f0, n_iter=n_iter,
+        b_overridden=b_override is not None,
     )
 
 
 def offset_interval(model: WsvmModel) -> tuple[float, float]:
     """Exact interval of primal-optimal offsets for the model's dual a."""
-    f0 = model.gram_train @ (model.data.y * model.alpha)
-    return _optimal_offset_interval(model.data.y, model.c, f0)
+    return _optimal_offset_interval(model.data.y, model.c, model.f0)
 
 
 def predict(model: WsvmModel, points) -> np.ndarray:

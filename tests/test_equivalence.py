@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from privsvm import (
+    Dataset,
     KernelSpec,
     LINEAR,
     NotRepresentableError,
     check_rho_zero_reduction,
     construct_privileged,
+    dual_uniqueness_condition,
     equivalence_report,
     family_membership,
+    gram,
     necessary_condition,
     rho,
     solve_svmplus,
@@ -113,6 +116,61 @@ def test_family_membership_unique_dual_fast_path(rng):
     bumped = model.c.copy()
     bumped[model.xi <= 1e-6] += 1.0  # extra weight on zero-slack points only
     assert family_membership(bumped, model)
+
+
+def test_family_membership_lp_path():
+    # a 1-D linear Gram has rank 1, so the dual is not unique and the
+    # decision goes through the linear program
+    data = Dataset([[-2.0], [-1.0], [-0.2], [1.0], [2.0], [0.3], [-0.6],
+                    [0.7]], [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    spec = KernelSpec(LINEAR)
+    c = np.ones(data.n)
+    model = solve_wsvm(data, spec, c)
+    assert not dual_uniqueness_condition(gram(spec, data), data.y)
+    zero_slack = model.xi <= 1e-6
+    assert zero_slack.any() and not zero_slack.all()
+    member = c + 0.5 * zero_slack  # extra weight on zero-slack points only
+    assert family_membership(member, model)
+    # a member's own fit gives the same function on the training points
+    again = solve_wsvm(data, spec, member)
+    np.testing.assert_allclose(again.decision_train - again.b,
+                               model.decision_train - model.b, atol=1e-6)
+    outsider = c.copy()
+    outsider[np.flatnonzero(~zero_slack)[0]] += 0.5
+    assert not family_membership(outsider, model)
+    again = solve_wsvm(data, spec, outsider)
+    assert np.max(np.abs((again.decision_train - again.b)
+                         - (model.decision_train - model.b))) > 1e-3
+
+
+def test_rho_zero_constant_correction_branch():
+    # separable classes: every loss is zero, so the weighted and plain
+    # averages agree and the correcting function is a constant
+    data = Dataset([[-2.0], [-3.0], [2.0], [3.0]], [-1.0, -1.0, 1.0, 1.0])
+    priv = PrivilegedSet([[1.0], [2.0], [3.0], [4.0]])
+    lin = KernelSpec(LINEAR)
+    plus = solve_svmplus(data, priv, lin, lin, 1.0, 2.0)
+    diag = check_rho_zero_reduction(plus)
+    assert diag.applicable
+    assert diag.branch == "constant-correction"
+    assert diag.ok, diag.detail
+    at = plus.alpha_tilde
+    wt_norm_sq = float(at @ gram(lin, priv) @ at) / plus.gamma**2
+    assert diag.detail.startswith(f"||wt||^2 = {wt_norm_sq:.3e},")
+
+
+def test_rho_zero_outside_equality_regime():
+    # overlapping classes: the dual mass sits on the points with large
+    # losses, so the weighted average loss exceeds the plain one
+    data = Dataset([[-2.0], [-1.0], [0.5], [1.0], [2.0], [-0.5]],
+                   [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    priv = PrivilegedSet([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
+    lin = KernelSpec(LINEAR)
+    plus = solve_svmplus(data, priv, lin, lin, 1.0, 1.0)
+    diag = check_rho_zero_reduction(plus)
+    assert not diag.applicable and not diag.ok
+    assert diag.branch == "none"
+    assert diag.detail.startswith("not in equality regime")
 
 
 def test_rho_zero_soft_margin_branch(rng):

@@ -54,6 +54,19 @@ def test_b_non_unique_on_bounded_pair():
     assert "unique 0" in result.to_text()
 
 
+def test_b_non_unique_second_balance_condition():
+    # the same bounded pair with b at the lower end of its interval: the
+    # negative point sits on its margin, so only condition 2 balances
+    data = Dataset([[0.0], [1.0]], [-1.0, 1.0])
+    model = solve_wsvm(data, KernelSpec(LINEAR), [0.3, 0.3], b_override=-1.0)
+    result = b_uniqueness(model)
+    assert not result.unique
+    assert result.condition == 2
+    assert result.balance_sums == pytest.approx((0.0, 0.3, 0.3, 0.3))
+    assert result.interval == pytest.approx((-1.0, 0.7), abs=1e-10)
+    assert "condition 2" in result.to_text()
+
+
 def test_dual_uniqueness_positive_definite():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(6, 6))

@@ -1,10 +1,13 @@
-"""Peak memory of the Gram-derived matrices, measured with tracemalloc.
+"""Peak and retained memory of the Gram-derived matrices, measured with
+tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so a peak is the largest
 number of bytes allocated at once during the call, in units of one dense
 n x n float64 matrix.  Each bound leaves the one block of rows that the
 squared-distance pass allocates (256 of n rows) and small vectors; a
-second n x n temporary would break it.
+second n x n temporary would break it.  What a fitted model retains is
+counted in the same units: it holds n-vectors only, so a single Gram kept
+alive would break its bound.
 """
 
 import tracemalloc
@@ -40,6 +43,22 @@ def _peak(call, n):
         if started:
             tracemalloc.stop()
     return peak / (8.0 * n * n)
+
+
+def _retained(call, n):
+    """Bytes still allocated while ``call()``'s result is alive, in units
+    of 8 n^2."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()  # noqa: F841 (kept alive while measuring)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return kept / (8.0 * n * n)
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +103,22 @@ def test_svmplus_setup_builds_h_in_place(monkeypatch):
             solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
     assert _peak(setup, n) <= 7.5
+
+
+def test_fitted_wsvm_holds_no_gram(mixture):
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    c = np.ones(mixture.n)
+    assert _retained(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 0.05
+
+
+def test_fitted_svmplus_holds_no_gram(monkeypatch):
+    # the QP core's iterates do not change what the model keeps, so a stub
+    # that returns the feasible start (a = 0, b = C) stands in for it
+    monkeypatch.setattr(svmplus, "solve_qp",
+                        lambda H, q, A, upper, z0, tol, max_iter: (z0, 0))
+    rng = np.random.default_rng(4)
+    n = 502
+    data, priv = random_dataset(rng, n), random_privileged(rng, n)
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    assert _retained(lambda: solve_svmplus(data, priv, spec, spec, 1.0, 1.0),
+                     n) <= 0.05

@@ -3,12 +3,14 @@ import pytest
 
 from privsvm import (
     Dataset,
+    GAUSSIAN_RBF,
     KernelSpec,
     LINEAR,
     PrivilegedSet,
     check_svmplus_kkt,
     correcting_values,
     generate_blobs_with_outliers,
+    generate_w_mixture,
     gram,
     solve_svmplus,
     solve_wsvm,
@@ -112,6 +114,21 @@ def test_predict_matches_decision_train(rng):
     model = _random_plus(rng)
     np.testing.assert_allclose(model.predict(model.data.X),
                                model.decision_train, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [40, 260])
+@pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
+                                  KernelSpec(GAUSSIAN_RBF, 1.0)],
+                         ids=["linear", "rbf"])
+def test_decision_train_bitwise_gram_product(n, spec):
+    # the model keeps f0 = K (y a) and no Gram, on either side of the
+    # 256-row block of the squared-distance pass
+    data = generate_w_mixture(n, seed=n).data
+    priv = random_privileged(np.random.default_rng(n), n)
+    for gamma, fit_priv in ((10.0, priv), (0.0, PrivilegedSet(np.eye(n)))):
+        model = solve_svmplus(data, fit_priv, spec, spec, 1.0, gamma)
+        expected = gram(spec, data) @ (data.y * model.alpha) + model.b
+        np.testing.assert_array_equal(model.decision_train, expected)
 
 
 def test_integer_cost_matches_float(rng):

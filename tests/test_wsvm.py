@@ -3,6 +3,7 @@ import pytest
 
 from privsvm import (
     Dataset,
+    GAUSSIAN_RBF,
     KernelSpec,
     LINEAR,
     check_wsvm_kkt,
@@ -11,6 +12,7 @@ from privsvm import (
     predict,
     solve_wsvm,
 )
+from privsvm.experiments import generate_w_mixture
 from privsvm.qp import solve_qp
 from privsvm.wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, check_weights
 
@@ -115,6 +117,21 @@ def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
         assert model.n_iter == n_iter
         assert model.objective_dual == (float(np.sum(alpha))
                                         - 0.5 * float(alpha @ Q @ alpha))
+
+
+@pytest.mark.parametrize("n", [40, 300])
+@pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
+                                  KernelSpec(GAUSSIAN_RBF, 1.0)],
+                         ids=["linear", "rbf"])
+def test_decision_train_bitwise_gram_product(n, spec):
+    # the model keeps f0 = y (Q a) from the solve, not K; the labels are
+    # +-1, so it must carry the bits of K (y a) on either side of the
+    # 256-row block of the squared-distance pass
+    data = generate_w_mixture(n, seed=n).data
+    c = np.random.default_rng(n).uniform(0.1, 4.0, n)
+    model = solve_wsvm(data, spec, c)
+    expected = gram(spec, data) @ (data.y * model.alpha) + model.b
+    np.testing.assert_array_equal(model.decision_train, expected)
 
 
 def test_offset_interval_minimizes_weighted_hinge(rng):
