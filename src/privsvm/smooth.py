@@ -12,8 +12,11 @@ bounded by 3 / (4 delta).
 
 The objective 1/2 a' K a + sum_i c_i l_delta(y_i f(x_i)) with
 f = K a + b is minimized by a damped Newton method on the stationarity
-residual (Chapelle 2007, *Training a SVM in the primal*).  A solve either
-meets its one stop test or raises ConvergenceError; there is no
+residual (Chapelle 2007, *Training a SVM in the primal*).  The Newton
+Jacobian is the identity on every row whose margin lies outside the
+curvature band, so each step factorises J restricted to the band: a
+bordered system with one more row than the margins inside it.  A solve
+either meets its one stop test or raises ConvergenceError; there is no
 quasi-Newton fallback.  A solve may start from an earlier model on the
 same inputs and kernel (``warm``): Newton then begins at that model's
 (a, b) and reuses its Gram matrix, which pays when a caller solves a
@@ -88,6 +91,52 @@ def _objective(alpha, b, K, y, c, delta):
     return obj, f, u, v
 
 
+def _bordered(K, v, last_row, corner):
+    """The bordered matrix [[I + diag(v) K,  v], [last_row,  corner]].
+
+    Newton's J restricted to the band S passes K_SS, v_S, v_S' K_SS and
+    sum(v_S); the sensitivity systems of weight learning pass 1' and 0.
+    """
+    m = v.size
+    M = np.empty((m + 1, m + 1))
+    np.multiply(v[:, None], K, out=M[:m, :m])
+    diag = np.arange(m)
+    M[diag, diag] += 1.0
+    M[:m, m] = v
+    M[m, :m] = last_row
+    M[m, m] = corner
+    return M
+
+
+def _newton_step(K, v, r1, r2):
+    """Solve J [step_a; step_b] = -[r1; r2] on the band S = {i : v_i > 0}.
+
+    Outside S (the set T) the rows of J are identity rows, so
+    step_a[T] = -r1[T] exactly, and (step_a[S], step_b) solve
+
+        [[I + diag(v_S) K_SS, v_S], [v_S' K_SS, sum(v_S)]] [a_S; b]
+            = [-r1_S - v_S o (K_ST a_T);  -r2 - v_S' K_ST a_T].
+    """
+    band = np.flatnonzero(v > 0)
+    m = band.size
+    step_a = -r1
+    # K_ST a_T is the rows S of K applied to step_a with its S entries
+    # zeroed; taking K_SS a_S off K[S] step_a instead would cancel
+    a_T = step_a.copy()
+    a_T[band] = 0.0
+    K_S = K[band]
+    k_T = K_S @ a_T
+    v_S = v[band]
+    K_SS = K_S[:, band]
+    M = _bordered(K_SS, v_S, v_S @ K_SS, float(np.sum(v_S)))
+    rhs = np.empty(m + 1)
+    np.subtract(step_a[band], v_S * k_T, out=rhs[:m])
+    rhs[m] = -r2 - float(v_S @ k_T)
+    sol = np.linalg.solve(M, rhs)
+    step_a[band] = sol[:m]
+    return step_a, float(sol[m])
+
+
 def _offset_shift(t, y, c, delta, r2):
     """Move of b against the offset gradient r2 that puts the first
     weighted margin to reach the curvature band delta inside it."""
@@ -112,10 +161,13 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
 
         J = [[I + diag(v) K,  v], [v' K,  1' v]],   v_i = c_i l''(y_i f_i),
 
-    which is nonsingular for any PSD K once v >= 0 is nonzero.  Each step
-    is halved until the objective does not rise.  The solve stops when
-    max |r| <= tol * (1 + max c) and raises ConvergenceError, carrying the
-    residual, when no step is accepted or max_iter steps do not get there.
+    which is nonsingular for any PSD K once v >= 0 is nonzero.  Rows of J
+    outside the band S = {i : v_i > 0} are identity rows, so a step takes
+    step_a = -r1 there and solves for the rest on S alone (see
+    ``_newton_step``).  Each step is halved until the objective does not
+    rise.  The solve stops when max |r| <= tol * (1 + max c) and raises
+    ConvergenceError, carrying the residual, when no step is accepted or
+    max_iter steps do not get there.
 
     Where no weighted margin lies in the curvature band (v = 0), J is
     diag(I, 0): the step solves the first block for a and keeps b, and once
@@ -157,13 +209,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         if it == max_iter:
             raise ConvergenceError("primal Newton did not converge", resid)
         if np.any(v > 0):
-            J = np.empty((n + 1, n + 1))
-            J[:n, :n] = np.eye(n) + v[:, None] * K
-            J[:n, n] = v
-            J[n, :n] = v @ K
-            J[n, n] = float(np.sum(v))
-            step = np.linalg.solve(J, -np.r_[r1, r2])
-            step_a, step_b = step[:n], float(step[n])
+            step_a, step_b = _newton_step(K, v, r1, r2)
         elif float(np.max(np.abs(r1))) > stop:
             step_a, step_b = -r1, 0.0
         else:

@@ -13,6 +13,15 @@ c_init, so weight ratios are at most WEIGHT_SPREAD**2 and every inner solve
 can be certified) or, alternatively, by projected gradient in c directly.
 An inner solve that cannot be certified raises ConvergenceError.
 
+The outer loop needs only the gradient g' d(a*, b*)/dc of the validation
+loss, not the whole sensitivity, so it takes it from one adjoint solve
+(Pedregosa 2016, *Hyperparameter optimization with approximate gradient*)
+with the transposed sensitivity system.  That system, like the inner
+Newton Jacobian, is the identity outside the curvature band, so the solve
+has one more row than the training margins inside the band.
+``implicit_gradient`` still builds the full n x n sensitivity, for callers
+that want it.
+
 The outer loop moves c a little at a time, so each inner solve after the
 first of a delta warm-starts from the model of the previous outer step
 (projected mode: the accepted iterate; log mode: the previous L-BFGS-B
@@ -32,7 +41,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, gram
-from .smooth import PrimalModel, smooth_hinge, solve_primal
+from .smooth import PrimalModel, _bordered, smooth_hinge, solve_primal
 
 __all__ = [
     "GradientWorkspace",
@@ -73,25 +82,49 @@ def implicit_gradient(model: PrimalModel) -> GradientWorkspace:
     where u_i = y_i l'(y_i f_i), v_i = c_i l''(y_i f_i).  When v = 0 the
     system is singular; the convention is d alpha*/dc = diag(u), db*/dc = 0.
     """
-    y = model.data.y
     n = model.data.n
-    K = model.gram_train
-    t = y * model.decision_train
-    _, d1, d2 = smooth_hinge(t, model.delta)
-    u = y * d1
-    v = model.c * d2
+    u, v = _slopes(model)
     if np.max(v) <= 0:
         return GradientWorkspace(u, v, np.diag(u), np.zeros(n),
                                  kink_free=True)
-    J = np.empty((n + 1, n + 1))
-    J[:n, :n] = np.eye(n) + v[:, None] * K
-    J[:n, n] = v
-    J[n, :n] = 1.0
-    J[n, n] = 0.0
     rhs = np.zeros((n + 1, n))
     rhs[:n, :] = -np.diag(u)
-    sol = np.linalg.solve(J, rhs)
+    sol = np.linalg.solve(_bordered(model.gram_train, v, 1.0, 0.0), rhs)
     return GradientWorkspace(u, v, sol[:n, :], sol[n, :], kink_free=False)
+
+
+def _slopes(model: PrimalModel):
+    """u_i = y_i l'(y_i f_i) and v_i = c_i l''(y_i f_i) at the model."""
+    y = model.data.y
+    _, d1, d2 = smooth_hinge(y * model.decision_train, model.delta)
+    return y * d1, model.c * d2
+
+
+def _adjoint_gradient(model: PrimalModel, g_alpha, g_b: float):
+    """d_alpha' g_alpha + g_b d_b of ``implicit_gradient``, from one solve.
+
+    With mu = diag(v) w for the adjoint w of the sensitivity system, mu
+    vanishes outside the band S and (mu_S, lambda_b) solve
+
+        [[I + diag(v_S) K_SS, v_S], [1', 0]] [mu_S; lambda_b]
+            = [v_S o g_alpha_S; g_b],
+
+    after which the gradient is -u o (g_alpha - K_:S mu_S - lambda_b).
+    With S empty it is u o g_alpha, the v = 0 convention.
+    """
+    u, v = _slopes(model)
+    band = np.flatnonzero(v > 0)
+    if band.size == 0:
+        return u * g_alpha
+    m = band.size
+    v_S = v[band]
+    K_cols = model.gram_train[:, band]
+    M = _bordered(K_cols[band], v_S, 1.0, 0.0)
+    rhs = np.empty(m + 1)
+    np.multiply(v_S, g_alpha[band], out=rhs[:m])
+    rhs[m] = g_b
+    sol = np.linalg.solve(M, rhs)
+    return -u * (g_alpha - K_cols @ sol[:m] - sol[m])
 
 
 @dataclass(frozen=True)
@@ -130,11 +163,9 @@ def _val_loss_and_grad(c, train, val, spec, delta, K_val, warm):
     value, d1, _ = smooth_hinge(t, delta)
     loss = float(np.sum(value))
     err = float(np.mean(t <= 0))
-    work = implicit_gradient(model)
     g_alpha = K_val @ (val.y * d1)
     g_b = float(np.sum(val.y * d1))
-    grad = work.d_alpha.T @ g_alpha + g_b * work.d_b
-    return loss, grad, err, model
+    return loss, _adjoint_gradient(model, g_alpha, g_b), err, model
 
 
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,

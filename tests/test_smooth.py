@@ -11,6 +11,8 @@ from privsvm import (
     smooth_hinge,
     solve_primal,
 )
+from privsvm.kernels import gram
+from privsvm.smooth import _newton_step
 
 from conftest import random_dataset, random_kernel
 
@@ -129,6 +131,47 @@ def test_predict_matches_training_decision(rng):
     model = solve_primal(data, random_kernel(rng), np.ones(6), 1.0)
     np.testing.assert_allclose(model.predict(data.X), model.decision_train,
                                atol=1e-10)
+
+
+def _full_newton_step(K, v, r1, r2):
+    n = v.size
+    J = np.empty((n + 1, n + 1))
+    J[:n, :n] = np.eye(n) + v[:, None] * K
+    J[:n, n] = v
+    J[n, :n] = v @ K
+    J[n, n] = float(np.sum(v))
+    step = np.linalg.solve(J, -np.r_[r1, r2])
+    return step[:n], float(step[n])
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("kernel", [LINEAR, GAUSSIAN_RBF])
+def test_band_newton_step_matches_full_solve(kernel, delta):
+    rng = np.random.default_rng(int(1000 * delta) + len(kernel))
+    for n in (4, 9, 40, 150):
+        data = random_dataset(rng, n)
+        spec = (KernelSpec(LINEAR) if kernel == LINEAR
+                else KernelSpec(GAUSSIAN_RBF, float(rng.uniform(0.5, 2.0))))
+        K = gram(spec, data)
+        c = rng.uniform(0.5, 2.0, n)
+        for m in (1, int(rng.integers(2, n)), n):
+            # m margins strictly inside the band 1 - 2 delta < t < 1, the
+            # rest on the flat or the linear piece
+            inside = rng.permutation(n) < m
+            t = np.where(rng.random(n) < 0.5, 1.0 + rng.uniform(0, 1, n),
+                         1.0 - 2.0 * delta - rng.uniform(0, 1, n))
+            t[inside] = 1.0 - 2.0 * delta * rng.uniform(0.01, 0.99, m)
+            _, d1, d2 = smooth_hinge(t, delta)
+            u, v = data.y * d1, c * d2
+            assert np.array_equal(v > 0, inside)
+            r1 = rng.normal(size=n) + u * c
+            r2 = float(u @ c)
+            step_a, step_b = _newton_step(K, v, r1, r2)
+            full_a, full_b = _full_newton_step(K, v, r1, r2)
+            np.testing.assert_array_equal(step_a[~inside], -r1[~inside])
+            full = np.r_[full_a, full_b]
+            err = np.max(np.abs(np.r_[step_a, step_b] - full))
+            assert err <= 1e-10 * np.max(np.abs(full)), (n, m, err)
 
 
 def _hard_instance(rng):

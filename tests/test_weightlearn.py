@@ -3,6 +3,7 @@ import pytest
 
 from privsvm import (
     Dataset,
+    GAUSSIAN_RBF,
     KernelSpec,
     LINEAR,
     PrimalModel,
@@ -12,11 +13,12 @@ from privsvm import (
     solve_primal,
 )
 from privsvm import smooth
-from privsvm.experiments import generate_blobs_with_outliers
+from privsvm.experiments import (bandwidth_grid, generate_blobs_with_outliers,
+                                 generate_w_mixture)
 from privsvm.kernels import gram
-from privsvm.weightlearn import WEIGHT_SPREAD
+from privsvm.weightlearn import DEFAULT_DELTAS, WEIGHT_SPREAD, _adjoint_gradient
 
-from conftest import random_dataset
+from conftest import random_dataset, random_kernel
 
 
 def test_implicit_gradient_matches_finite_differences(rng):
@@ -50,6 +52,72 @@ def test_kink_free_fallback_is_exact_diag():
     np.testing.assert_array_equal(work.d_alpha, np.diag(work.u))
     np.testing.assert_array_equal(work.d_b, np.zeros(2))
     np.testing.assert_array_equal(work.u, 0.0)
+
+
+def _gradient_pair(model, rng):
+    g_alpha = rng.normal(size=model.data.n)
+    g_b = float(rng.normal())
+    work = implicit_gradient(model)
+    return (_adjoint_gradient(model, g_alpha, g_b),
+            work.d_alpha.T @ g_alpha + g_b * work.d_b, work)
+
+
+def test_adjoint_gradient_matches_implicit_gradient(rng):
+    for delta in DEFAULT_DELTAS:
+        for n in (5, 20, 60):
+            data = random_dataset(rng, n)
+            model = solve_primal(data, random_kernel(rng), rng.uniform(
+                0.5, 2.0, n), delta)
+            adjoint, full, work = _gradient_pair(model, rng)
+            assert not work.kink_free
+            err = np.max(np.abs(adjoint - full))
+            assert err <= 1e-12 * np.max(np.abs(full)), (delta, n, err)
+    # the v = 0 side: every margin beyond the band, on the flat piece
+    # only, then with one on the linear piece too
+    for X, y, alpha in (([[2.0], [-2.0]], [1.0, -1.0], [0.5, -0.5]),
+                        ([[2.0], [-2.0], [3.0]], [1.0, -1.0, -1.0],
+                         [0.5, -0.5, 0.0])):
+        model = PrimalModel(
+            data=Dataset(X, y), spec=KernelSpec(LINEAR), c=np.ones(len(y)),
+            delta=0.5, alpha=np.array(alpha), b=0.0, objective=0.0)
+        adjoint, full, work = _gradient_pair(model, rng)
+        assert work.kink_free
+        np.testing.assert_array_equal(adjoint, full)
+    assert np.any(work.u != 0)
+
+
+def test_projected_learning_solves_only_on_the_band(monkeypatch):
+    # every linear solve of weight learning, Newton steps and gradients
+    # alike, has one right-hand side and at most one row more than the
+    # training margins inside the curvature band of the iterate it is for
+    band = []
+    shapes = []
+    objective, solve = smooth._objective, np.linalg.solve
+
+    def tracking_objective(*args):
+        out = objective(*args)
+        band.append(int(np.count_nonzero(out[3] > 0)))
+        return out
+
+    def recording_solve(a, b):
+        shapes.append((a.shape[0], b.shape, band[-1]))
+        return solve(a, b)
+
+    monkeypatch.setattr(smooth, "_objective", tracking_objective)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    n = 60
+    train = generate_w_mixture(n, seed=3).data
+    val = generate_w_mixture(200, seed=4).data
+    spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
+        bandwidth_grid(train.X, (0.5,)))))
+    config = WeightLearningConfig(deltas=(0.1, 1.0), mode="projected",
+                                  max_outer_iter=10)
+    learn_weights(train, val, spec, config)
+    assert len(shapes) > 20
+    for rows, rhs, in_band in shapes:
+        assert rhs == (rows,)
+        assert rows <= 1 + in_band
+    assert min(rows for rows, _, _ in shapes) < n // 2
 
 
 def test_config_validation():
