@@ -37,8 +37,15 @@ order of numpy's dot and matrix-vector products at these sizes, so each
 step has the bits that numpy would give.
 
 Face step.  Pairwise moves can zigzag with tiny steps on an
-ill-conditioned or rank-deficient face, so every 64 iterations an exact
+ill-conditioned or rank-deficient face, so every 16 iterations an exact
 minimisation over the variables strictly inside the box replaces the move.
+It works on one eigendecomposition of the face Hessian reduced to the null
+space of the face's equality rows: the zero eigenvalues give the null
+directions, which are ridden to the box while they descend, and the
+positive part gives the Newton step.  Each variable that a step pins is
+taken out of both bases with one Householder reflection and a rank-one
+update, so a face step refactorises only for a variable that neither
+basis holds well.
 """
 
 from __future__ import annotations
@@ -47,7 +54,15 @@ import numpy as np
 
 __all__ = ["ConvergenceError", "solve_qp"]
 
-FACE_EVERY = 64
+FACE_EVERY = 16
+# A face step takes a pinned variable k out of its bases without a new
+# factorisation only when k is well inside one of them.  Either the
+# null-basis row N[k] has a squared norm above ABSORB (the update of W
+# divides by it, so rounding grows at most 1e3-fold), or N[k] is rounding
+# (squared norm at most EPS, so clearing it adds curvature below the null
+# threshold) and W[k] has a squared norm above ABSORB times W's largest.
+ABSORB = 1e-6
+EPS = np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -56,67 +71,122 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _null_basis(AF: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of the face rows AF, from a QR
+    of the transpose of their independent rows.  The entries are small
+    integers, so the rank test is exact: a face of SVM+ beta variables has
+    a zero y-row, and one of same-label alphas has two proportional rows."""
+    rows = AF[AF.any(1)]
+    if len(rows) == 2:
+        a, b = rows
+        j = np.flatnonzero(a)[0]
+        if np.array_equal(a * b[j], b * a[j]):
+            rows = rows[:1]
+    return np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):]
+
+
+def _drop(B: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """B with its columns reflected so that its row u lies in the first
+    column alone, and that column dropped: one Householder reflection that
+    takes out of span(B) the one direction that reaches u's coordinate."""
+    v = u.copy()
+    v[0] += np.copysign(np.sqrt(u @ u), v[0])
+    return (B - np.outer(B @ v, v * (2.0 / (v @ v))))[:, 1:]
+
+
 def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
                hi: np.ndarray) -> bool:
     """Exact minimization over the variables currently strictly inside the
     box, holding the rest at their bounds.
 
-    Primal active-set inner loop: solve the equality-constrained problem on
-    the free set, clip the move to the box with a ratio test, drop pinned
-    variables, repeat.  Mutates z and G (= H z + p) in place; returns True
+    Primal active-set inner loop over the face F (More & Toraldo 1991).
+    With Z an orthonormal basis of null(A_F), one eigendecomposition of
+    Z' H_FF Z gives an orthonormal basis N of the face's null directions
+    (its zero eigenvalues) and a basis W of the rest with W' H_FF W = I, so
+    that -W W' g is the Newton step for the face gradient g.
+
+    While g has a component in N, the direction -N N' g descends linearly
+    and is ridden to the nearest bound; then Newton steps are clipped to
+    the box by a ratio test.  Either way the step pins a variable k, and
+    since H is PSD, the null space of the shrunken face is the old one
+    with coordinate k zero.  So no pin needs a new factorisation when k is
+    well inside one basis: if N reaches k, one Householder reflection drops
+    the null vector n through k (n_k = 1) from N, and W - n W[k] is zero at
+    k and keeps W' H W = I; if N does not reach k, a reflection drops the
+    direction r through k (r_k = 1) from W, and N - r N[k] clears the
+    rounding that N has at k.  Every step is projected onto null(A_F)
+    again, since the rounding of the bases grows with each update.
+
+    The face gradient moves by the m x m block H_FF between pins; G
+    (= H z + p) and z are updated in place once, at the end.  Returns True
     if anything moved.
     """
-    free = (z > 0) & (z < hi)
-    r = A.shape[0]
-    moved = False
-    for _ in range(int(np.sum(free)) + 1):
-        F = np.flatnonzero(free)
-        m = F.size
-        if m == 0:
-            break
-        g = G[F]
-        HFF = H[np.ix_(F, F)]
-        AF = A[:, F]
-        # With a rank-deficient face Hessian the objective can decrease
-        # linearly along a feasible null direction (HFF v = 0, AF v = 0);
-        # a least-squares Newton solve is blind to that component, so look
-        # for such a direction first and ride it to the nearest bound.
-        _, s, Vt = np.linalg.svd(np.vstack([HFF, AF]), full_matrices=False)
-        smax = s[0] if s.size else 0.0
-        d = None
-        cap = 1.0
-        for k in range(m - 1, -1, -1):
-            if s[k] > max(m, 3) * np.finfo(float).eps * smax:
+    F = np.flatnonzero((z > 0) & (z < hi))
+    HF = H[np.ix_(F, F)]
+    top = hi[F]
+    start = z[F]
+    cur = start.copy()
+    g = G[F]
+    on = np.ones(F.size, dtype=bool)  # still strictly inside the box
+    N = W = None  # null basis and scaled positive part, over the face
+    ride = True
+    while (face := np.flatnonzero(on)).size:
+        AF = A[:, F[face]]
+        if N is None:
+            Z = _null_basis(AF)
+            if Z.shape[1] == 0:
                 break
-            v = Vt[k]
-            gv = float(g @ v)
-            if abs(gv) > 1e-10 * max(1.0, float(np.linalg.norm(g))):
-                d = -np.sign(gv) * v
-                cap = np.inf
+            lam, V = np.linalg.eigh(Z.T @ HF[np.ix_(face, face)] @ Z)
+            null = lam <= max(face.size, 3) * EPS * np.abs(lam).max()
+            N = Z @ V[:, null]
+            W = Z @ (V[:, ~null] / np.sqrt(lam[~null]))
+        gf = g[face]
+        if ride:
+            c = gf @ N
+            ride = float(np.linalg.norm(c)) > 1e-10 * max(
+                1.0, float(np.linalg.norm(gf)))
+        if ride:
+            step = N @ -c
+        else:
+            step = W @ -(gf @ W)
+            if float(gf @ step) >= -1e-15 or np.max(np.abs(step)) <= 1e-16:
                 break
-        if d is None:
-            kkt = np.block([[HFF, AF.T], [AF, np.zeros((r, r))]])
-            d = np.linalg.lstsq(kkt, np.r_[-g, np.zeros(r)], rcond=None)[0][:m]
-            if not np.all(np.isfinite(d)):
-                break
-            # re-project onto the equality null space: feasibility must not drift
-            d -= AF.T @ np.linalg.lstsq(AF.T, d, rcond=None)[0]
-            if float(g @ d) >= -1e-15 or np.max(np.abs(d)) <= 1e-16:
-                break
-        cur = z[F]
+        step -= AF.T @ np.linalg.lstsq(AF.T, step, rcond=None)[0]
+        x, h = cur[face], top[face]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lim = np.where(d < -1e-300, -cur / d,
-                           np.where(d > 1e-300, (hi[F] - cur) / d, np.inf))
-        tau = min(cap, float(np.min(lim)))
-        if not np.isfinite(tau) or tau <= 0:
+            lim = np.where(step < -1e-300, -x / step,
+                           np.where(step > 1e-300, (h - x) / step, np.inf))
+        j = int(np.argmin(lim))
+        tau = float(lim[j]) if ride else min(1.0, float(lim[j]))
+        if not 0.0 < tau < np.inf:
             break
-        new = np.clip(cur + tau * d, 0.0, hi[F])
-        G += (new - cur) @ H[F]
-        z[F] = new
-        moved = True
-        if tau >= cap:
+        new = np.clip(x + tau * step, 0.0, h)
+        if tau == lim[j]:  # land the blocking variable exactly on its bound
+            new[j] = h[j] if step[j] > 0 else 0.0
+        g += (new - x) @ HF[face]
+        cur[face] = new
+        if tau == 1.0 and not ride:
             break
-        free &= (z > 0) & (z < hi)
+        pinned = np.flatnonzero((new <= 0) | (new >= h))
+        on[face[pinned]] = False
+        for k in pinned[::-1]:
+            u, w = N[k], W[k]
+            uu, ww = float(u @ u), float(w @ w)
+            if uu > ABSORB:
+                W = W - np.outer(N @ (u / uu), w)
+                N = _drop(N, u)
+            elif uu <= EPS and ww > ABSORB * (W * W).sum(1).max():
+                # r = W w / ww has r_k = 1 and clears N's rounding at k
+                N = N - np.outer(W @ (w / ww), u)
+                W = _drop(W, w)
+            else:  # refactorise the shrunken face
+                N = None
+                break
+            N, W = np.delete(N, k, 0), np.delete(W, k, 0)
+    moved = not np.array_equal(cur, start)
+    if moved:
+        G += (cur - start) @ H[F]
+        z[F] = cur
     return moved
 
 
@@ -160,7 +230,8 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     # one row per class: 0 on the class's members, +inf elsewhere
     outside = np.where(cls == np.arange(n_cls)[:, None], 0.0, inf)
     z = np.array(z0, dtype=float)
-    G = H @ z + p
+    # the weighted SVM starts at zero, where H z is all zeros
+    G = H @ z + p if z.any() else np.array(p, dtype=float)
     # outside, or +inf where a variable cannot move up (down); kept in step
     # with z, so G + up_pen and G - dn_pen are the candidates of each class
     up_pen = np.where(z < hi, outside, inf)
