@@ -13,9 +13,9 @@ from .equivalence import (ConstructedPrivileged, EquivalenceReport,
                           necessary_condition, rho, weights_from_svmplus)
 from .experiments import (BlobsSample, ExperimentConfig, ResultRow,
                           ResultTable, WMixture, bandwidth_grid,
-                          counterexample_dataset, default_log_grid,
-                          emit_results, figure3_study,
-                          generate_blobs_with_outliers, generate_w_mixture,
+                          counterexample_dataset, emit_results,
+                          figure3_study, generate_blobs_with_outliers,
+                          generate_w_mixture,
                           parse_results, replicate_svmplus_with_wsvm,
                           run_experiment, wshape_study)
 from .kernels import GAUSSIAN_RBF, LINEAR, KernelSpec, gram
@@ -31,7 +31,7 @@ from .svmplus import SvmPlusModel, correcting_values, solve_svmplus
 from .weightlearn import (GradientWorkspace, WeightLearningConfig,
                           WeightLearningResult, implicit_gradient,
                           learn_weights)
-from .wsvm import (ConvergenceError, WsvmModel, check_weights,
-                   offset_interval, predict, solve_wsvm)
+from .wsvm import (ConvergenceError, WsvmModel, check_weights, predict,
+                   solve_wsvm)
 
 __version__ = "1.0.0"

@@ -5,6 +5,9 @@ whether any correcting space can reproduce it; when rho >= 0 a minimal
 one-dimensional privileged feature set does the job.  In the opposite
 direction, c = alpha + beta extracted from an SVM+ solution always yields
 an equivalent WSVM.
+
+The diagnostics take no tolerance: the sign of rho is judged up to a
+rounding bound (``_rho_tol``), the other checks compare at FAMILY_TOL.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "RhoZeroDiagnostic",
     "equivalence_report",
 ]
+
+FAMILY_TOL = 1e-6  # tolerance of family_membership and the rho = 0 check
 
 
 class NotRepresentableError(ValueError):
@@ -64,8 +69,8 @@ def weights_from_svmplus(model: SvmPlusModel) -> np.ndarray:
     return model.alpha + model.beta
 
 
-def necessary_condition(c, h, tol: float | None = None) -> bool:
-    """Does <c - cbar 1, h> >= 0 hold (up to rounding)?
+def necessary_condition(c, h) -> bool:
+    """Does <c - cbar 1, h> >= 0 hold (up to the rounding of _rho_tol)?
 
     Every SVM+ solution satisfies this with the weights it induces; a WSVM
     solution violating it for all equivalent weights is out of reach.
@@ -73,9 +78,7 @@ def necessary_condition(c, h, tol: float | None = None) -> bool:
     c = np.asarray(c, dtype=float).ravel()
     h = np.asarray(h, dtype=float).ravel()
     value, _ = rho(c, h)
-    if tol is None:
-        tol = _rho_tol(c, h)
-    return value >= -tol
+    return value >= -_rho_tol(c, h)
 
 
 @dataclass
@@ -118,7 +121,7 @@ def construct_privileged(model: WsvmModel, c=None) -> ConstructedPrivileged:
     )
 
 
-def family_membership(candidate, model: WsvmModel, tol: float = 1e-6) -> bool:
+def family_membership(candidate, model: WsvmModel) -> bool:
     """Decide whether ``candidate`` belongs to the equivalent-weight family
     of the given WSVM solution.
 
@@ -126,26 +129,27 @@ def family_membership(candidate, model: WsvmModel, tol: float = 1e-6) -> bool:
     alpha* on positive-slack points and dominates it on zero-slack points.
     General path: linear feasibility for a split c = mu + nu with mu
     matching the dual solution's expansion and nu supported on zero-slack
-    points.
+    points.  Both paths compare at FAMILY_TOL.
     """
     c = np.asarray(candidate, dtype=float).ravel()
     n = model.data.n
     if c.shape[0] != n:
         raise ValueError("candidate length mismatch")
-    if np.any(c < -tol):
+    if np.any(c < -FAMILY_TOL):
         return False
     alpha = model.alpha
     xi = model.xi
-    zero_slack = xi <= tol
+    zero_slack = xi <= FAMILY_TOL
     K = model.gram_train
     if dual_uniqueness_condition(K, model.data.y):
-        ok_pos = np.all(np.abs(c[~zero_slack] - alpha[~zero_slack]) <= tol)
-        ok_zero = np.all(c[zero_slack] >= alpha[zero_slack] - tol)
+        ok_pos = np.all(
+            np.abs(c[~zero_slack] - alpha[~zero_slack]) <= FAMILY_TOL)
+        ok_zero = np.all(c[zero_slack] >= alpha[zero_slack] - FAMILY_TOL)
         return bool(ok_pos and ok_zero)
-    return _family_membership_lp(c, model, K, zero_slack, tol)
+    return _family_membership_lp(c, model, K, zero_slack)
 
 
-def _family_membership_lp(c, model, K, zero_slack, tol) -> bool:
+def _family_membership_lp(c, model, K, zero_slack) -> bool:
     """Phase-1 feasibility: mu >= 0 with KY mu = KY alpha*, y'mu = 0,
     1'mu = 1'alpha*, mu <= c, and mu = c off the zero-slack set."""
     from scipy.optimize import linprog  # slow to import; only used here
@@ -158,16 +162,16 @@ def _family_membership_lp(c, model, K, zero_slack, tol) -> bool:
     A_full = np.vstack([K * y[None, :], y[None, :], np.ones((1, n))])
     rhs = rhs_full - A_full[:, fixed] @ c[fixed]
     A = A_full[:, free]
+    scale = FAMILY_TOL * (1.0 + np.abs(rhs_full).max())
     if free.size == 0:
-        return bool(np.max(np.abs(rhs)) <= tol * (1.0 + np.abs(rhs_full).max()))
-    scale = tol * (1.0 + np.abs(rhs_full).max())
+        return bool(np.max(np.abs(rhs)) <= scale)
     A_ub = np.vstack([A, -A])
     b_ub = np.concatenate([rhs + scale, -(rhs - scale)])
     res = linprog(
         c=np.zeros(free.size),
         A_ub=A_ub,
         b_ub=b_ub,
-        bounds=[(0.0, c[j] + tol) for j in free],
+        bounds=[(0.0, c[j] + FAMILY_TOL) for j in free],
         method="highs",
     )
     return bool(res.status == 0)
@@ -181,11 +185,11 @@ class RhoZeroDiagnostic:
     detail: str
 
 
-def check_rho_zero_reduction(model: SvmPlusModel,
-                             tol: float = 1e-6) -> RhoZeroDiagnostic:
+def check_rho_zero_reduction(model: SvmPlusModel) -> RhoZeroDiagnostic:
     """Verify the equality-regime dichotomy: with the weighted and plain
     average losses equal, either gamma > 0 and the correcting function is
-    constant, or gamma = 0 with full-rank design and alpha + beta = C."""
+    constant, or gamma = 0 with full-rank design and alpha + beta = C.
+    Every comparison is at FAMILY_TOL."""
     ab = model.alpha + model.beta
     total = float(np.sum(ab))
     h = model.h
@@ -194,7 +198,7 @@ def check_rho_zero_reduction(model: SvmPlusModel,
     lhs = float(ab @ h) / total
     mean_h = float(np.mean(h))
     scale = 1.0 + abs(mean_h)
-    if lhs - mean_h > tol * scale:
+    if lhs - mean_h > FAMILY_TOL * scale:
         return RhoZeroDiagnostic(
             False, "none", False,
             f"not in equality regime (slack {lhs - mean_h:.3e})")
@@ -203,13 +207,13 @@ def check_rho_zero_reduction(model: SvmPlusModel,
             model.alpha_tilde @ model.gram_priv @ model.alpha_tilde
         ) / model.gamma**2
         flat = np.max(np.abs(model.xi - model.b_tilde))
-        ok = wt_norm_sq <= tol and flat <= tol
+        ok = wt_norm_sq <= FAMILY_TOL and flat <= FAMILY_TOL
         return RhoZeroDiagnostic(
             True, "constant-correction", bool(ok),
             f"||wt||^2 = {wt_norm_sq:.3e}, max |xi - bt| = {flat:.3e}")
     resid = float(np.max(np.abs(ab - model.C)))
     return RhoZeroDiagnostic(
-        True, "soft-margin-reduction", bool(resid <= tol),
+        True, "soft-margin-reduction", bool(resid <= FAMILY_TOL),
         f"max |alpha + beta - C| = {resid:.3e}")
 
 

@@ -13,11 +13,13 @@ the first one wins a tie.  Only each method's winner is evaluated on the
 test sample.  The SVM+ grid is searched once per split, and
 wsvm-from-svmplus replays only its winner as a weighted SVM.
 
-``ExperimentConfig`` holds only what callers vary.  The wsvm-prob
-sharpness grid (DEFAULT_TAU_GRID), the fixed-validation pool size (N_VAL)
-and the RBF bandwidth quantiles (``bandwidth_grid``'s default) are
-constants.  In the 1-to-2 and 2-to-1 split modes every subset needs at
-least 3 points: two to train on and one to validate on.
+``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
+(DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
+fixed-validation pool size (N_VAL), the RBF bandwidth quantiles
+(``bandwidth_grid``'s default), the shapes of both data families (BLOB_*,
+W_*) and the study sizes (FIGURE3_*, WSHAPE_*) are constants.  In the
+1-to-2 and 2-to-1 split modes every subset needs at least 3 points: two
+to train on and one to validate on.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "parse_results",
-    "default_log_grid",
     "bandwidth_grid",
     "counterexample_dataset",
     "figure3_study",
@@ -57,12 +58,14 @@ METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus", "wsvm-from-svmplus")
 SPLITS = ("fixed-validation", "1-to-2", "2-to-1")
 DEFAULT_TAU_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # wsvm-prob sharpness grid
 N_VAL = 200  # validation pool size in fixed-validation mode
-
-
-def default_log_grid(lo_exp: int = -5, hi_exp: int = 15,
-                     step_exp: int = 2) -> tuple[float, ...]:
-    """Powers of two from 2^lo to 2^hi, multiplicative step 2^step (x4)."""
-    return tuple(float(2.0**e) for e in range(lo_exp, hi_exp + 1, step_exp))
+# C and gamma grid: powers of two from 2^-5 to 2^15, each 4 times the last
+DEFAULT_LOG_GRID = tuple(float(2.0**e) for e in range(-5, 16, 2))
+BLOB_STD = 0.4     # standard deviation of each blob, and of the jitter
+BLOB_OFFSET = 1.5  # distance of each blob center from the origin
+FIGURE3_C = 1.0           # cost of every non-planted point, both fits
+FIGURE3_N_PER_CLASS = 30  # training blob size per class
+WSHAPE_N_TRAIN, WSHAPE_N_VAL, WSHAPE_N_TEST = 60, 600, 1000
+WSHAPE_DELTAS = (0.1, 1.0)  # smoothing widths searched by weight learning
 
 
 def bandwidth_grid(X, quantiles=(0.1, 0.5, 0.9)) -> tuple[float, ...]:
@@ -94,24 +97,22 @@ class BlobsSample:
 def generate_blobs_with_outliers(n_per_class: int = 30,
                                  outlier_count: int = 2,
                                  outlier_distance: float = 100.0,
-                                 seed: int = 0,
-                                 blob_std: float = 0.4,
-                                 blob_offset: float = 1.5) -> BlobsSample:
-    """Two Gaussian blobs on the x-axis (centers +-blob_offset, the positive
+                                 seed: int = 0) -> BlobsSample:
+    """Two Gaussian blobs on the x-axis (centers +-BLOB_OFFSET, the positive
     class on the right), plus wrong-label points planted the stated distance
     beyond the opposite blob.  Deterministic per seed."""
     if n_per_class < 0 or outlier_count < 0:
         raise ValueError("counts must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    X_pos = rng.normal([blob_offset, 0.0], blob_std, size=(n_per_class, 2))
-    X_neg = rng.normal([-blob_offset, 0.0], blob_std, size=(n_per_class, 2))
+    X_pos = rng.normal([BLOB_OFFSET, 0.0], BLOB_STD, size=(n_per_class, 2))
+    X_neg = rng.normal([-BLOB_OFFSET, 0.0], BLOB_STD, size=(n_per_class, 2))
     parts_X = [X_pos, X_neg]
     parts_y = [np.ones(n_per_class), -np.ones(n_per_class)]
     for k in range(outlier_count):
         lab = 1.0 if k % 2 == 0 else -1.0
         # a positive-labeled outlier sits deep in negative territory
-        x = -lab * (blob_offset + outlier_distance)
-        jitter = rng.normal(0.0, blob_std, size=2)
+        x = -lab * (BLOB_OFFSET + outlier_distance)
+        jitter = rng.normal(0.0, BLOB_STD, size=2)
         parts_X.append(np.array([[x + jitter[0], jitter[1]]]))
         parts_y.append(np.array([lab]))
     X = np.vstack(parts_X)
@@ -182,8 +183,8 @@ class ExperimentConfig:
     kernel: str = LINEAR
     n_pool: int = 200
     n_test: int = 1000
-    C_grid: tuple[float, ...] = default_log_grid()
-    gamma_grid: tuple[float, ...] = default_log_grid()
+    C_grid: tuple[float, ...] = DEFAULT_LOG_GRID
+    gamma_grid: tuple[float, ...] = DEFAULT_LOG_GRID
     delta_grid: tuple[float, ...] = (0.1, 1.0)
     max_outer_iter: int = 30
     generator_params: tuple = ()           # key/value overrides for the source
@@ -223,19 +224,14 @@ class ResultTable:
     resample_events: int = 0
 
 
-def emit_results(table: ResultTable, path=None) -> str:
-    """CSV with 6-significant-digit decimals; returns the text, optionally
-    also writing it to ``path``."""
+def emit_results(table: ResultTable) -> str:
+    """The table as CSV text with 6-significant-digit decimals."""
     buf = io.StringIO()
     buf.write("method,subset,split,mean_error,std,reps\n")
     for r in table.rows:
         buf.write(f"{r.method},{r.subset},{r.split},"
                   f"{r.mean_error:.6g},{r.std:.6g},{r.reps}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def parse_results(text: str) -> ResultTable:
@@ -441,8 +437,7 @@ def replicate_svmplus_with_wsvm(plus: SvmPlusModel, points) -> dict:
     }
 
 
-def figure3_study(repetitions: int = 50, seed: int = 0, C: float = 1.0,
-                  n_per_class: int = 30) -> list[dict]:
+def figure3_study(repetitions: int = 50, seed: int = 0) -> list[dict]:
     """Per repetition: uniform-cost SVM versus a WSVM with zero weight on
     the planted wrong-label points, both linear, evaluated on a clean test
     sample.  Returns one record per repetition."""
@@ -451,12 +446,12 @@ def figure3_study(repetitions: int = 50, seed: int = 0, C: float = 1.0,
     for rep, seq in enumerate(root.spawn(repetitions)):
         s1, s2 = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
         sample = generate_blobs_with_outliers(
-            n_per_class=n_per_class, seed=s1)
+            n_per_class=FIGURE3_N_PER_CLASS, seed=s1)
         test = generate_blobs_with_outliers(
             n_per_class=500, outlier_count=0, seed=s2).data
         spec = KernelSpec(LINEAR)
-        svm = solve_wsvm(sample.data, spec, np.full(sample.data.n, C))
-        c = np.full(sample.data.n, C)
+        svm = solve_wsvm(sample.data, spec, np.full(sample.data.n, FIGURE3_C))
+        c = np.full(sample.data.n, FIGURE3_C)
         c[sample.outlier_mask] = 0.0
         wsvm = solve_wsvm(sample.data, spec, c)
         out.append({
@@ -467,22 +462,20 @@ def figure3_study(repetitions: int = 50, seed: int = 0, C: float = 1.0,
     return out
 
 
-def wshape_study(repetitions: int = 20, seed: int = 0, n_train: int = 60,
-                 n_val: int = 600, n_test: int = 1000,
-                 deltas=(0.1, 1.0)) -> list[dict]:
+def wshape_study(repetitions: int = 20, seed: int = 0) -> list[dict]:
     """W-mixture comparison of the uniform-weight smooth baseline against
     learned weights, with a large validation set (the 1-to-10 regime)."""
     root = np.random.SeedSequence(seed)
     out = []
     for rep, seq in enumerate(root.spawn(repetitions)):
         s1, s2, s3 = (int(s.generate_state(1)[0]) for s in seq.spawn(3))
-        train = generate_w_mixture(n_train, seed=s1).data
-        val = generate_w_mixture(n_val, seed=s2).data
-        test = generate_w_mixture(n_test, seed=s3).data
+        train = generate_w_mixture(WSHAPE_N_TRAIN, seed=s1).data
+        val = generate_w_mixture(WSHAPE_N_VAL, seed=s2).data
+        test = generate_w_mixture(WSHAPE_N_TEST, seed=s3).data
         spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
             bandwidth_grid(train.X, (0.5,)))))
         res = learn_weights(train, val, spec, WeightLearningConfig(
-            deltas=tuple(deltas), max_outer_iter=40))
+            deltas=WSHAPE_DELTAS, max_outer_iter=40))
         svm = solve_wsvm(train, spec, np.ones(train.n))
         out.append({
             "rep": rep,

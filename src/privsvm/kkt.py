@@ -3,6 +3,9 @@
 Stationarity is measured in function space through Gram products (the
 feature maps are never materialized), so all residuals are exact under the
 kernel trick up to floating point.
+
+The uniqueness diagnostics take no tolerance: ``b_uniqueness`` works at
+MARGIN_TOL, ``dual_uniqueness_condition`` at RANK_TOL.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .svmplus import SvmPlusModel
-from .wsvm import WsvmModel, offset_interval
+from .wsvm import WsvmModel
 
 __all__ = [
     "KktReport",
@@ -24,6 +27,7 @@ __all__ = [
     "dual_uniqueness_condition",
 ]
 
+MARGIN_TOL = 1e-8  # margin and weight-balance tolerance of b_uniqueness
 RANK_TOL = 1e-10
 
 
@@ -57,14 +61,13 @@ class IndexSets:
     i_1: np.ndarray
 
     @staticmethod
-    def from_decision(y: np.ndarray, f: np.ndarray,
-                      tol: float = 1e-8) -> "IndexSets":
+    def from_decision(y: np.ndarray, f: np.ndarray) -> "IndexSets":
         margin = y * f
         return IndexSets(
             i_plus=np.flatnonzero(y > 0),
             i_minus=np.flatnonzero(y < 0),
-            i_0=np.flatnonzero(margin < 1.0 - tol),
-            i_1=np.flatnonzero(margin <= 1.0 + tol),
+            i_0=np.flatnonzero(margin < 1.0 - MARGIN_TOL),
+            i_1=np.flatnonzero(margin <= 1.0 + MARGIN_TOL),
         )
 
 
@@ -130,11 +133,12 @@ class BUniquenessResult:
                 f"condition {self.condition if self.condition else 0}")
 
 
-def b_uniqueness(model: WsvmModel, tol: float = 1e-8) -> BUniquenessResult:
-    """Evaluate both weight-balance conditions for offset non-uniqueness."""
+def b_uniqueness(model: WsvmModel) -> BUniquenessResult:
+    """Evaluate both weight-balance conditions for offset non-uniqueness;
+    the interval reported is the model's stored ``b_interval``."""
     y = model.data.y
     f = model.decision_train
-    sets = IndexSets.from_decision(y, f, tol=max(tol, 1e-8))
+    sets = IndexSets.from_decision(y, f)
     c = model.c
     in_0 = np.zeros(model.data.n, dtype=bool)
     in_0[sets.i_0] = True
@@ -147,24 +151,23 @@ def b_uniqueness(model: WsvmModel, tol: float = 1e-8) -> BUniquenessResult:
     s2_right = float(np.sum(c[~pos & in_1]))
     scale = 1.0 + float(np.sum(c))
     cond: int | None = None
-    if abs(s1_left - s1_right) <= tol * scale:
+    if abs(s1_left - s1_right) <= MARGIN_TOL * scale:
         cond = 1
-    elif abs(s2_left - s2_right) <= tol * scale:
+    elif abs(s2_left - s2_right) <= MARGIN_TOL * scale:
         cond = 2
-    interval = offset_interval(model)
     return BUniquenessResult(
         unique=cond is None,
-        interval=interval,
+        interval=model.b_interval,
         condition=cond,
         balance_sums=(s1_left, s1_right, s2_left, s2_right),
     )
 
 
-def dual_uniqueness_condition(K: np.ndarray, y, tol: float = RANK_TOL) -> bool:
+def dual_uniqueness_condition(K: np.ndarray, y) -> bool:
     """True iff Null(YKY), 1-perp and y-perp intersect only in 0.
 
     Checked as the stacked matrix [YKY; 1'; y'] having numerical rank n at
-    relative threshold tol.
+    relative threshold RANK_TOL.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -179,4 +182,4 @@ def dual_uniqueness_condition(K: np.ndarray, y, tol: float = RANK_TOL) -> bool:
     stacked[n] = 1.0
     stacked[n + 1] = y
     s = np.linalg.svd(stacked, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    return bool(s[-1] > RANK_TOL * s[0])

@@ -2,9 +2,10 @@
 
 The conditional label expectation eta(x) = E[y | x] is either supplied
 (synthetic data with a known posterior) or estimated from privileged
-features by Nadaraya-Watson smoothing.  The probability of the observed
-label, w_i = (1 + y_i eta_i) / 2, is then sharpened or flattened into
-weights c_i = w_i^tau.
+features by Nadaraya-Watson smoothing over a Dataset of privileged inputs
+and training labels.  The probability of the observed label,
+w_i = (1 + y_i eta_i) / 2, is then sharpened or flattened into weights
+c_i = w_i^tau.
 """
 
 from __future__ import annotations
@@ -40,27 +41,19 @@ class ConfidenceScores:
         self.eta = np.clip(eta, -1.0, 1.0)
 
 
-def nadaraya_watson(train, queries=None, bandwidth: float = 1.0,
+def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
                     ) -> ConfidenceScores:
     """Kernel-regression estimate of E[y | x] with the Gaussian kernel
     exp(-||x - x'||^2 / (2 h^2)).
 
-    ``train`` is a Dataset or an (X, y) pair; ``queries`` defaults to the
-    training inputs themselves.  Where every kernel weight underflows to
-    zero the estimate falls back to 0 (no confidence either way) and the
-    underflow flag is set.  The weights are built in the one query x
-    train buffer of the squared distances.
+    ``queries`` defaults to the training inputs themselves.  Where every
+    kernel weight underflows to zero the estimate falls back to 0 (no
+    confidence either way) and the underflow flag is set.  The weights are
+    built in the one query x train buffer of the squared distances.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    if isinstance(train, Dataset):
-        X, y = train.X, train.y
-    else:
-        X, y = train
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != X.shape[0]:
-        raise ValueError("label count mismatch")
+    X, y = train.X, train.y
     E = X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
     sq = _sq_dists(E, X)

@@ -148,7 +148,6 @@ def _offset_shift(t, y, c, delta, r2):
 
 
 def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
-                 tol: float = PRIMAL_TOL,
                  max_iter: int = PRIMAL_MAX_ITER,
                  warm: PrimalModel | None = None) -> PrimalModel:
     """Minimize the smoothed weighted primal in the expansion (a, b).
@@ -165,9 +164,9 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     outside the band S = {i : v_i > 0} are identity rows, so a step takes
     step_a = -r1 there and solves for the rest on S alone (see
     ``_newton_step``).  Each step is halved until the objective does not
-    rise.  The solve stops when max |r| <= tol * (1 + max c) and raises
-    ConvergenceError, carrying the residual, when no step is accepted or
-    max_iter steps do not get there.
+    rise.  The solve stops when max |r| <= PRIMAL_TOL * (1 + max c) and
+    raises ConvergenceError, carrying the residual, when no step is
+    accepted or max_iter steps do not get there.
 
     Where no weighted margin lies in the curvature band (v = 0), J is
     diag(I, 0): the step solves the first block for a and keeps b, and once
@@ -195,7 +194,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         K = warm.gram_train
         alpha = np.array(warm.alpha, dtype=float)
         b = float(warm.b)
-    stop = tol * (1.0 + float(np.max(c)))
+    stop = PRIMAL_TOL * (1.0 + float(np.max(c)))
     obj, f, u, v = _objective(alpha, b, K, y, c, delta)
     for it in range(max_iter + 1):
         r1 = alpha + u * c

@@ -13,9 +13,10 @@ Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
 
-The fitted model holds no Gram.  It keeps the decision values
-f0 = K(y o a) without the offset and the correcting-space product Kt at,
-which are all that decision_train and the KKT report read.
+Q = YKY is built in the decision Gram's own buffer.  The fitted model
+holds no Gram.  It keeps the decision values f0 = K(y o a) without the
+offset, read off Q a, and the correcting-space product Kt at, which are
+all that decision_train and the KKT report read.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
 
     n = data.n
     y = data.y
-    K = gram(spec, data)
-    Kt = gram(priv_spec, priv)
-    Q = K * y[:, None]
+    Q = gram(spec, data)
+    Q *= y[:, None]
     Q *= y
+    Kt = gram(priv_spec, priv)
     # z = (a, b): the correcting term (1/2g) at' Kt at with at = a + b - C1
     # is quadratic in a + b, so it adds Kt/g to every block of H.  Each
     # block is written straight into H, and each copy reads a block whose
@@ -112,18 +113,19 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
         tol, max_iter)
     alpha, beta = np.split(z, 2)
     return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta,
-                   K, Kt, Q, n_iter)
+                   Kt, Q, n_iter)
 
 
-def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, K, Kt, Q,
+def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, Kt, Q,
             n_iter) -> SvmPlusModel:
     y = data.y
-    n = data.n
     at = alpha + beta - C
     kt_at = Kt @ at
     gb = kt_at / gamma
-    ga = Q @ alpha - 1.0 + gb
-    f0 = K @ (y * alpha)
+    q_alpha = Q @ alpha
+    ga = q_alpha - 1.0 + gb
+    # the labels are +-1, so f0 has the bits of K (y o alpha)
+    f0 = y * q_alpha
 
     # multiplier of the sum constraint, then the offsets
     sup_b = beta > 1e-12

@@ -7,13 +7,14 @@ Solves
 with the package's active-set QP core (``privsvm.qp``): H = YKY, one
 equality row y' and the box [0, c], so the working set is the most
 violating pair of SMO.  The primal model is recovered afterwards,
-including the exact interval of optimal offsets b.
+including the exact interval of optimal offsets b, which the model
+stores as ``b_interval``.
 
 Q = YKY is not a separate matrix: the solver flips the signs of the Gram
 it built in place, with one n x n buffer in all.  The fitted model holds
 no Gram, only n-vectors: besides a, b and the slacks it keeps the
-decision values f0 = K(y o a) without the offset, which decision_train,
-the offset interval and the KKT report read.
+decision values f0 = K(y o a) without the offset, which decision_train
+and the KKT report read.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -34,7 +35,6 @@ __all__ = [
     "ConvergenceError",
     "check_weights",
     "solve_wsvm",
-    "offset_interval",
     "predict",
 ]
 
@@ -168,11 +168,6 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         objective_primal=primal, objective_dual=dual, f0=f0, n_iter=n_iter,
         b_overridden=b_override is not None,
     )
-
-
-def offset_interval(model: WsvmModel) -> tuple[float, float]:
-    """Exact interval of primal-optimal offsets for the model's dual a."""
-    return _optimal_offset_interval(model.data.y, model.c, model.f0)
 
 
 def predict(model: WsvmModel, points) -> np.ndarray:

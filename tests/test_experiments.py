@@ -8,13 +8,13 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm.experiments import (
+    DEFAULT_LOG_GRID,
     ExperimentConfig,
     ResultRow,
     ResultTable,
     WMixture,
     bandwidth_grid,
     counterexample_dataset,
-    default_log_grid,
     emit_results,
     generate_blobs_with_outliers,
     generate_w_mixture,
@@ -34,7 +34,7 @@ def test_counterexample_dataset_contents():
 
 
 def test_default_log_grid():
-    grid = default_log_grid()
+    grid = DEFAULT_LOG_GRID
     assert grid[0] == 2.0**-5 and grid[-1] == 2.0**15
     assert len(grid) == 11
     ratios = np.diff(np.log2(grid))
@@ -129,14 +129,12 @@ def test_config_validation():
         ExperimentConfig(subset_sizes=(400,), n_pool=200)
 
 
-def test_emit_parse_round_trip(tmp_path):
+def test_emit_parse_round_trip():
     table = ResultTable(rows=[
         ResultRow("svm", 40, "1-to-2", 0.123456789, 0.01, 5),
         ResultRow("svmplus", 40, "1-to-2", 0.0, 0.0, 5),
     ])
-    path = tmp_path / "res.csv"
-    text = emit_results(table, path)
-    assert path.read_text() == text
+    text = emit_results(table)
     assert text.splitlines()[0] == "method,subset,split,mean_error,std,reps"
     back = parse_results(text)
     assert back.rows[0].mean_error == pytest.approx(0.123457, abs=1e-9)

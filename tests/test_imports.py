@@ -1,6 +1,8 @@
 """What a fresh ``import privsvm`` loads."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -20,3 +22,12 @@ def test_import_loads_no_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_export_resolves():
+    # an __all__ entry is not checked at import, only by a star import
+    for info in pkgutil.iter_modules(privsvm.__path__):
+        module = importlib.import_module(f"privsvm.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], info.name

@@ -65,6 +65,10 @@ def test_b_non_unique_second_balance_condition():
     assert result.balance_sums == pytest.approx((0.0, 0.3, 0.3, 0.3))
     assert result.interval == pytest.approx((-1.0, 0.7), abs=1e-10)
     assert "condition 2" in result.to_text()
+    # the interval is the one each fit stored, with or without the override
+    assert result.interval == model.b_interval
+    fitted = solve_wsvm(data, KernelSpec(LINEAR), [0.3, 0.3])
+    assert b_uniqueness(fitted).interval == fitted.b_interval
 
 
 def test_dual_uniqueness_positive_definite():

@@ -36,9 +36,6 @@ def test_nadaraya_watson_defaults_to_training_inputs():
     scores = nadaraya_watson(train, bandwidth=0.5)
     assert scores.eta.shape == (2,)
     assert np.all(np.abs(scores.eta) <= 1.0)
-    # accepts a raw (X, y) pair too
-    scores2 = nadaraya_watson((train.X, train.y), bandwidth=0.5)
-    np.testing.assert_array_equal(scores.eta, scores2.eta)
 
 
 def test_nadaraya_watson_underflow_guard():
@@ -81,8 +78,6 @@ def test_nadaraya_watson_bitwise_textbook_formula(case):
 def test_nadaraya_watson_validation():
     with pytest.raises(ValueError, match="bandwidth"):
         nadaraya_watson(Dataset([[0.0]], [1.0]), bandwidth=0.0)
-    with pytest.raises(ValueError, match="mismatch"):
-        nadaraya_watson((np.ones((2, 1)), np.ones(3)))
 
 
 def test_probability_weights_tau_grid():

@@ -8,7 +8,6 @@ from privsvm import (
     LINEAR,
     check_wsvm_kkt,
     gram,
-    offset_interval,
     predict,
     solve_wsvm,
 )
@@ -41,7 +40,6 @@ def test_bounded_two_points_offset_interval():
     lo, hi = model.b_interval
     assert (lo, hi) == pytest.approx((-1.0, 0.7), abs=1e-12)
     assert model.b == pytest.approx(-0.15, abs=1e-12)
-    assert offset_interval(model) == pytest.approx((-1.0, 0.7), abs=1e-12)
 
 
 def test_single_class_interval_is_half_line():
