@@ -11,6 +11,10 @@ The squared distances behind the RBF Gram, the Nadaraya-Watson weights
 and the bandwidth grid come from one helper, ``_sq_dists``.  It works in
 the buffer of the inner products, a block of rows at a time, so an n x m
 Gram costs one n x m buffer plus one block of rows.
+
+The primal model's predictions and the SVM+ correcting function are
+kernel expansions sum_j coef_j k(a_j, x), computed by ``expand`` from the
+Gram of the nonzero coefficients only.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 LINEAR = "linear"
 GAUSSIAN_RBF = "gaussian-rbf"
 
-__all__ = ["KernelSpec", "gram", "LINEAR", "GAUSSIAN_RBF"]
+__all__ = ["KernelSpec", "gram", "expand", "LINEAR", "GAUSSIAN_RBF"]
 
 
 @dataclass(frozen=True)
@@ -99,3 +103,13 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
     G = _sq_dists(A, B)
     np.divide(G, -2.0 * spec.bandwidth**2, out=G)
     return np.exp(G, out=G)
+
+
+def expand(spec: KernelSpec, a, coef, points) -> np.ndarray:
+    """The kernel expansion sum_j coef_j k(a_j, x) at every point x.
+
+    Only the rows of the a_j with coef_j != 0 are built, so the cost is
+    one Gram of that support against the points.
+    """
+    nz = np.flatnonzero(coef)
+    return coef[nz] @ gram(spec, _features(a)[nz], points)

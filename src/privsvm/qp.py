@@ -26,7 +26,11 @@ box; ties go to the first move in that order and to the lowest index.  The
 largest violation is the maximal-violating-pair gap of SMO, and the solver
 stops when it is <= tol.
 
-Arithmetic.  The candidate search and the gradient update
+Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, and
+once as the product H z0 when the start is not zero (SVM+; the weighted
+SVM starts at zero).  So H may be a dense array or any object with that
+``take``: the weighted SVM passes one that computes each row of its Q on
+first use.  The candidate search and the gradient update
 G += (new - cur) H[idx] run in numpy over all n variables.  Everything
 else in a step involves the two or three moved variables only and runs on
 Python floats: the gaps, the +-v violations, the room to the bounds, the
@@ -39,13 +43,14 @@ step has the bits that numpy would give.
 Face step.  Pairwise moves can zigzag with tiny steps on an
 ill-conditioned or rank-deficient face, so every 16 iterations an exact
 minimisation over the variables strictly inside the box replaces the move.
-It works on one eigendecomposition of the face Hessian reduced to the null
-space of the face's equality rows: the zero eigenvalues give the null
-directions, which are ridden to the box while they descend, and the
-positive part gives the Newton step.  Each variable that a step pins is
-taken out of both bases with one Householder reflection and a rank-one
-update, so a face step refactorises only for a variable that neither
-basis holds well.
+It reads the rows of H for those variables once and takes the face
+Hessian from their columns.  It works on one eigendecomposition of the
+face Hessian reduced to the null space of the face's equality rows: the
+zero eigenvalues give the null directions, which are ridden to the box
+while they descend, and the positive part gives the Newton step.  Each
+variable that a step pins is taken out of both bases with one
+Householder reflection and a rank-one update, so a face step
+refactorises only for a variable that neither basis holds well.
 """
 
 from __future__ import annotations
@@ -117,12 +122,14 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
     rounding that N has at k.  Every step is projected onto null(A_F)
     again, since the rounding of the bases grows with each update.
 
-    The face gradient moves by the m x m block H_FF between pins; G
-    (= H z + p) and z are updated in place once, at the end.  Returns True
-    if anything moved.
+    H is read once, as the rows R = H[F]: the face gradient moves by the
+    m x m block H_FF = R[:, F] between pins, and G (= H z + p) and z are
+    updated in place once, at the end, through R.  Returns True if
+    anything moved.
     """
     F = np.flatnonzero((z > 0) & (z < hi))
-    HF = H[np.ix_(F, F)]
+    R = H.take(F, 0)
+    HF = R[:, F]
     top = hi[F]
     start = z[F]
     cur = start.copy()
@@ -185,7 +192,7 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
             N, W = np.delete(N, k, 0), np.delete(W, k, 0)
     moved = not np.array_equal(cur, start)
     if moved:
-        G += (cur - start) @ H[F]
+        G += (cur - start) @ R
         z[F] = cur
     return moved
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, expand, gram
 from .qp import ConvergenceError
 from .wsvm import check_weights
 
@@ -78,8 +78,7 @@ class PrimalModel:
         return self.gram_train @ self.alpha + self.b
 
     def predict(self, points) -> np.ndarray:
-        Kx = gram(self.spec, self.data, points)
-        return Kx.T @ self.alpha + self.b
+        return expand(self.spec, self.data, self.alpha, points) + self.b
 
 
 def _objective(alpha, b, K, y, c, delta):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, expand, gram
 from .qp import solve_qp
 from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
@@ -202,5 +202,5 @@ def correcting_values(model: SvmPlusModel, priv_points) -> np.ndarray:
             "gamma = 0: the correcting function is only available as the "
             "stored slacks on the training points"
         )
-    Kx = gram(model.priv_spec, model.priv, priv_points)
-    return Kx.T @ model.alpha_tilde / model.gamma + model.b_tilde
+    return (expand(model.priv_spec, model.priv, model.alpha_tilde,
+                   priv_points) / model.gamma + model.b_tilde)

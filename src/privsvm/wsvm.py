@@ -10,11 +10,21 @@ violating pair of SMO.  The primal model is recovered afterwards,
 including the exact interval of optimal offsets b, which the model
 stores as ``b_interval``.
 
-Q = YKY is not a separate matrix: the solver flips the signs of the Gram
-it built in place, with one n x n buffer in all.  The fitted model holds
-no Gram, only n-vectors: besides a, b and the slacks it keeps the
-decision values f0 = K(y o a) without the offset, which decision_train
-and the KKT report read.
+The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
+few of them: the rows of the pairs it moves and of the faces it steps
+on.  So above ``kernels._BLOCK_ROWS`` points Q is a row source: each row
+is computed on first use, by gram(spec, X[rows], X) with its signs
+flipped, and kept in a buffer of the rows computed so far.  Up to that
+size the fixed cost of a fill is as large as the whole Gram, so Q is
+built whole, in the Gram's own buffer.
+
+The fitted model holds no Gram, only n-vectors: besides a, b and the
+slacks it keeps the decision values f0 = K(y o a) without the offset,
+which decision_train and the KKT report read.  f0 is y o (a_S Q_S) over
+the support vectors S, whose rows the solve computed; the labels are
++-1, so it has the bits of (y o a)_S K_S.  ``predict`` still sums over
+all n training points: a zero classifier's decision values are all
+rounding, and summing over S alone changes their signs.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import KernelSpec, gram
+from .kernels import _BLOCK_ROWS, KernelSpec, gram
 from .qp import ConvergenceError, solve_qp
 
 __all__ = [
@@ -129,6 +139,52 @@ def _pick_offset(interval: tuple[float, float]) -> float:
     return lo if np.isfinite(lo) else hi
 
 
+class _QRows:
+    """Q = YKY for the QP core, one row at a time: ``take`` computes the
+    rows it has not seen, with one gram call per fill, and keeps them in
+    a buffer that doubles when full."""
+
+    def __init__(self, spec: KernelSpec, data: Dataset):
+        self.spec, self.X, self.y = spec, data.X, data.y
+        self.slot = np.full(data.n, -1)  # row i is buf[slot[i]], if >= 0
+        self.buf = np.empty((0, data.n))
+        self.size = 0
+
+    def take(self, rows, axis=0):
+        """The rows of Q, as ``ndarray.take(rows, 0)`` gives them."""
+        slot = self.slot[rows]
+        new = slot < 0
+        if new.any():
+            # a row listed twice would be computed twice, to no harm
+            self._fill(np.asarray(rows)[new])
+            slot = self.slot[rows]
+        return self.buf.take(slot, 0)
+
+    def _fill(self, rows: np.ndarray):
+        end = self.size + len(rows)
+        if end > len(self.buf):
+            buf = np.empty((max(end, 2 * len(self.buf)), len(self.y)))
+            buf[:self.size] = self.buf[:self.size]
+            self.buf = buf
+        # y_i y_j is +-1, so the flip is exact in one pass
+        np.multiply(gram(self.spec, self.X[rows], self.X),
+                    np.multiply.outer(self.y[rows], self.y),
+                    out=self.buf[self.size:end])
+        self.slot[rows] = np.arange(self.size, end)
+        self.size = end
+
+
+def _q_rows(spec: KernelSpec, data: Dataset):
+    """Q = YKY as the QP core reads it: built whole, in the Gram's own
+    buffer, up to ``_BLOCK_ROWS`` points, and a ``_QRows`` above."""
+    if data.n > _BLOCK_ROWS:
+        return _QRows(spec, data)
+    Q = gram(spec, data)
+    Q *= data.y[:, None]
+    Q *= data.y
+    return Q
+
+
 def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                b_override: float | None = None) -> WsvmModel:
@@ -142,17 +198,13 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     c = check_weights(c, data.n)
     y = data.y
-    # Q = YKY in the Gram's own buffer (see the module docstring).  Only a
-    # Gram built here may be flipped, never one a caller passed in.
-    Q = gram(spec, data)
-    Q *= y[:, None]
-    Q *= y
+    Q = _q_rows(spec, data)
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
-    quad = float(alpha @ Q @ alpha)
-    # the labels are +-1, so row i of Q alpha is y_i times row i of
-    # K (y o alpha) term by term, and f0 has the bits of K (y o alpha)
-    f0 = y * (Q @ alpha)
+    # f0 from the support vectors' rows of Q, which the solve computed
+    sv = np.flatnonzero(alpha)
+    f0 = y * (alpha[sv] @ Q.take(sv, 0))
+    quad = float((y * alpha) @ f0)
     interval = _optimal_offset_interval(y, c, f0)
     if b_override is not None:
         b = float(b_override)

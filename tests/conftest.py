@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from privsvm import Dataset, PrivilegedSet, KernelSpec, LINEAR, GAUSSIAN_RBF
+# BLAS reads these once, when numpy loads: the suite runs on one BLAS
+# thread, as bench/run.py does, whatever the shell exports.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from privsvm import (Dataset, PrivilegedSet, KernelSpec, LINEAR,  # noqa: E402
+                     GAUSSIAN_RBF, wsvm)
 
 
 def random_dataset(rng, n, d=2, x_scale=1.0):
@@ -26,3 +34,14 @@ def random_kernel(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def wsvm_q(monkeypatch):
+    """The Q that every ``solve_wsvm`` hands to the QP core, in call order;
+    the rows it reads back for f0 come from the same object."""
+    seen = []
+    solve_qp = wsvm.solve_qp
+    monkeypatch.setattr(wsvm, "solve_qp",
+                        lambda H, *a: seen.append(H) or solve_qp(H, *a))
+    return seen

@@ -76,10 +76,12 @@ def test_nadaraya_watson_one_buffer(mixture):
                  mixture.n) <= 1.35
 
 
-def test_solve_wsvm_q_in_gram_buffer(mixture):
+def test_solve_wsvm_peak_below_half_gram(mixture):
+    # above 256 points solve_wsvm computes only the rows of Q that the QP
+    # core reads, about 100 of 1000 here, so a whole Gram breaks the bound
     spec = KernelSpec(GAUSSIAN_RBF, 1.0)
     c = np.ones(mixture.n)
-    assert _peak(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 1.35
+    assert _peak(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 0.5
 
 
 class _Stop(Exception):

@@ -120,15 +120,22 @@ def test_predict_matches_decision_train(rng):
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
-def test_decision_train_bitwise_gram_product(n, spec):
+def test_decision_train_bitwise_gram_product(n, spec, wsvm_q):
     # the model keeps f0 = K (y a) and no Gram, on either side of the
-    # 256-row block of the squared-distance pass
+    # 256-row block of the squared-distance pass.  The gamma = 0 fit is a
+    # weighted SVM, whose f0 is y (a_S Q_S) from the support vectors' rows
+    # of the Q it solved on
     data = generate_w_mixture(n, seed=n).data
     priv = random_privileged(np.random.default_rng(n), n)
-    for gamma, fit_priv in ((10.0, priv), (0.0, PrivilegedSet(np.eye(n)))):
-        model = solve_svmplus(data, fit_priv, spec, spec, 1.0, gamma)
-        expected = gram(spec, data) @ (data.y * model.alpha) + model.b
-        np.testing.assert_array_equal(model.decision_train, expected)
+    model = solve_svmplus(data, priv, spec, spec, 1.0, 10.0)
+    expected = gram(spec, data) @ (data.y * model.alpha) + model.b
+    np.testing.assert_array_equal(model.decision_train, expected)
+    model = solve_svmplus(data, PrivilegedSet(np.eye(n)), spec, spec, 1.0,
+                          0.0)
+    Q, = wsvm_q
+    sv = np.flatnonzero(model.alpha)
+    f0 = data.y * (model.alpha[sv] @ Q.take(sv, 0))
+    np.testing.assert_array_equal(model.decision_train, f0 + model.b)
 
 
 def test_integer_cost_matches_float(rng):

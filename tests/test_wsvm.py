@@ -10,6 +10,7 @@ from privsvm import (
     gram,
     predict,
     solve_wsvm,
+    wsvm,
 )
 from privsvm.experiments import generate_w_mixture
 from privsvm.qp import solve_qp
@@ -99,8 +100,10 @@ def test_matches_projected_gradient_oracle(rng):
 
 
 def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
-    # solve_wsvm makes Q = YKY by flipping the signs of the Gram it built,
-    # in that Gram's own buffer; the iterates must be those of a separate Q
+    # up to 256 points solve_wsvm builds Q = YKY whole, by flipping the
+    # signs of the Gram it built in its own buffer; the iterates must be
+    # those of a separate Q, and f0 and the dual objective are read off
+    # the support vectors' rows of Q
     for _ in range(20):
         n = int(rng.integers(2, 60))
         data = random_dataset(rng, n)
@@ -113,23 +116,53 @@ def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
                                  np.zeros(n), DEFAULT_TOL, DEFAULT_MAX_ITER)
         np.testing.assert_array_equal(model.alpha, alpha)
         assert model.n_iter == n_iter
+        sv = np.flatnonzero(alpha)
+        f0 = data.y * (alpha[sv] @ Q[sv])
+        np.testing.assert_array_equal(model.decision_train, f0 + model.b)
         assert model.objective_dual == (float(np.sum(alpha))
-                                        - 0.5 * float(alpha @ Q @ alpha))
+                                        - 0.5 * float((data.y * alpha) @ f0))
 
 
 @pytest.mark.parametrize("n", [40, 300])
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
-def test_decision_train_bitwise_gram_product(n, spec):
-    # the model keeps f0 = y (Q a) from the solve, not K; the labels are
-    # +-1, so it must carry the bits of K (y a) on either side of the
-    # 256-row block of the squared-distance pass
+def test_decision_train_bitwise_gram_product(n, spec, wsvm_q):
+    # the model keeps f0 = y (a_S Q_S) from the rows of Q that the solve
+    # computed, on either side of the 256-row block where Q stops being
+    # built whole
     data = generate_w_mixture(n, seed=n).data
     c = np.random.default_rng(n).uniform(0.1, 4.0, n)
     model = solve_wsvm(data, spec, c)
-    expected = gram(spec, data) @ (data.y * model.alpha) + model.b
-    np.testing.assert_array_equal(model.decision_train, expected)
+    Q, = wsvm_q
+    assert isinstance(Q, np.ndarray) == (n <= 256)
+    sv = np.flatnonzero(model.alpha)
+    f0 = data.y * (model.alpha[sv] @ Q.take(sv, 0))
+    np.testing.assert_array_equal(model.decision_train, f0 + model.b)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
+                                  KernelSpec(GAUSSIAN_RBF, 1.0)],
+                         ids=["linear", "rbf"])
+def test_row_cache_beyond_one_block(spec, monkeypatch):
+    # above 256 points Q is computed a row at a time, on first use: the
+    # fit must certify, reach the optimum of the dense problem, and
+    # compute fewer than half of Q's rows
+    n = 600
+    data = generate_w_mixture(n, seed=6).data
+    c = 10.0 ** np.random.default_rng(6).uniform(-1.0, 1.0, n)
+    Q = (data.y[:, None] * data.y[None, :]) * gram(spec, data)
+    alpha, _ = solve_qp(Q, -np.ones(n), data.y[None, :], c, np.zeros(n),
+                        DEFAULT_TOL, DEFAULT_MAX_ITER)
+    dense = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
+    rows = []
+    monkeypatch.setattr(wsvm, "gram", lambda spec, a, b=None: rows.append(
+        len(getattr(a, "X", a))) or gram(spec, a, b))
+    model = solve_wsvm(data, spec, c)
+    report = check_wsvm_kkt(model, tol=1e-8)
+    assert report.passed, report.to_text()
+    assert model.objective_dual == pytest.approx(dense, rel=1e-10)
+    assert 0 < sum(rows) < n / 2
 
 
 def test_offset_interval_minimizes_weighted_hinge(rng):
