@@ -11,6 +11,7 @@ there too, and its leading label is an optional placeholder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """The squared row norms ||x_i||^2, computed once and read-only."""
+        return _frozen_array(np.sum(self.X * self.X, axis=1))
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)

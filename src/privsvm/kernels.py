@@ -10,11 +10,15 @@ Nadaraya-Watson estimator, and the CLI config format.
 The squared distances behind the RBF Gram, the Nadaraya-Watson weights
 and the bandwidth grid come from one helper, ``_sq_dists``.  It works in
 the buffer of the inner products, a block of rows at a time, so an n x m
-Gram costs one n x m buffer plus one block of rows.
+Gram costs one n x m buffer plus one block of rows.  An operand that is
+a Dataset brings its cached squared norms, so a Gram of a few rows
+against a training set does not recompute the norms of all its points.
 
-The primal model's predictions and the SVM+ correcting function are
-kernel expansions sum_j coef_j k(a_j, x), computed by ``expand`` from the
-Gram of the nonzero coefficients only.
+Every prediction, and the SVM+ correcting function, is a kernel
+expansion sum_j coef_j k(a_j, x), computed by ``expand``: the kernel is
+evaluated only at the nonzero coefficients, but the sum runs over every
+coefficient, zeros included, in the order of the full product, so it has
+the bits of gram(a, points).T @ coef.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import Dataset
 
 LINEAR = "linear"
 GAUSSIAN_RBF = "gaussian-rbf"
@@ -59,11 +65,18 @@ def _features(a) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
 
+def _sq_norms(a, A: np.ndarray) -> np.ndarray:
+    """The squared row norms of operand ``a`` with features ``A``: cached
+    on a Dataset, computed otherwise."""
+    return a.sq_norms if isinstance(a, Dataset) else np.sum(A * A, axis=1)
+
+
 _BLOCK_ROWS = 256  # rows of the squared-distance pass per temporary
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances ||a_i||^2 + ||b_j||^2 - 2 a_i'b_j, clipped at 0.
+def _sq_dists(a, b) -> np.ndarray:
+    """Squared distances ||a_i||^2 + ||b_j||^2 - 2 a_i'b_j, clipped at 0,
+    between the rows of two operands (Datasets or arrays).
 
     The result lives in the buffer of A @ B.T, rewritten a block of rows
     at a time, so the only other n x m-sized allocation is one block of
@@ -71,9 +84,11 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     buffer, which numpy computes exactly symmetric (one triangle with syrk,
     mirrored), and the rewrite keeps that symmetry entry by entry.
     """
+    A = _features(a)
+    B = A if b is a else _features(b)
     G = A @ B.T
-    a2 = np.sum(A * A, axis=1)
-    b2 = a2 if B is A else np.sum(B * B, axis=1)
+    a2 = _sq_norms(a, A)
+    b2 = a2 if B is A else _sq_norms(b, B)
     for start in range(0, G.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
         g = G[blk]
@@ -91,8 +106,10 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
     in the buffer of the squared distances, a block of rows at a time
     (``_sq_dists``).
     """
+    if b is None:
+        b = a
     A = _features(a)
-    B = A if b is None or b is a else _features(b)
+    B = A if b is a else _features(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
@@ -100,7 +117,7 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
     if spec.kind == LINEAR:
         return A @ B.T
     # exp(-sq / (2 h^2)) in place
-    G = _sq_dists(A, B)
+    G = _sq_dists(a, b)
     np.divide(G, -2.0 * spec.bandwidth**2, out=G)
     return np.exp(G, out=G)
 
@@ -108,8 +125,12 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
 def expand(spec: KernelSpec, a, coef, points) -> np.ndarray:
     """The kernel expansion sum_j coef_j k(a_j, x) at every point x.
 
-    Only the rows of the a_j with coef_j != 0 are built, so the cost is
-    one Gram of that support against the points.
+    Only the rows of the a_j with coef_j != 0 are evaluated; the others
+    stay zero in an n x m matrix K, and K.T @ coef adds them as +-0.  So
+    the result has the bits of gram(a, points).T @ coef, at the cost of
+    one Gram of the support against the points.
     """
     nz = np.flatnonzero(coef)
-    return coef[nz] @ gram(spec, _features(a)[nz], points)
+    K = np.zeros((len(coef), len(_features(points))))
+    K[nz] = gram(spec, _features(a)[nz], points)
+    return K.T @ coef

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import _sq_dists
+from .kernels import _BLOCK_ROWS, _sq_dists
 
 __all__ = [
     "ConfidenceScores",
@@ -48,15 +48,27 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
 
     ``queries`` defaults to the training inputs themselves.  Where every
     kernel weight underflows to zero the estimate falls back to 0 (no
-    confidence either way) and the underflow flag is set.  The weights are
-    built in the one query x train buffer of the squared distances.
+    confidence either way) and the underflow flag is set.  The queries
+    stream through ``kernels._BLOCK_ROWS`` rows at a time, each block's
+    weights built in one block x train buffer of squared distances from
+    the training set's cached norms, and freed before the next block.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    X, y = train.X, train.y
-    E = X if queries is None else np.atleast_2d(
+    E = train.X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
-    sq = _sq_dists(E, X)
+    eta = np.empty(E.shape[0])
+    underflow = False
+    for start in range(0, E.shape[0], _BLOCK_ROWS):
+        blk = slice(start, start + _BLOCK_ROWS)
+        eta[blk], under = _nadaraya_watson_block(train, E[blk], bandwidth)
+        underflow |= under
+    return ConfidenceScores(np.clip(eta, -1.0, 1.0), underflow=underflow)
+
+
+def _nadaraya_watson_block(train: Dataset, E: np.ndarray, bandwidth: float):
+    """The estimates at one block of queries, and its underflow flag."""
+    sq = _sq_dists(E, train)
     # subtract the row minimum before exponentiating so at least one
     # weight per row survives in double precision; the ratio is unchanged
     row_min = sq.min(axis=1)
@@ -64,8 +76,7 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
     sq -= row_min[:, None]
     np.divide(sq, -(2.0 * bandwidth**2), out=sq)
     W = np.exp(sq, out=sq)
-    eta = (W @ y) / W.sum(axis=1)
-    return ConfidenceScores(np.clip(eta, -1.0, 1.0), underflow=underflow)
+    return (W @ train.y) / W.sum(axis=1), underflow
 
 
 def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:

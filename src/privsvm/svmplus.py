@@ -69,8 +69,8 @@ class SvmPlusModel:
         return self.f0 + self.b
 
     def predict(self, points) -> np.ndarray:
-        Kx = gram(self.spec, self.data, points)
-        return Kx.T @ (self.data.y * self.alpha) + self.b
+        return (expand(self.spec, self.data, self.data.y * self.alpha,
+                       points) + self.b)
 
 
 def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,

@@ -13,18 +13,20 @@ stores as ``b_interval``.
 The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
 few of them: the rows of the pairs it moves and of the faces it steps
 on.  So above ``kernels._BLOCK_ROWS`` points Q is a row source: each row
-is computed on first use, by gram(spec, X[rows], X) with its signs
-flipped, and kept in a buffer of the rows computed so far.  Up to that
-size the fixed cost of a fill is as large as the whole Gram, so Q is
-built whole, in the Gram's own buffer.
+is computed on first use, by gram(spec, X[rows], data) with its signs
+flipped, and kept in a buffer of the rows computed so far; the Dataset
+caches the squared norms of its points, so a fill does not recompute
+them.  Up to that size the fixed cost of a fill is as large as the whole
+Gram, so Q is built whole, in the Gram's own buffer.
 
 The fitted model holds no Gram, only n-vectors: besides a, b and the
 slacks it keeps the decision values f0 = K(y o a) without the offset,
 which decision_train and the KKT report read.  f0 is y o (a_S Q_S) over
 the support vectors S, whose rows the solve computed; the labels are
-+-1, so it has the bits of (y o a)_S K_S.  ``predict`` still sums over
-all n training points: a zero classifier's decision values are all
-rounding, and summing over S alone changes their signs.
++-1, so it has the bits of (y o a)_S K_S.  ``predict`` evaluates the
+kernel at the support vectors only, but sums over all n training points
+with zeros elsewhere (``kernels.expand``): a zero classifier's decision
+values are all rounding, and a sum over S alone changes their signs.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import _BLOCK_ROWS, KernelSpec, gram
+from .kernels import _BLOCK_ROWS, KernelSpec, expand, gram
 from .qp import ConvergenceError, solve_qp
 
 __all__ = [
@@ -145,7 +147,7 @@ class _QRows:
     a buffer that doubles when full."""
 
     def __init__(self, spec: KernelSpec, data: Dataset):
-        self.spec, self.X, self.y = spec, data.X, data.y
+        self.spec, self.data, self.y = spec, data, data.y
         self.slot = np.full(data.n, -1)  # row i is buf[slot[i]], if >= 0
         self.buf = np.empty((0, data.n))
         self.size = 0
@@ -167,7 +169,7 @@ class _QRows:
             buf[:self.size] = self.buf[:self.size]
             self.buf = buf
         # y_i y_j is +-1, so the flip is exact in one pass
-        np.multiply(gram(self.spec, self.X[rows], self.X),
+        np.multiply(gram(self.spec, self.data.X[rows], self.data),
                     np.multiply.outer(self.y[rows], self.y),
                     out=self.buf[self.size:end])
         self.slot[rows] = np.arange(self.size, end)
@@ -224,5 +226,5 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
 
 def predict(model: WsvmModel, points) -> np.ndarray:
     """Decision values f(x) = sum_i a_i y_i k(x_i, x) + b; class is sign(f)."""
-    Kx = gram(model.spec, model.data, points)
-    return Kx.T @ (model.data.y * model.alpha) + model.b
+    return (expand(model.spec, model.data, model.data.y * model.alpha,
+                   points) + model.b)

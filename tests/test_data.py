@@ -36,6 +36,21 @@ def test_dataset_subset_keeps_ids():
     np.testing.assert_array_equal(sub.X, [[4.0, 5.0], [0.0, 1.0]])
 
 
+def test_dataset_caches_read_only_sq_norms():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(40, 3)),
+                   np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    norms = data.sq_norms
+    np.testing.assert_array_equal(norms, np.sum(data.X * data.X, axis=1))
+    assert data.sq_norms is norms
+    with pytest.raises(ValueError):
+        norms[0] = 0.0
+    sub = data.subset([5, 0, 17])
+    assert not np.shares_memory(sub.sq_norms, norms)
+    np.testing.assert_array_equal(sub.sq_norms,
+                                  np.sum(sub.X * sub.X, axis=1))
+
+
 def test_privileged_alignment():
     data = Dataset([[0.0], [1.0]], [1.0, -1.0])
     PrivilegedSet([[1.0], [2.0]]).check_aligned(data)

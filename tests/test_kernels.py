@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privsvm import Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, gram
-from privsvm.kernels import _sq_dists
+from privsvm import (Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, gram,
+                     predict, solve_primal, solve_svmplus, solve_wsvm)
+from privsvm.kernels import _sq_dists, expand
+
+from conftest import random_dataset, random_privileged
 
 
 def test_linear_gram_is_outer_product():
@@ -120,3 +123,32 @@ def test_blocked_sq_dists_bitwise_textbook_formula(n, square):
         G, np.exp(-np.maximum(sq, 0.0) / (2.0 * 0.7**2)))
     if square:
         np.testing.assert_array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("n", [200, 300])
+@pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
+                                  KernelSpec(GAUSSIAN_RBF, 0.8)],
+                         ids=["linear", "rbf"])
+def test_expand_has_the_bits_of_the_full_sum(n, spec):
+    # the kernel is evaluated at the nonzero coefficients only, yet the sum
+    # runs over all n in the order of the full product: the zero rows add
+    # +-0 (a linear kernel has negative entries, so the full product's
+    # terms there are -0 too)
+    rng = np.random.default_rng(n)
+    data, points = random_dataset(rng, n), random_dataset(rng, 150)
+    # labels with a margin, so that each fit leaves points outside it
+    data = Dataset(data.X, np.where(data.X[:, 0] > 0, 1.0, -1.0))
+    coef = np.where(rng.random(n) < 0.8, 0.0, rng.normal(size=n))
+    K = gram(spec, data, points)
+    np.testing.assert_array_equal(expand(spec, data, coef, points),
+                                  K.T @ coef)
+    wsvm = solve_wsvm(data, spec, rng.uniform(0.1, 2.0, n))
+    plus = solve_svmplus(data, random_privileged(rng, n), spec, spec,
+                         1.0, 1.0)
+    primal = solve_primal(data, spec, np.ones(n), 0.1)
+    for model, weights, f in [
+            (wsvm, data.y * wsvm.alpha, predict(wsvm, points)),
+            (plus, data.y * plus.alpha, plus.predict(points)),
+            (primal, primal.alpha, primal.predict(points.X))]:
+        assert 0 < np.count_nonzero(weights) < n
+        np.testing.assert_array_equal(f, K.T @ weights + model.b)

@@ -71,9 +71,12 @@ def test_rbf_gram_one_buffer(mixture):
     assert _peak(lambda: gram(spec, mixture), mixture.n) <= 1.35
 
 
-def test_nadaraya_watson_one_buffer(mixture):
+def test_nadaraya_watson_streams_query_blocks(mixture):
+    # one block of 256 queries against the 1000 training points, plus its
+    # outer-sum temporary, is 0.51 n^2; a block kept alive while the next
+    # is built, or a whole query x train buffer, breaks the bound
     assert _peak(lambda: nadaraya_watson(mixture, bandwidth=0.5),
-                 mixture.n) <= 1.35
+                 mixture.n) <= 0.6
 
 
 def test_solve_wsvm_peak_below_half_gram(mixture):

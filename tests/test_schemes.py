@@ -11,6 +11,7 @@ from privsvm import (
     weighted_risk,
     zero_one_losses,
 )
+from privsvm.kernels import _BLOCK_ROWS
 
 
 def test_confidence_scores_validation():
@@ -68,7 +69,16 @@ def test_nadaraya_watson_bitwise_textbook_formula(case):
     if case == "underflow":
         E = E * 50.0
         bandwidth = 0.05
-    eta, underflow = _nadaraya_watson_textbook(X, y, E, bandwidth)
+    if case == "square":
+        # the queries stream through _BLOCK_ROWS at a time, and a block's
+        # product with X is a general one, not the symmetric X @ X.T
+        blocks = [_nadaraya_watson_textbook(X, y, E[s:s + _BLOCK_ROWS],
+                                            bandwidth)
+                  for s in range(0, len(E), _BLOCK_ROWS)]
+        eta = np.concatenate([part for part, _ in blocks])
+        underflow = any(under for _, under in blocks)
+    else:
+        eta, underflow = _nadaraya_watson_textbook(X, y, E, bandwidth)
     queries = None if case == "square" else E
     scores = nadaraya_watson(Dataset(X, y), queries, bandwidth=bandwidth)
     np.testing.assert_array_equal(scores.eta, eta)

@@ -144,10 +144,11 @@ def test_decision_train_bitwise_gram_product(n, spec, wsvm_q):
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
-def test_row_cache_beyond_one_block(spec, monkeypatch):
+def test_row_cache_beyond_one_block(spec, monkeypatch, wsvm_q):
     # above 256 points Q is computed a row at a time, on first use: the
-    # fit must certify, reach the optimum of the dense problem, and
-    # compute fewer than half of Q's rows
+    # fit must certify, reach the optimum of the dense problem, compute
+    # fewer than half of Q's rows, and each with the bits of
+    # y_i y o gram(spec, X[fill], X), the squared norms recomputed
     n = 600
     data = generate_w_mixture(n, seed=6).data
     c = 10.0 ** np.random.default_rng(6).uniform(-1.0, 1.0, n)
@@ -155,14 +156,22 @@ def test_row_cache_beyond_one_block(spec, monkeypatch):
     alpha, _ = solve_qp(Q, -np.ones(n), data.y[None, :], c, np.zeros(n),
                         DEFAULT_TOL, DEFAULT_MAX_ITER)
     dense = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
-    rows = []
-    monkeypatch.setattr(wsvm, "gram", lambda spec, a, b=None: rows.append(
-        len(getattr(a, "X", a))) or gram(spec, a, b))
+    fills = []
+    monkeypatch.setattr(wsvm, "gram", lambda spec, a, b=None: fills.append(
+        a) or gram(spec, a, b))
     model = solve_wsvm(data, spec, c)
     report = check_wsvm_kkt(model, tol=1e-8)
     assert report.passed, report.to_text()
     assert model.objective_dual == pytest.approx(dense, rel=1e-10)
-    assert 0 < sum(rows) < n / 2
+    assert 0 < sum(len(a) for a in fills) < n / 2
+    # a one-row fill is a matrix-vector product, whose last bits differ
+    # from the dense Q's; the fills fill the buffer's slots in call order
+    source, = wsvm_q
+    done = np.flatnonzero(source.slot >= 0)
+    K = np.vstack([gram(spec, a, data.X) for a in fills])
+    np.testing.assert_array_equal(
+        source.take(done, 0),
+        np.outer(data.y[done], data.y) * K[source.slot[done]])
 
 
 def test_offset_interval_minimizes_weighted_hinge(rng):
