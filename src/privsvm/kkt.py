@@ -96,7 +96,8 @@ def _report(model: WsvmModel | SvmPlusModel, stationarity: dict,
     clean = {k: float(abs(v)) for k, v in residuals.items()}
     return KktReport(
         residuals=clean,
-        max_violation=max(clean.values(), default=0.0),
+        # np.max, unlike max, keeps a NaN residual, and NaN <= tol fails
+        max_violation=float(np.max(list(clean.values()))),
         gap=float(gap),
         tol=tol,
     )

@@ -26,19 +26,19 @@ box; ties go to the first move in that order and to the lowest index.  The
 largest violation is the maximal-violating-pair gap of SMO, and the solver
 stops when it is <= tol.
 
-Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, and
-once as the product H z0 when the start is not zero (SVM+; the weighted
-SVM starts at zero).  So H may be a dense array or any object with that
-``take``: the weighted SVM passes one that computes each row of its Q on
-first use.  The candidate search and the gradient update
-G += (new - cur) H[idx] run in numpy over all n variables.  Everything
-else in a step involves the two or three moved variables only and runs on
-Python floats: the gaps, the +-v violations, the room to the bounds, the
-curvature, the step length and the blocking variable.  The move
-coefficients are +-1 or +-2, so every product in those sums is exact and
-only the order of summation can matter; the sums run left to right, the
-order of numpy's dot and matrix-vector products at these sizes, so each
-step has the bits that numpy would give.
+Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, also
+for the start gradient, which sums the rows of z0's nonzero entries.  So
+H may be a dense array or any object with that ``take``: the weighted
+SVM passes one that computes each row of its Q on first use, and SVM+
+one that forms each row from Q and Kt/g.  The candidate search and the
+gradient update G += (new - cur) H[idx] run in numpy over all n
+variables.  Everything else in a step involves the two or three moved
+variables only and runs on Python floats: the gaps, the +-v violations,
+the room to the bounds, the curvature, the step length and the blocking
+variable.  The move coefficients are +-1 or +-2, so every product in
+those sums is exact and only the order of summation can matter; the sums
+run left to right, the order of numpy's dot and matrix-vector products
+at these sizes, so each step has the bits that numpy would give.
 
 Face step.  Pairwise moves can zigzag with tiny steps on an
 ill-conditioned or rank-deficient face, so every 16 iterations an exact
@@ -237,8 +237,8 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     # one row per class: 0 on the class's members, +inf elsewhere
     outside = np.where(cls == np.arange(n_cls)[:, None], 0.0, inf)
     z = np.array(z0, dtype=float)
-    # the weighted SVM starts at zero, where H z is all zeros
-    G = H @ z + p if z.any() else np.array(p, dtype=float)
+    nz = np.flatnonzero(z)
+    G = z[nz] @ H.take(nz, 0) + p
     # outside, or +inf where a variable cannot move up (down); kept in step
     # with z, so G + up_pen and G - dn_pen are the candidates of each class
     up_pen = np.where(z < hi, outside, inf)

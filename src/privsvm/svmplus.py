@@ -13,10 +13,13 @@ Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
 
-Q = YKY is built in the decision Gram's own buffer.  The fitted model
-holds no Gram.  It keeps the decision values f0 = K(y o a) without the
-offset, read off Q a, and the correcting-space product Kt at, which are
-all that decision_train and the KKT report read.
+Q = YKY is built in the decision Gram's own buffer.  The core reads H only
+as rows, and H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n is
+[Q_i + Kt_i/g, Kt_i/g] and row n + i is [Kt_i/g, Kt_i/g], each formed on
+demand with the bits of the dense H.  The start z0 = (0, nC e_1) puts all b
+mass on the first b, which has no upper bound; its gradient is one row of
+H.  The model holds no Gram: it keeps f0 = K(y o a) without the offset,
+read off Q a, and Kt at, all that decision_train and the KKT report read.
 """
 
 from __future__ import annotations
@@ -77,15 +80,15 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
                   priv_spec: KernelSpec, C: float, gamma: float,
                   tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> SvmPlusModel:
-    """Solve the SVM+ problem for hyperparameters C > 0, gamma >= 0."""
+    """Solve the SVM+ problem for finite hyperparameters C > 0, gamma >= 0."""
     # an integer C would make b an integer array and truncate every step
     C, gamma = float(C), float(gamma)
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be nonnegative and finite")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     priv.check_aligned(data)
     if gamma == 0.0:
         return _solve_gamma_zero(data, priv, spec, priv_spec, C, tol, max_iter)
@@ -96,24 +99,31 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     Q *= y[:, None]
     Q *= y
     Kt = gram(priv_spec, priv)
-    # z = (a, b): the correcting term (1/2g) at' Kt at with at = a + b - C1
-    # is quadratic in a + b, so it adds Kt/g to every block of H.  Each
-    # block is written straight into H, and each copy reads a block whose
-    # address range misses its target, so numpy makes no n x n temporary
-    H = np.empty((2 * n, 2 * n))
-    np.divide(Kt, gamma, out=H[n:, n:])
-    H[:n, n:] = H[n:, n:]
-    H[n:, :n] = H[:n, n:]
-    np.add(H[n:, n:], Q, out=H[:n, :n])
-    shift = H[n:, n:] @ np.full(n, C)
+    # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
+    Ktg = Kt / gamma
+    shift = Ktg @ np.full(n, C)
     z, n_iter = solve_qp(
-        H, np.r_[-1.0 - shift, -shift],
+        _HRows(Q, Ktg), np.r_[-1.0 - shift, -shift],
         np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
-        np.full(2 * n, np.inf), np.r_[np.zeros(n), np.full(n, C)],
+        np.full(2 * n, np.inf), np.r_[np.zeros(n), n * C, np.zeros(n - 1)],
         tol, max_iter)
     alpha, beta = np.split(z, 2)
     return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta,
                    Kt, Q, n_iter)
+
+
+@dataclass
+class _HRows:
+    """H over z = (a, b), one row at a time from Q and Kt/g."""
+    Q: np.ndarray
+    Ktg: np.ndarray
+
+    def take(self, rows, axis=0):
+        rows, n = np.asarray(rows), len(self.Q)
+        out = np.empty((rows.size, 2 * n))
+        out[:, :n] = out[:, n:] = self.Ktg.take(rows % n, 0)
+        out[rows < n, :n] += self.Q.take(rows[rows < n], 0)
+        return out
 
 
 def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, Kt, Q,

@@ -196,8 +196,10 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     value (used to replicate an SVM+ classifier exactly); the stored
     b_interval is unaffected.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if b_override is not None and not np.isfinite(b_override):
+        raise ValueError("b_override must be finite")
     c = check_weights(c, data.n)
     y = data.y
     Q = _q_rows(spec, data)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,17 @@ def test_convergence_error_exits_with_one_line(three_point_files,
     assert captured.out == ""
     assert captured.err == ("error: primal Newton did not converge "
                             "(final residual 1.000e+00)\n")
+
+
+def test_reference_csv_commands_parse():
+    # tools/reference_csvs.py names each CSV after its command; every
+    # command must still be one the parser takes, with its flags as given
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_csvs.py"
+    spec = importlib.util.spec_from_file_location("reference_csvs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = tool.commands()
+    assert len(runs) == 16
+    for name, argv in runs.items():
+        args = build_parser().parse_args(argv + ["--out", name])
+        assert args.command in ("experiment", "figure3", "wshape")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from privsvm import (
     KernelSpec,
     LINEAR,
     b_uniqueness,
+    check_svmplus_kkt,
     check_wsvm_kkt,
     dual_uniqueness_condition,
+    generate_blobs_with_outliers,
+    solve_svmplus,
     solve_wsvm,
 )
 from privsvm.experiments import counterexample_dataset
@@ -23,6 +28,22 @@ def test_report_text_and_pass_flag():
     assert "max_violation" in text and text.endswith("pass 1")
     assert set(report.residuals) >= {
         "stationarity_b", "complementarity_margin", "complementarity_slack"}
+
+
+def test_nan_offset_reports_fail():
+    # a NaN offset makes every margin residual NaN; the report must fail on
+    # it and not drop it behind the finite residuals listed before it
+    data, c = counterexample_dataset()
+    model = replace(solve_wsvm(data, KernelSpec(LINEAR), c), b=float("nan"))
+    sample = generate_blobs_with_outliers(n_per_class=5, outlier_count=1,
+                                          outlier_distance=10, seed=0)
+    plus = solve_svmplus(sample.data, sample.priv, KernelSpec(LINEAR),
+                         KernelSpec(LINEAR), 1.0, 1.0)
+    plus = replace(plus, b=float("nan"))
+    for report in (check_wsvm_kkt(model), check_svmplus_kkt(plus)):
+        assert np.isnan(report.max_violation)
+        assert not report.passed
+        assert report.to_text().endswith("pass 0")
 
 
 def test_index_sets_from_decision():

@@ -5,7 +5,9 @@ The classes and the cross move v are derived in closed form; they must be
 what ``np.unique(A.T, axis=0)`` and ``scipy.linalg.null_space`` give, sign
 included, because the order of the +-v moves decides ties.  The pinned
 iteration counts fail on any change of move order, tie-breaking or
-face-step schedule.  The face step is also checked on its own: on
+face-step schedule.  The core reads H only through ``take``: SVM+'s row
+view has the bits of the dense block H, and both duals fit the same on an
+H with nothing but ``take``.  The face step is also checked on its own: on
 rank-deficient faces it keeps A z, the box and G = H z + p and does not
 raise the objective, and on a 600-variable face A z moves by rounding
 only; on a strictly convex face it lands on the equality-constrained
@@ -18,8 +20,8 @@ from scipy.linalg import null_space
 
 from privsvm import (GAUSSIAN_RBF, LINEAR, KernelSpec,
                      generate_blobs_with_outliers, gram, solve_svmplus,
-                     solve_wsvm)
-from privsvm.qp import _classes, _face_step
+                     solve_wsvm, svmplus, wsvm)
+from privsvm.qp import _classes, _face_step, solve_qp
 
 from conftest import random_dataset, random_privileged
 
@@ -101,16 +103,16 @@ WSVM_ITERS = [
     15, 32, 32, 29,
 ]
 SVMPLUS_ITERS = [
-    16, 16, 208, 80, 48, 32, 32, 48, 128, 48, 32, 16, 32, 16, 32, 128, 32,
-    32, 96, 48, 16, 32, 160, 96, 16, 32, 32, 16, 144, 48, 16, 64, 64, 64,
-    48, 48, 16, 32, 32, 112,
+    16, 48, 192, 64, 64, 32, 16, 48, 96, 80, 32, 16, 16, 48, 48, 128, 16,
+    32, 80, 48, 32, 32, 96, 64, 32, 32, 48, 16, 128, 48, 16, 64, 48, 64,
+    64, 64, 16, 48, 16, 96,
 ]
 
 
 def test_iteration_counts_pinned():
     """Exact n_iter of seeded fits, with a face step every FACE_EVERY = 16
     iterations; most counts are multiples of 16, solves that stopped right
-    after a face step."""
+    after a face step.  SVM+ starts from z0 = (0, nC e_1)."""
     wsvm, plus = _fits()
     assert wsvm == WSVM_ITERS
     assert plus == SVMPLUS_ITERS
@@ -128,18 +130,85 @@ def _wsvm_problem(rng, K, y):
     return K * np.outer(y, y), -np.ones(n), _wsvm_rows(y), hi, z
 
 
-def _svmplus_problem(rng, K, y, Kt):
-    """An SVM+ dual over z = (a, b), built as ``solve_svmplus`` builds it,
-    at a random nonnegative point with some variables at zero."""
+def _svmplus_parts(rng, K, y, Kt):
+    """An SVM+ dual over z = (a, b) with C = 1, set up as ``solve_svmplus``
+    sets it up: Q, Kt/g, p, A and hi, and a random nonnegative point with
+    some variables at zero."""
     n = y.size
     gamma, C = float(rng.choice([0.25, 1.0, 4.0])), 1.0
     Ktg = Kt / gamma
-    H = np.block([[K * np.outer(y, y) + Ktg, Ktg], [Ktg, Ktg]])
     shift = Ktg @ np.full(n, C)
     z = rng.uniform(0.0, 2.0 * C, 2 * n)
     z[rng.random(2 * n) < 0.2] = 0.0
-    return (H, np.r_[-1.0 - shift, -shift], _svmplus_rows(y),
-            np.full(2 * n, np.inf), z)
+    return (K * np.outer(y, y), Ktg, np.r_[-1.0 - shift, -shift],
+            _svmplus_rows(y), np.full(2 * n, np.inf), z)
+
+
+def _svmplus_problem(rng, K, y, Kt):
+    """The same dual with the dense 2n x 2n H of the block formula."""
+    Q, Ktg, *rest = _svmplus_parts(rng, K, y, Kt)
+    return (np.block([[Q + Ktg, Ktg], [Ktg, Ktg]]), *rest)
+
+
+class _TakeOnly:
+    """An H that the QP core can read only through ``take``: it has no
+    ``__matmul__``, no ``copy`` and no indexing."""
+
+    __slots__ = ("_H",)
+
+    def __init__(self, H):
+        self._H = H
+
+    def take(self, rows, axis=0):
+        return self._H.take(rows, axis)
+
+
+def test_row_view_matches_dense_h_bitwise():
+    # solve_svmplus hands the core a row view over Q and Kt/g, not the
+    # dense 2n x 2n H; from its start z0 = (0, nC e_1) both give the same
+    # iterates bit for bit
+    rng = np.random.default_rng(29)
+    for trial in range(30):
+        n = int(rng.integers(3, 60))
+        X = _linear_points(rng, n, 2)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        y[:2] = (-1.0, 1.0)
+        T = _linear_points(rng, n, 1 + trial % 2)
+        spec = _kernel(rng, trial % 2 == 0)
+        priv_spec = _kernel(rng, trial % 3 == 0)
+        Q, Ktg, p, A, hi, _ = _svmplus_parts(rng, gram(spec, X), y,
+                                             gram(priv_spec, T))
+        H = np.block([[Q + Ktg, Ktg], [Ktg, Ktg]])
+        rows = svmplus._HRows(Q, Ktg)
+        np.testing.assert_array_equal(rows.take(np.arange(2 * n), 0), H)
+        z0 = np.zeros(2 * n)
+        z0[n] = n  # nC, with C = 1
+        z, it = solve_qp(rows, p, A, hi, z0, 1e-8, 10**5)
+        z_dense, it_dense = solve_qp(H, p, A, hi, z0, 1e-8, 10**5)
+        np.testing.assert_array_equal(z, z_dense)
+        assert it == it_dense, trial
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_both_duals_read_h_only_through_take(monkeypatch, n):
+    # fits whose QP sees an H with nothing but take have the bits of the
+    # fits on the H each dual builds, on either side of the 256-point
+    # switch of the weighted SVM to a row source
+    rng = np.random.default_rng(n)
+    data, priv = random_dataset(rng, n), random_privileged(rng, n)
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    c = rng.uniform(0.5, 2.0, n)
+    plain = (solve_wsvm(data, spec, c),
+             solve_svmplus(data, priv, spec, spec, 1.0, 4.0))
+    for module in (wsvm, svmplus):
+        monkeypatch.setattr(module, "solve_qp",
+                            lambda H, *a: solve_qp(_TakeOnly(H), *a))
+    wrapped = (solve_wsvm(data, spec, c),
+               solve_svmplus(data, priv, spec, spec, 1.0, 4.0))
+    for got, want in zip(wrapped, plain):
+        np.testing.assert_array_equal(got.alpha, want.alpha)
+        np.testing.assert_array_equal(got.beta, want.beta)
+        assert got.n_iter == want.n_iter
 
 
 def _linear_points(rng, n, d):

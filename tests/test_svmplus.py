@@ -166,21 +166,64 @@ def test_rank_deficient_linear_fits_converge():
 
 
 def test_h_blocks_bitwise(rng, monkeypatch):
-    # H is written block by block into one buffer: Kt/g in every block,
-    # plus Q = YKY in the top-left one
-    seen = []
+    # the QP core takes rows of H, formed from Q and Kt/g; each has the
+    # bits of that row of the block formula: Kt/g in every block, plus
+    # Q = YKY in the top-left one
+    taken = []
+
+    class Recorder:
+        def __init__(self, H):
+            self.H = H
+
+        def take(self, rows, axis=0):
+            out = self.H.take(rows, axis)
+            taken.append((np.array(rows), out))
+            return out
+
     solve_qp = svmplus.solve_qp
     monkeypatch.setattr(svmplus, "solve_qp",
-                        lambda H, *a: seen.append(H.copy()) or solve_qp(H, *a))
+                        lambda H, *a: solve_qp(Recorder(H), *a))
     for _ in range(10):
         n = int(rng.integers(2, 40))
         data = random_dataset(rng, n)
         priv = random_privileged(rng, n)
         spec, priv_spec = random_kernel(rng), random_kernel(rng)
         gamma = float(2.0 ** rng.uniform(-1, 3))
+        taken.clear()
         solve_svmplus(data, priv, spec, priv_spec, 1.0, gamma)
         Kt = gram(priv_spec, priv)
         expected = np.tile(Kt / gamma, (2, 2))
         expected[:n, :n] += (data.y[:, None] * data.y[None, :]) * gram(
             spec, data)
-        np.testing.assert_array_equal(seen[-1], expected)
+        assert len(taken) > 1
+        for rows, got in taken:
+            np.testing.assert_array_equal(got, expected[rows])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("C, gamma, tol, match", [
+    (NAN, 1.0, 1e-8, "C"), (INF, 1.0, 1e-8, "C"), (-1.0, 1.0, 1e-8, "C"),
+    (1.0, NAN, 1e-8, "gamma"), (1.0, INF, 1e-8, "gamma"),
+    (1.0, 1.0, NAN, "tol"), (1.0, 1.0, INF, "tol"), (1.0, 1.0, -1.0, "tol"),
+    (1.0, 0.0, NAN, "tol"),
+])
+def test_non_finite_hyperparameters_rejected(rng, C, gamma, tol, match):
+    data = random_dataset(rng, 6)
+    lin = KernelSpec(LINEAR)
+    with pytest.raises(ValueError, match=match):
+        solve_svmplus(data, PrivilegedSet(np.eye(6)), lin, lin, C, gamma,
+                      tol=tol)
+
+
+def test_rbf_fit_at_n_1000_is_certified():
+    # W-mixture with eta as the privileged feature: from z0 = (0, nC e_1)
+    # the first face steps work on few variables, so the fit takes well
+    # under a second
+    sample = generate_w_mixture(1000, seed=7)
+    priv = PrivilegedSet(sample.eta[:, None])
+    model = solve_svmplus(sample.data, priv, KernelSpec(GAUSSIAN_RBF, 1.0),
+                          KernelSpec(GAUSSIAN_RBF, 0.5), 1.0, 1.0)
+    report = check_svmplus_kkt(model, tol=1e-8)
+    assert report.passed, report.to_text()

@@ -208,3 +208,20 @@ def test_input_validation():
     with pytest.raises(ValueError, match="all be zero"):
         check_weights([0.0, 0.0], 2)
     assert check_weights([0.0, 0.0], 2, allow_all_zero=True).sum() == 0.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("c, tol, b_override, match", [
+    ([1.0, 1.0], NAN, None, "tol"), ([1.0, 1.0], INF, None, "tol"),
+    ([1.0, 1.0], -1.0, None, "tol"),
+    ([NAN, 1.0], 1e-8, None, "finite"), ([1.0, INF], 1e-8, None, "finite"),
+    ([1.0, 1.0], 1e-8, NAN, "b_override"),
+    ([1.0, 1.0], 1e-8, INF, "b_override"),
+    ([1.0, 1.0], 1e-8, -INF, "b_override"),
+])
+def test_non_finite_hyperparameters_rejected(c, tol, b_override, match):
+    with pytest.raises(ValueError, match=match):
+        solve_wsvm(TWO_POINTS, KernelSpec(LINEAR), c, tol=tol,
+                   b_override=b_override)
