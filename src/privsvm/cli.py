@@ -14,8 +14,8 @@ turns a switch on (any other value leaves it off), and keys that no flag
 of the chosen subcommand takes are ignored.
 
 All tabular output is CSV and deterministic for a fixed seed.  A solve
-that does not converge ends the command with one ``error:`` line on stderr
-and exit status 1.
+that does not converge, an input a solver rejects or a file that cannot be
+read ends the command with one ``error:`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
                         ).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PrivilegedSet
-from .kernels import KernelSpec, LINEAR
-from .kkt import dual_uniqueness_condition
 from .svmplus import SvmPlusModel
 from .wsvm import WsvmModel, check_weights
 
@@ -125,11 +123,10 @@ def family_membership(candidate, model: WsvmModel) -> bool:
     """Decide whether ``candidate`` belongs to the equivalent-weight family
     of the given WSVM solution.
 
-    Fast path (dual solution unique): member iff the candidate agrees with
-    alpha* on positive-slack points and dominates it on zero-slack points.
-    General path: linear feasibility for a split c = mu + nu with mu
-    matching the dual solution's expansion and nu supported on zero-slack
-    points.  Both paths compare at FAMILY_TOL.
+    Phase-1 linear feasibility for a split c = mu + nu with nu supported on
+    zero-slack points: mu >= 0 with KY mu = KY alpha*, y'mu = 0,
+    1'mu = 1'alpha*, mu <= c, and mu = c off the zero-slack set, every
+    comparison at FAMILY_TOL.
     """
     c = np.asarray(candidate, dtype=float).ravel()
     n = model.data.n
@@ -137,25 +134,11 @@ def family_membership(candidate, model: WsvmModel) -> bool:
         raise ValueError("candidate length mismatch")
     if np.any(c < -FAMILY_TOL):
         return False
-    alpha = model.alpha
-    xi = model.xi
-    zero_slack = xi <= FAMILY_TOL
-    K = model.gram_train
-    if dual_uniqueness_condition(K, model.data.y):
-        ok_pos = np.all(
-            np.abs(c[~zero_slack] - alpha[~zero_slack]) <= FAMILY_TOL)
-        ok_zero = np.all(c[zero_slack] >= alpha[zero_slack] - FAMILY_TOL)
-        return bool(ok_pos and ok_zero)
-    return _family_membership_lp(c, model, K, zero_slack)
-
-
-def _family_membership_lp(c, model, K, zero_slack) -> bool:
-    """Phase-1 feasibility: mu >= 0 with KY mu = KY alpha*, y'mu = 0,
-    1'mu = 1'alpha*, mu <= c, and mu = c off the zero-slack set."""
     from scipy.optimize import linprog  # slow to import; only used here
-    n = model.data.n
+    K = model.gram_train
     y = model.data.y
     alpha = model.alpha
+    zero_slack = model.xi <= FAMILY_TOL
     free = np.flatnonzero(zero_slack)
     fixed = np.flatnonzero(~zero_slack)
     rhs_full = np.concatenate([K @ (y * alpha), [0.0], [np.sum(alpha)]])

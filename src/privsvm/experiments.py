@@ -10,8 +10,8 @@ evaluation loop; everything is keyed off a single integer seed.
 Model selection has one winner rule: every candidate fit is keyed
 (validation error, C, kernel rank, extra rank), the lowest key wins and
 the first one wins a tie.  Only each method's winner is evaluated on the
-test sample.  The SVM+ grid is searched once per split, and
-wsvm-from-svmplus replays only its winner as a weighted SVM.
+test sample.  Each grid is fitted once per split: svm's is the tau = 0
+row of wsvm-prob's, and wsvm-from-svmplus replays the SVM+ winner.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
@@ -25,7 +25,7 @@ to train on and one to validate on.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
 from .schemes import probability_weights
 from .svmplus import SvmPlusModel, solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
-from .wsvm import WsvmModel, solve_wsvm, predict
+from .wsvm import solve_wsvm, predict
 
 __all__ = [
     "BlobsSample",
@@ -322,7 +322,8 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     rank) and the lowest key wins, so ties go to the smaller C, then to
     the larger bandwidth (candidate enumeration order encodes the rest).
     Only the winners see the test sample.  svm and wsvm-prob share one
-    WSVM grid (svm is the single weight vector 1).  The SVM+ grid is
+    WSVM grid, fitted once: svm's candidates are its tau = 0 row (extra
+    rank 0), whose weights are 1 exactly.  The SVM+ grid is
     searched once for both svmplus and wsvm-from-svmplus; the latter
     replays only the winner as a WSVM with c = alpha + beta and the SVM+
     offset.
@@ -350,15 +351,19 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
                         yield (val_err, C, si, pi * 1000 + gi), plus
 
     f_test = {}  # method -> the winner's decision values on the test sample
-    if "svm" in methods:
-        model = _winner(wsvm_grid([(0, np.ones(train.n))]))
-        f_test["svm"] = predict(model, test)
-    if "wsvm-prob" in methods:
+    if methods & {"svm", "wsvm-prob"}:
+        # the tau grid starts at 0, whose weights are 1 exactly: svm's
+        # grid is that row, extra rank 0
+        taus = DEFAULT_TAU_GRID if "wsvm-prob" in methods else (0.0,)
         weights = [(ti, probability_weights(eta_train, train.y, tau))
-                   for ti, tau in enumerate(DEFAULT_TAU_GRID)]
-        model = _winner(wsvm_grid([(ti, w) for ti, w in weights
-                                   if np.any(w > 0)]))
-        f_test["wsvm-prob"] = predict(model, test)
+                   for ti, tau in enumerate(taus)]
+        grid = list(wsvm_grid([(ti, w) for ti, w in weights
+                               if np.any(w > 0)]))
+        if "svm" in methods:
+            model = _winner(pair for pair in grid if pair[0][3] == 0)
+            f_test["svm"] = predict(model, test)
+        if "wsvm-prob" in methods:
+            f_test["wsvm-prob"] = predict(_winner(grid), test)
     if "wsvm-learned" in methods:
         wl = WeightLearningConfig(deltas=tuple(config.delta_grid),
                                   max_outer_iter=config.max_outer_iter)

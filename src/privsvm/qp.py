@@ -30,7 +30,7 @@ Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, also
 for the start gradient, which sums the rows of z0's nonzero entries.  So
 H may be a dense array or any object with that ``take``: the weighted
 SVM passes one that computes each row of its Q on first use, and SVM+
-one that forms each row from Q and Kt/g.  The candidate search and the
+one that forms each row from Q and Kt.  The candidate search and the
 gradient update G += (new - cur) H[idx] run in numpy over all n
 variables.  Everything else in a step involves the two or three moved
 variables only and runs on Python floats: the gaps, the +-v violations,

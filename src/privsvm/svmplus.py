@@ -13,13 +13,16 @@ Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
 
-Q = YKY is built in the decision Gram's own buffer.  The core reads H only
-as rows, and H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n is
+Q = YKY is built in the decision Gram's own buffer, and Kt is the only
+privileged matrix held.  The core reads H only as rows, and
+H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n is
 [Q_i + Kt_i/g, Kt_i/g] and row n + i is [Kt_i/g, Kt_i/g], each formed on
-demand with the bits of the dense H.  The start z0 = (0, nC e_1) puts all b
-mass on the first b, which has no upper bound; its gradient is one row of
-H.  The model holds no Gram: it keeps f0 = K(y o a) without the offset,
-read off Q a, and Kt at, all that decision_train and the KKT report read.
+demand, Kt_i/g included, with the bits of the dense H.  The start
+z0 = (0, nC e_1) puts all b mass on the first b, which has no upper bound;
+its gradient is one row of H.  The model holds no Gram: it keeps
+f0 = K(y o a) without the offset, read off Q a, and Kt at, all that
+decision_train and the KKT report read; both objectives are read off the
+same two products.
 """
 
 from __future__ import annotations
@@ -95,15 +98,14 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
 
     n = data.n
     y = data.y
+    Kt = gram(priv_spec, priv)
+    # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
+    shift = (Kt / gamma) @ np.full(n, C)
     Q = gram(spec, data)
     Q *= y[:, None]
     Q *= y
-    Kt = gram(priv_spec, priv)
-    # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
-    Ktg = Kt / gamma
-    shift = Ktg @ np.full(n, C)
     z, n_iter = solve_qp(
-        _HRows(Q, Ktg), np.r_[-1.0 - shift, -shift],
+        _HRows(Q, Kt, gamma), np.r_[-1.0 - shift, -shift],
         np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
         np.full(2 * n, np.inf), np.r_[np.zeros(n), n * C, np.zeros(n - 1)],
         tol, max_iter)
@@ -114,14 +116,16 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
 
 @dataclass
 class _HRows:
-    """H over z = (a, b), one row at a time from Q and Kt/g."""
+    """H over z = (a, b), one row at a time from Q and Kt; each row of Kt
+    is divided by g as it is formed, with the bits of the matrix Kt/g."""
     Q: np.ndarray
-    Ktg: np.ndarray
+    Kt: np.ndarray
+    gamma: float
 
     def take(self, rows, axis=0):
         rows, n = np.asarray(rows), len(self.Q)
         out = np.empty((rows.size, 2 * n))
-        out[:, :n] = out[:, n:] = self.Ktg.take(rows % n, 0)
+        out[:, :n] = out[:, n:] = self.Kt.take(rows % n, 0) / self.gamma
         out[rows < n, :n] += self.Q.take(rows[rows < n], 0)
         return out
 
@@ -166,8 +170,8 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, Kt, Q,
         b = _pick_offset((lo, hi))
 
     h = np.maximum(0.0, 1.0 - y * (f0 + b))
-    quad = float(alpha @ Q @ alpha)
-    quad_t = float(at @ Kt @ at)
+    quad = float(alpha @ q_alpha)
+    quad_t = float(at @ kt_at)
     primal = 0.5 * quad + 0.5 * quad_t / gamma + C * float(np.sum(xi))
     dual = float(np.sum(alpha)) - 0.5 * quad - 0.5 * quad_t / gamma
     return SvmPlusModel(

@@ -79,7 +79,6 @@ class WsvmModel:
     objective_dual: float
     f0: np.ndarray  # K(y o alpha), the decision values without b
     n_iter: int = 0
-    b_overridden: bool = False
 
     @property
     def decision_train(self) -> np.ndarray:
@@ -222,7 +221,6 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         data=data, spec=spec, c=c, alpha=alpha, beta=beta, b=b,
         b_interval=interval, xi=xi,
         objective_primal=primal, objective_dual=dual, f0=f0, n_iter=n_iter,
-        b_overridden=b_override is not None,
     )
 
 

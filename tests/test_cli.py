@@ -184,7 +184,7 @@ def test_check_exits_nonzero_when_report_fails(command, three_point_files,
                                                tmp_path, monkeypatch,
                                                capsys):
     failing = KktReport(residuals={"stationarity_b": 1.0}, max_violation=1.0,
-                        gap=0.0, tol=1e-8)
+                        tol=1e-8)
     monkeypatch.setattr(cli, "check_wsvm_kkt", lambda *a, **k: failing)
     monkeypatch.setattr(cli, "check_svmplus_kkt", lambda *a, **k: failing)
     data_path, weights_path = three_point_files
@@ -211,6 +211,40 @@ def test_convergence_error_exits_with_one_line(three_point_files,
     assert captured.out == ""
     assert captured.err == ("error: primal Newton did not converge "
                             "(final residual 1.000e+00)\n")
+
+
+@pytest.mark.parametrize("command", ["train-wsvm", "train-svmplus"])
+def test_check_prints_each_key_once(command, three_point_files, tmp_path,
+                                    capsys):
+    data_path, weights_path = three_point_files
+    priv_path = tmp_path / "ce.priv"
+    save_sparse(priv_path, [[0.0], [1.0], [0.0]])
+    extra = (["--weights", weights_path] if command == "train-wsvm"
+             else ["--priv", str(priv_path)])
+    main([command, "--data", data_path, *extra, "--check"])
+    keys = [line.split()[0]
+            for line in capsys.readouterr().out.splitlines()]
+    assert "gap" in keys
+    assert len(keys) == len(set(keys)), keys
+
+
+@pytest.mark.parametrize("case", ["rejected-input", "missing-file"])
+def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
+                                         capsys):
+    # like a ConvergenceError, an input the solver rejects or a file that
+    # cannot be read ends the command with one error line, no traceback
+    data_path, _ = three_point_files
+    if case == "rejected-input":
+        argv = ["--data", data_path, "--b-override", "nan"]
+        err = "error: b_override must be finite\n"
+    else:
+        missing = str(tmp_path / "missing.data")
+        argv = ["--data", missing]
+        err = f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert main(["train-wsvm", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_reference_csv_commands_parse():

@@ -233,6 +233,29 @@ def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch):
     assert calls == {"svmplus": 12, "replay": 2}
 
 
+def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
+    # tau = 0 gives svm's weights 1 exactly, so with both methods the 45
+    # fits of wsvm-prob's grid (3 bandwidths x 5 tau x 3 C) hold svm's 9,
+    # and each split makes 46 weighted fits with the SVM+ replay, not 55
+    from privsvm import experiments
+    calls = []
+
+    def counting_wsvm(*args, **kwargs):
+        calls.append(1)
+        return solve_wsvm(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_wsvm", counting_wsvm)
+    base = dict(source="blobs", kernel="gaussian-rbf", seed=5,
+                subset_sizes=(12,), **PROTOCOL)
+    config = ExperimentConfig(methods=("svm", "wsvm-prob", "svmplus",
+                                       "wsvm-from-svmplus"), **base)
+    rows = run_experiment(config).rows
+    assert len(calls) == 46 * config.repetitions
+    alone = [run_experiment(ExperimentConfig(methods=(m,), **base)).rows[0]
+             for m in ("svm", "wsvm-prob")]
+    assert rows[:2] == alone
+
+
 def test_replication_driver_identical_predictions(rng):
     n = 10
     data = random_dataset(rng, n)

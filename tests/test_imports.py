@@ -1,5 +1,6 @@
-"""What a fresh ``import privsvm`` loads."""
+"""What a fresh ``import privsvm`` loads, and what each module imports."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -31,3 +32,41 @@ def test_every_export_resolves():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert missing == [], info.name
+
+
+def _imported_names(tree):
+    """(bound name, line) of each module-level import but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exports(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    # a module-level import is read in its module or re-exported by its
+    # __all__; the package's __init__ only re-exports, so it is exempt
+    unused = []
+    for info in pkgutil.iter_modules(privsvm.__path__):
+        path = os.path.join(os.path.dirname(privsvm.__file__),
+                            f"{info.name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _exports(tree)
+        unused += [f"{info.name}.py:{line} {name}"
+                   for name, line in _imported_names(tree)
+                   if name not in used]
+    assert unused == []

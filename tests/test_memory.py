@@ -98,10 +98,11 @@ def _svmplus_inputs():
     return data, priv, KernelSpec(GAUSSIAN_RBF, 1.0)
 
 
-def test_svmplus_setup_holds_q_kt_and_kt_over_gamma(monkeypatch):
-    # Q (in K's own buffer), Kt and Kt/g are 3 n^2 live, and the QP core
-    # gets a row view over them, not a 2n x 2n H; the setup ends where the
-    # core would start, so a stub in its place stops the fit there
+def test_svmplus_setup_holds_q_and_kt(monkeypatch):
+    # Kt, the Kt/g of the linear term (freed before Q is built), then Q in
+    # K's own buffer: 2.6 n^2 at most, and the QP core gets a row view over
+    # Q and Kt, not a 2n x 2n H; the setup ends where the core would start,
+    # so a stub in its place stops the fit there
     def stub(*args):
         raise _Stop
 
@@ -112,19 +113,19 @@ def test_svmplus_setup_holds_q_kt_and_kt_over_gamma(monkeypatch):
         with pytest.raises(_Stop):
             solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
-    assert _peak(setup, data.n) <= 3.5
+    assert _peak(setup, data.n) <= 2.75
 
 
 def test_svmplus_fit_peak():
-    # a whole fit: the 3 n^2 of the setup plus the largest face step, its
-    # |F| x 2n rows of H and a few |F| x |F| blocks (|F| = 220 of the 1004
-    # variables here); 5.1 n^2 in all, and 14.8 n^2 with a dense 2n x 2n H
+    # a whole fit: Q and Kt plus the largest face step, its |F| x 2n rows
+    # of H and a few |F| x |F| blocks (|F| = 220 of the 1004 variables
+    # here); 4.1 n^2 in all, and 14.8 n^2 with a dense 2n x 2n H
     data, priv, spec = _svmplus_inputs()
 
     def fit():
         solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
-    assert _peak(fit, data.n) <= 6.0
+    assert _peak(fit, data.n) <= 4.5
 
 
 def test_fitted_wsvm_holds_no_gram(mixture):

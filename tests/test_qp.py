@@ -132,22 +132,27 @@ def _wsvm_problem(rng, K, y):
 
 def _svmplus_parts(rng, K, y, Kt):
     """An SVM+ dual over z = (a, b) with C = 1, set up as ``solve_svmplus``
-    sets it up: Q, Kt/g, p, A and hi, and a random nonnegative point with
+    sets it up: Q, Kt, g, p, A and hi, and a random nonnegative point with
     some variables at zero."""
     n = y.size
     gamma, C = float(rng.choice([0.25, 1.0, 4.0])), 1.0
-    Ktg = Kt / gamma
-    shift = Ktg @ np.full(n, C)
+    shift = (Kt / gamma) @ np.full(n, C)
     z = rng.uniform(0.0, 2.0 * C, 2 * n)
     z[rng.random(2 * n) < 0.2] = 0.0
-    return (K * np.outer(y, y), Ktg, np.r_[-1.0 - shift, -shift],
+    return (K * np.outer(y, y), Kt, gamma, np.r_[-1.0 - shift, -shift],
             _svmplus_rows(y), np.full(2 * n, np.inf), z)
+
+
+def _dense_h(Q, Kt, gamma):
+    """The 2n x 2n H of the block formula, from the matrix Kt/g."""
+    Ktg = Kt / gamma
+    return np.block([[Q + Ktg, Ktg], [Ktg, Ktg]])
 
 
 def _svmplus_problem(rng, K, y, Kt):
     """The same dual with the dense 2n x 2n H of the block formula."""
-    Q, Ktg, *rest = _svmplus_parts(rng, K, y, Kt)
-    return (np.block([[Q + Ktg, Ktg], [Ktg, Ktg]]), *rest)
+    Q, Kt, gamma, *rest = _svmplus_parts(rng, K, y, Kt)
+    return (_dense_h(Q, Kt, gamma), *rest)
 
 
 class _TakeOnly:
@@ -164,9 +169,10 @@ class _TakeOnly:
 
 
 def test_row_view_matches_dense_h_bitwise():
-    # solve_svmplus hands the core a row view over Q and Kt/g, not the
-    # dense 2n x 2n H; from its start z0 = (0, nC e_1) both give the same
-    # iterates bit for bit
+    # solve_svmplus hands the core a row view over Q and Kt that divides
+    # each row by g as it forms it, not the dense 2n x 2n H built from the
+    # matrix Kt/g; from its start z0 = (0, nC e_1) both give the same rows
+    # and iterates bit for bit
     rng = np.random.default_rng(29)
     for trial in range(30):
         n = int(rng.integers(3, 60))
@@ -176,10 +182,10 @@ def test_row_view_matches_dense_h_bitwise():
         T = _linear_points(rng, n, 1 + trial % 2)
         spec = _kernel(rng, trial % 2 == 0)
         priv_spec = _kernel(rng, trial % 3 == 0)
-        Q, Ktg, p, A, hi, _ = _svmplus_parts(rng, gram(spec, X), y,
-                                             gram(priv_spec, T))
-        H = np.block([[Q + Ktg, Ktg], [Ktg, Ktg]])
-        rows = svmplus._HRows(Q, Ktg)
+        Q, Kt, gamma, p, A, hi, _ = _svmplus_parts(
+            rng, gram(spec, X), y, gram(priv_spec, T))
+        H = _dense_h(Q, Kt, gamma)
+        rows = svmplus._HRows(Q, Kt, gamma)
         np.testing.assert_array_equal(rows.take(np.arange(2 * n), 0), H)
         z0 = np.zeros(2 * n)
         z0[n] = n  # nC, with C = 1

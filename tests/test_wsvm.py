@@ -57,7 +57,6 @@ def test_b_override():
     model = solve_wsvm(TWO_POINTS, KernelSpec(LINEAR), [0.3, 0.3],
                        b_override=0.5)
     assert model.b == 0.5
-    assert model.b_overridden
     # the stored interval still reflects the optimum, not the override
     assert model.b_interval == pytest.approx((-1.0, 0.7), abs=1e-12)
 
