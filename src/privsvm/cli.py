@@ -344,13 +344,22 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
-    args = build_parser(_read_config_file(path) if path else None
-                        ).parse_args(argv)
+    try:
+        # a malformed file raises its ValueError from here
+        defaults = _read_config_file(path) if path else None
+    except OSError as exc:
+        return _error(exc)
+    args = build_parser(defaults).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except (ConvergenceError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
+
+
+def _error(exc: Exception) -> int:
+    """Report a failed command in one line; its exit status."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ against a training set does not recompute the norms of all its points.
 Every prediction, and the SVM+ correcting function, is a kernel
 expansion sum_j coef_j k(a_j, x), computed by ``expand``: the kernel is
 evaluated only at the nonzero coefficients, but the sum runs over every
-coefficient, zeros included, in the order of the full product, so it has
-the bits of gram(a, points).T @ coef.
+coefficient, zeros included, in the order of the full product.  The
+points go through ``_BLOCK_ROWS`` at a time, so a prediction holds one
+n x 256 matrix however many points it scores; each block has the bits of
+gram(a, block).T @ coef, and up to one block that is the full product.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ def _sq_norms(a, A: np.ndarray) -> np.ndarray:
     return a.sq_norms if isinstance(a, Dataset) else np.sum(A * A, axis=1)
 
 
-_BLOCK_ROWS = 256  # rows of the squared-distance pass per temporary
+_BLOCK_ROWS = 256  # rows (or points) per temporary block
 
 
-def _sq_dists(a, b) -> np.ndarray:
+def _sq_dists(a, b, out=None, work=None) -> np.ndarray:
     """Squared distances ||a_i||^2 + ||b_j||^2 - 2 a_i'b_j, clipped at 0,
     between the rows of two operands (Datasets or arrays).
 
@@ -82,18 +84,21 @@ def _sq_dists(a, b) -> np.ndarray:
     at a time, so the only other n x m-sized allocation is one block of
     the outer sum.  With B identical to A the product is A @ A.T on one
     buffer, which numpy computes exactly symmetric (one triangle with syrk,
-    mirrored), and the rewrite keeps that symmetry entry by entry.
+    mirrored), and the rewrite keeps that symmetry entry by entry.  A
+    caller that streams blocks may pass the result's buffer as ``out`` and
+    a buffer for the outer sum's block as ``work``, to reuse them.
     """
     A = _features(a)
     B = A if b is a else _features(b)
-    G = A @ B.T
+    G = np.matmul(A, B.T, out=out)
     a2 = _sq_norms(a, A)
     b2 = a2 if B is A else _sq_norms(b, B)
     for start in range(0, G.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
         g = G[blk]
         g *= 2.0
-        np.subtract(np.add.outer(a2[blk], b2), g, out=g)
+        np.subtract(np.add.outer(a2[blk], b2, out=None if work is None
+                                 else work[:len(g)]), g, out=g)
         np.maximum(g, 0.0, out=g)
     return G
 
@@ -125,12 +130,28 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
 def expand(spec: KernelSpec, a, coef, points) -> np.ndarray:
     """The kernel expansion sum_j coef_j k(a_j, x) at every point x.
 
-    Only the rows of the a_j with coef_j != 0 are evaluated; the others
-    stay zero in an n x m matrix K, and K.T @ coef adds them as +-0.  So
-    the result has the bits of gram(a, points).T @ coef, at the cost of
-    one Gram of the support against the points.
+    The points are taken ``_BLOCK_ROWS`` at a time.  For each block only
+    the rows of the a_j with coef_j != 0 are evaluated; the others stay
+    zero in an n x block matrix K, and K.T @ coef adds them as +-0.  So
+    each block of the result has the bits of gram(a, block).T @ coef, and
+    up to ``_BLOCK_ROWS`` points the whole result has the bits of
+    gram(a, points).T @ coef.  Above that it may differ from that full
+    product in the last bits.  The cost is one Gram of the support
+    against the points, and one n x block matrix at a time.
     """
     nz = np.flatnonzero(coef)
-    K = np.zeros((len(coef), len(_features(points))))
-    K[nz] = gram(spec, _features(a)[nz], points)
+    support = _features(a)[nz]
+    P = _features(points)
+    out = np.empty(len(P))
+    for start in range(0, len(P), _BLOCK_ROWS):
+        blk = slice(start, start + _BLOCK_ROWS)
+        out[blk] = _expand_block(spec, support, nz, coef, P[blk])
+    return out
+
+
+def _expand_block(spec, support, nz, coef, P) -> np.ndarray:
+    """K.T @ coef for one block of points, K zero outside the rows nz;
+    K is freed on return, before the next block's is allocated."""
+    K = np.zeros((len(coef), len(P)))
+    K[nz] = gram(spec, support, P)
     return K.T @ coef

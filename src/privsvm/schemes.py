@@ -51,7 +51,8 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
     confidence either way) and the underflow flag is set.  The queries
     stream through ``kernels._BLOCK_ROWS`` rows at a time, each block's
     weights built in one block x train buffer of squared distances from
-    the training set's cached norms, and freed before the next block.
+    the training set's cached norms; every block reuses that buffer and
+    the one of its outer sum.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
@@ -59,16 +60,24 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
         np.asarray(queries, dtype=float))
     eta = np.empty(E.shape[0])
     underflow = False
+    # every block reuses one buffer for its squared distances and one for
+    # their outer sum of norms
+    sq = np.empty((min(E.shape[0], _BLOCK_ROWS), train.n))
+    work = np.empty_like(sq)
     for start in range(0, E.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
-        eta[blk], under = _nadaraya_watson_block(train, E[blk], bandwidth)
+        rows = len(E[blk])
+        eta[blk], under = _nadaraya_watson_block(
+            train, E[blk], bandwidth, sq[:rows], work[:rows])
         underflow |= under
     return ConfidenceScores(np.clip(eta, -1.0, 1.0), underflow=underflow)
 
 
-def _nadaraya_watson_block(train: Dataset, E: np.ndarray, bandwidth: float):
-    """The estimates at one block of queries, and its underflow flag."""
-    sq = _sq_dists(E, train)
+def _nadaraya_watson_block(train: Dataset, E: np.ndarray, bandwidth: float,
+                           sq: np.ndarray, work: np.ndarray):
+    """The estimates at one block of queries, and its underflow flag; the
+    squared distances are written into ``sq``."""
+    sq = _sq_dists(E, train, sq, work)
     # subtract the row minimum before exponentiating so at least one
     # weight per row survives in double precision; the ratio is unchanged
     row_min = sq.min(axis=1)

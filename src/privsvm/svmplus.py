@@ -13,16 +13,21 @@ Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
 
-Q = YKY is built in the decision Gram's own buffer, and Kt is the only
-privileged matrix held.  The core reads H only as rows, and
-H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n is
-[Q_i + Kt_i/g, Kt_i/g] and row n + i is [Kt_i/g, Kt_i/g], each formed on
-demand, Kt_i/g included, with the bits of the dense H.  The start
-z0 = (0, nC e_1) puts all b mass on the first b, which has no upper bound;
-its gradient is one row of H.  The model holds no Gram: it keeps
-f0 = K(y o a) without the offset, read off Q a, and Kt at, all that
-decision_train and the KKT report read; both objectives are read off the
-same two products.
+The core reads H only as rows, and H z = [Qa + Kt s/g; Kt s/g] with
+s = a + b, so row i < n is [Q_i + Kt_i/g, Kt_i/g] and row n + i is
+[Kt_i/g, Kt_i/g], each formed on demand, Kt_i/g included, with the bits
+of the dense H.  Up to ``kernels._BLOCK_ROWS`` points Q = YKY is built
+in the decision Gram's own buffer and Kt whole.  Above that both are row
+sources, as the weighted SVM's Q is (``wsvm._KernelRows``): a fit reads
+a few percent of their rows, each computed on first use.  The two whole
+products a fit needs, the linear term Kt (C/g) 1 and Kt at at the end,
+are then kernel expansions (``kernels.expand``), 256 points at a time,
+and Q a is summed over the support rows that the solve computed, so no
+n x n matrix is built.  The start z0 = (0, nC e_1) puts all b mass on
+the first b, which has no upper bound; its gradient is one row of H.
+The model holds no Gram: it keeps f0 = K(y o a) without the offset,
+read off Q a, and Kt at, all that decision_train and the KKT report
+read; both objectives are read off the same two products.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import KernelSpec, expand, gram
+from .kernels import _BLOCK_ROWS, KernelSpec, expand, gram
 from .qp import solve_qp
-from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
+from .wsvm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _KernelRows, _pick_offset,
+                   _q_rows, solve_wsvm)
 
 __all__ = ["SvmPlusModel", "solve_svmplus", "correcting_values"]
 
@@ -98,26 +104,38 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
 
     n = data.n
     y = data.y
-    Kt = gram(priv_spec, priv)
     # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
-    shift = (Kt / gamma) @ np.full(n, C)
-    Q = gram(spec, data)
-    Q *= y[:, None]
-    Q *= y
+    if n > _BLOCK_ROWS:
+        Kt = _KernelRows(priv_spec, priv)
+        shift = expand(priv_spec, priv, np.full(n, C / gamma), priv)
+    else:
+        Kt = gram(priv_spec, priv)
+        shift = (Kt / gamma) @ np.full(n, C)
+    Q = _q_rows(spec, data)
     z, n_iter = solve_qp(
         _HRows(Q, Kt, gamma), np.r_[-1.0 - shift, -shift],
         np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
         np.full(2 * n, np.inf), np.r_[np.zeros(n), n * C, np.zeros(n - 1)],
         tol, max_iter)
     alpha, beta = np.split(z, 2)
-    return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta,
-                   Kt, Q, n_iter)
+    at = alpha + beta - C
+    if n > _BLOCK_ROWS:
+        # Q a from the support rows, which the solve computed
+        sv = np.flatnonzero(alpha)
+        q_alpha = alpha[sv] @ Q.take(sv, 0)
+        kt_at = expand(priv_spec, priv, at, priv)
+    else:
+        q_alpha = Q @ alpha
+        kt_at = Kt @ at
+    return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
+                   q_alpha, kt_at, n_iter)
 
 
 @dataclass
 class _HRows:
-    """H over z = (a, b), one row at a time from Q and Kt; each row of Kt
-    is divided by g as it is formed, with the bits of the matrix Kt/g."""
+    """H over z = (a, b), one row at a time from Q and Kt (matrices or
+    row sources); each row of Kt is divided by g as it is formed, with
+    the bits of the matrix Kt/g."""
     Q: np.ndarray
     Kt: np.ndarray
     gamma: float
@@ -130,15 +148,13 @@ class _HRows:
         return out
 
 
-def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, Kt, Q,
-            n_iter) -> SvmPlusModel:
+def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
+            q_alpha, kt_at, n_iter) -> SvmPlusModel:
     y = data.y
-    at = alpha + beta - C
-    kt_at = Kt @ at
     gb = kt_at / gamma
-    q_alpha = Q @ alpha
     ga = q_alpha - 1.0 + gb
-    # the labels are +-1, so f0 has the bits of K (y o alpha)
+    # the labels are +-1, so f0 has the bits of K (y o alpha), or above
+    # one block of (y o alpha)_S K_S over the support S
     f0 = y * q_alpha
 
     # multiplier of the sum constraint, then the offsets

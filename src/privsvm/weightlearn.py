@@ -156,16 +156,20 @@ class WeightLearningResult:
     n_outer_iter: int = 0
 
 
-def _val_loss_and_grad(c, train, val, spec, delta, K_val, warm):
+def _val_loss(c, train, val, spec, delta, K_val, warm):
+    """The inner model at weights c, its validation loss and error, and
+    the loss slopes that its gradient (``_val_grad``) reads."""
     model = solve_primal(train, spec, c, delta, warm=warm)
     f_val = K_val.T @ model.alpha + model.b
     t = val.y * f_val
     value, d1, _ = smooth_hinge(t, delta)
-    loss = float(np.sum(value))
-    err = float(np.mean(t <= 0))
-    g_alpha = K_val @ (val.y * d1)
-    g_b = float(np.sum(val.y * d1))
-    return loss, _adjoint_gradient(model, g_alpha, g_b), err, model
+    return float(np.sum(value)), float(np.mean(t <= 0)), model, val.y * d1
+
+
+def _val_grad(model, K_val, slopes):
+    """The gradient of the validation loss in the weights, from one
+    adjoint solve."""
+    return _adjoint_gradient(model, K_val @ slopes, float(np.sum(slopes)))
 
 
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
@@ -187,10 +191,11 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
         def fun(theta):
             nonlocal last
             c = np.exp(theta)
-            loss, grad, err, last = _val_loss_and_grad(
+            loss, err, last, slopes = _val_loss(
                 c, train, val, spec, delta, K_val, last)
             record(c, loss, err, last)
-            return loss, grad * c  # chain rule through c = exp(theta)
+            # chain rule through c = exp(theta)
+            return loss, _val_grad(last, K_val, slopes) * c
 
         t0 = np.log(config.c_init)
         spread = np.log(WEIGHT_SPREAD)
@@ -202,8 +207,9 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
     else:
         c = np.full(n, config.c_init)
         step = STEP_INIT
-        loss, grad, err, model = _val_loss_and_grad(
+        loss, err, model, slopes = _val_loss(
             c, train, val, spec, delta, K_val, None)
+        grad = _val_grad(model, K_val, slopes)
         record(c, loss, err, model)
         n_iter = 0
         for n_iter in range(1, config.max_outer_iter + 1):
@@ -213,12 +219,12 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             while step > 1e-12:
                 c_new = np.maximum(WEIGHT_FLOOR, c - step * grad)
                 # a rejected trial leaves the accepted iterate's model as
-                # the start point of the next one
-                loss_new, grad_new, err_new, model_new = _val_loss_and_grad(
+                # the start point of the next one, and needs no gradient
+                loss_new, err_new, model_new, slopes = _val_loss(
                     c_new, train, val, spec, delta, K_val, model)
                 if loss_new <= loss - 1e-12:
-                    c, loss, grad, err, model = (
-                        c_new, loss_new, grad_new, err_new, model_new)
+                    c, loss, err, model = c_new, loss_new, err_new, model_new
+                    grad = _val_grad(model, K_val, slopes)
                     record(c, loss, err, model)
                     step *= 1.5
                     moved = True

@@ -12,9 +12,10 @@ stores as ``b_interval``.
 
 The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
 few of them: the rows of the pairs it moves and of the faces it steps
-on.  So above ``kernels._BLOCK_ROWS`` points Q is a row source: each row
-is computed on first use, by gram(spec, X[rows], data) with its signs
-flipped, and kept in a buffer of the rows computed so far; the Dataset
+on.  So above ``kernels._BLOCK_ROWS`` points Q is a row source
+(``_KernelRows``, which SVM+ also uses): each row is computed on first
+use, by gram(spec, X[rows], data) with its signs flipped, and each fill's
+block of rows is kept as it is, so growing copies nothing; the Dataset
 caches the squared norms of its points, so a fill does not recompute
 them.  Up to that size the fixed cost of a fill is as large as the whole
 Gram, so Q is built whole, in the Gram's own buffer.
@@ -26,7 +27,9 @@ the support vectors S, whose rows the solve computed; the labels are
 +-1, so it has the bits of (y o a)_S K_S.  ``predict`` evaluates the
 kernel at the support vectors only, but sums over all n training points
 with zeros elsewhere (``kernels.expand``): a zero classifier's decision
-values are all rounding, and a sum over S alone changes their signs.
+values are all rounding, and a sum over S alone changes their signs.  It
+takes the points 256 at a time, so it holds one n x 256 matrix however
+many points it scores.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -140,46 +143,44 @@ def _pick_offset(interval: tuple[float, float]) -> float:
     return lo if np.isfinite(lo) else hi
 
 
-class _QRows:
-    """Q = YKY for the QP core, one row at a time: ``take`` computes the
-    rows it has not seen, with one gram call per fill, and keeps them in
-    a buffer that doubles when full."""
+class _KernelRows:
+    """The rows of K, or of Q = YKY when signs y are given, as the QP core
+    reads them: ``take`` computes the rows it has not seen, with one gram
+    call per fill, and keeps each fill's block of rows as it is, so the
+    rows already computed are never copied again."""
 
-    def __init__(self, spec: KernelSpec, data: Dataset):
-        self.spec, self.data, self.y = spec, data, data.y
-        self.slot = np.full(data.n, -1)  # row i is buf[slot[i]], if >= 0
-        self.buf = np.empty((0, data.n))
-        self.size = 0
+    def __init__(self, spec: KernelSpec, data, y=None):
+        self.spec, self.data, self.y = spec, data, y
+        self.rows = {}  # i -> row i, a view into the fill that computed it
+
+    def __len__(self):
+        return self.data.n
 
     def take(self, rows, axis=0):
-        """The rows of Q, as ``ndarray.take(rows, 0)`` gives them."""
-        slot = self.slot[rows]
-        new = slot < 0
-        if new.any():
-            # a row listed twice would be computed twice, to no harm
-            self._fill(np.asarray(rows)[new])
-            slot = self.slot[rows]
-        return self.buf.take(slot, 0)
+        """The rows, as ``ndarray.take(rows, 0)`` gives them."""
+        rows = np.asarray(rows)
+        new = [i not in self.rows for i in rows.tolist()]
+        if any(new):
+            # a row listed twice is computed twice, to no harm
+            self._fill(rows[new])
+        out = np.empty((rows.size, self.data.n))
+        for k, i in enumerate(rows.tolist()):
+            out[k] = self.rows[i]
+        return out
 
     def _fill(self, rows: np.ndarray):
-        end = self.size + len(rows)
-        if end > len(self.buf):
-            buf = np.empty((max(end, 2 * len(self.buf)), len(self.y)))
-            buf[:self.size] = self.buf[:self.size]
-            self.buf = buf
-        # y_i y_j is +-1, so the flip is exact in one pass
-        np.multiply(gram(self.spec, self.data.X[rows], self.data),
-                    np.multiply.outer(self.y[rows], self.y),
-                    out=self.buf[self.size:end])
-        self.slot[rows] = np.arange(self.size, end)
-        self.size = end
+        block = gram(self.spec, self.data.X[rows], self.data)
+        if self.y is not None:
+            # y_i y_j is +-1, so the flip is exact in one pass
+            block *= np.multiply.outer(self.y[rows], self.y)
+        self.rows.update(zip(rows.tolist(), block))
 
 
 def _q_rows(spec: KernelSpec, data: Dataset):
     """Q = YKY as the QP core reads it: built whole, in the Gram's own
-    buffer, up to ``_BLOCK_ROWS`` points, and a ``_QRows`` above."""
+    buffer, up to ``_BLOCK_ROWS`` points, and a ``_KernelRows`` above."""
     if data.n > _BLOCK_ROWS:
-        return _QRows(spec, data)
+        return _KernelRows(spec, data, data.y)
     Q = gram(spec, data)
     Q *= data.y[:, None]
     Q *= data.y

@@ -228,20 +228,23 @@ def test_check_prints_each_key_once(command, three_point_files, tmp_path,
     assert len(keys) == len(set(keys)), keys
 
 
-@pytest.mark.parametrize("case", ["rejected-input", "missing-file"])
+@pytest.mark.parametrize("case",
+                         ["rejected-input", "missing-file", "missing-config"])
 def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
                                          capsys):
     # like a ConvergenceError, an input the solver rejects or a file that
-    # cannot be read ends the command with one error line, no traceback
+    # cannot be read ends the command with one error line, no traceback;
+    # so does a --config file that cannot be read
     data_path, _ = three_point_files
     if case == "rejected-input":
-        argv = ["--data", data_path, "--b-override", "nan"]
+        argv = ["train-wsvm", "--data", data_path, "--b-override", "nan"]
         err = "error: b_override must be finite\n"
     else:
         missing = str(tmp_path / "missing.data")
-        argv = ["--data", missing]
+        argv = (["train-wsvm", "--data", missing] if case == "missing-file"
+                else ["--config", missing, "train-wsvm", "--data", data_path])
         err = f"error: [Errno 2] No such file or directory: {missing!r}\n"
-    assert main(["train-wsvm", *argv]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
@@ -255,7 +258,7 @@ def test_reference_csv_commands_parse():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     runs = tool.commands()
-    assert len(runs) == 16
+    assert len(runs) == 18
     for name, argv in runs.items():
         args = build_parser().parse_args(argv + ["--out", name])
         assert args.command in ("experiment", "figure3", "wshape")

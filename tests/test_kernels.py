@@ -125,23 +125,44 @@ def test_blocked_sq_dists_bitwise_textbook_formula(n, square):
         np.testing.assert_array_equal(G, G.T)
 
 
-@pytest.mark.parametrize("n", [200, 300])
+def _assert_blockwise_sum(f, spec, data, points, weights, offset):
+    # each block of 256 points has the bits of its own product, and the
+    # whole agrees with the full product to 1e-12 of the sum of magnitudes
+    P = points.X
+    for start in range(0, len(P), 256):
+        blk = slice(start, start + 256)
+        np.testing.assert_array_equal(
+            f[blk], gram(spec, data, P[blk]).T @ weights + offset)
+    K = gram(spec, data, points)
+    bound = 1e-12 * (np.abs(K).T @ np.abs(weights) + abs(offset))
+    assert np.all(np.abs(f - (K.T @ weights + offset)) <= bound)
+
+
+@pytest.mark.parametrize("n, m", [(200, 150), (300, 150), (200, 700),
+                                  (300, 700), (200, 1000), (300, 1000)],
+                         ids=["200", "300", "200-700", "300-700", "200-1000",
+                              "300-1000"])
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 0.8)],
                          ids=["linear", "rbf"])
-def test_expand_has_the_bits_of_the_full_sum(n, spec):
+def test_expand_has_the_bits_of_the_full_sum(n, m, spec):
     # the kernel is evaluated at the nonzero coefficients only, yet the sum
     # runs over all n in the order of the full product: the zero rows add
     # +-0 (a linear kernel has negative entries, so the full product's
-    # terms there are -0 too)
+    # terms there are -0 too).  Up to 256 points that is the full product
+    # bit for bit; above, the points go through in blocks of 256, the last
+    # one partial at m = 700 and 1000
     rng = np.random.default_rng(n)
-    data, points = random_dataset(rng, n), random_dataset(rng, 150)
+    data, points = random_dataset(rng, n), random_dataset(rng, m)
     # labels with a margin, so that each fit leaves points outside it
     data = Dataset(data.X, np.where(data.X[:, 0] > 0, 1.0, -1.0))
     coef = np.where(rng.random(n) < 0.8, 0.0, rng.normal(size=n))
     K = gram(spec, data, points)
-    np.testing.assert_array_equal(expand(spec, data, coef, points),
-                                  K.T @ coef)
+    if m <= 256:
+        np.testing.assert_array_equal(expand(spec, data, coef, points),
+                                      K.T @ coef)
+    _assert_blockwise_sum(expand(spec, data, coef, points), spec, data,
+                          points, coef, 0.0)
     wsvm = solve_wsvm(data, spec, rng.uniform(0.1, 2.0, n))
     plus = solve_svmplus(data, random_privileged(rng, n), spec, spec,
                          1.0, 1.0)
@@ -151,4 +172,6 @@ def test_expand_has_the_bits_of_the_full_sum(n, spec):
             (plus, data.y * plus.alpha, plus.predict(points)),
             (primal, primal.alpha, primal.predict(points.X))]:
         assert 0 < np.count_nonzero(weights) < n
-        np.testing.assert_array_equal(f, K.T @ weights + model.b)
+        if m <= 256:
+            np.testing.assert_array_equal(f, K.T @ weights + model.b)
+        _assert_blockwise_sum(f, spec, data, points, weights, model.b)

@@ -20,6 +20,7 @@ from privsvm import (
     KernelSpec,
     gram,
     nadaraya_watson,
+    predict,
     solve_svmplus,
     solve_wsvm,
 )
@@ -87,6 +88,17 @@ def test_solve_wsvm_peak_below_half_gram(mixture):
     assert _peak(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 0.5
 
 
+def test_predict_peak_does_not_grow_with_points(mixture):
+    # the points go through 256 at a time, each block in one n x 256
+    # matrix with the support's rows filled in: 0.32 n^2 for 1000 or 4000
+    # points, where one n x m matrix took 1.21 and 4.76 n^2
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    model = solve_wsvm(mixture, spec, np.ones(mixture.n))
+    for m in (1000, 4000):
+        points = generate_w_mixture(m, seed=2).data
+        assert _peak(lambda: predict(model, points), mixture.n) <= 0.6
+
+
 class _Stop(Exception):
     pass
 
@@ -98,11 +110,13 @@ def _svmplus_inputs():
     return data, priv, KernelSpec(GAUSSIAN_RBF, 1.0)
 
 
-def test_svmplus_setup_holds_q_and_kt(monkeypatch):
-    # Kt, the Kt/g of the linear term (freed before Q is built), then Q in
-    # K's own buffer: 2.6 n^2 at most, and the QP core gets a row view over
-    # Q and Kt, not a 2n x 2n H; the setup ends where the core would start,
-    # so a stub in its place stops the fit there
+def test_svmplus_setup_streams_the_linear_term(monkeypatch):
+    # above 256 points the QP core gets a row view over two row sources,
+    # Q and Kt, that start empty, and the linear term Kt (C/g) 1 is summed
+    # 256 points at a time: one n x 256 block, its Gram and one block of
+    # the outer sum, 1.36 n^2 at n = 502 (2.58 n^2 with dense Q and Kt);
+    # the setup ends where the core would start, so a stub in its place
+    # stops the fit there
     def stub(*args):
         raise _Stop
 
@@ -113,19 +127,21 @@ def test_svmplus_setup_holds_q_and_kt(monkeypatch):
         with pytest.raises(_Stop):
             solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
-    assert _peak(setup, data.n) <= 2.75
+    assert _peak(setup, data.n) <= 1.5
 
 
 def test_svmplus_fit_peak():
-    # a whole fit: Q and Kt plus the largest face step, its |F| x 2n rows
-    # of H and a few |F| x |F| blocks (|F| = 220 of the 1004 variables
-    # here); 4.1 n^2 in all, and 14.8 n^2 with a dense 2n x 2n H
+    # a whole fit: the rows of Q and Kt that the core read (about 400 of
+    # 502 each here) plus the largest face step, its |F| x 2n rows of H
+    # and a few |F| x |F| blocks (|F| = 218 of the 1004 variables); 3.84
+    # n^2 in all, 4.12 n^2 with dense Q and Kt and 14.8 n^2 with a dense
+    # 2n x 2n H
     data, priv, spec = _svmplus_inputs()
 
     def fit():
         solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
-    assert _peak(fit, data.n) <= 4.5
+    assert _peak(fit, data.n) <= 4.0
 
 
 def test_fitted_wsvm_holds_no_gram(mixture):

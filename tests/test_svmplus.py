@@ -16,6 +16,7 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm import svmplus
+from privsvm.kernels import expand
 
 from conftest import random_dataset, random_kernel, random_privileged
 from reference import reference_svmplus_dual
@@ -120,16 +121,31 @@ def test_predict_matches_decision_train(rng):
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
-def test_decision_train_bitwise_gram_product(n, spec, wsvm_q):
-    # the model keeps f0 = K (y a) and no Gram, on either side of the
-    # 256-row block of the squared-distance pass.  The gamma = 0 fit is a
-    # weighted SVM, whose f0 is y (a_S Q_S) from the support vectors' rows
-    # of the Q it solved on
+def test_decision_train_bitwise_gram_product(n, spec, wsvm_q, monkeypatch):
+    # the model keeps f0 = K (y a) and Kt at, and no Gram, on either side
+    # of the 256-row block.  Up to one block they are the dense products;
+    # above it f0 is y (a_S Q_S) from the support vectors' rows of the row
+    # source the QP read, and Kt at is ``expand``ed a block at a time.  The
+    # gamma = 0 fit is a weighted SVM, whose f0 is y (a_S Q_S) from the
+    # support vectors' rows of the Q it solved on
+    seen = []
+    solve_qp = svmplus.solve_qp
+    monkeypatch.setattr(svmplus, "solve_qp",
+                        lambda H, *a: seen.append(H) or solve_qp(H, *a))
     data = generate_w_mixture(n, seed=n).data
     priv = random_privileged(np.random.default_rng(n), n)
     model = solve_svmplus(data, priv, spec, spec, 1.0, 10.0)
-    expected = gram(spec, data) @ (data.y * model.alpha) + model.b
-    np.testing.assert_array_equal(model.decision_train, expected)
+    rows, = seen
+    assert isinstance(rows.Q, np.ndarray) == (n <= 256)
+    if n <= 256:
+        f0 = gram(spec, data) @ (data.y * model.alpha)
+        kt_at = gram(spec, priv) @ model.alpha_tilde
+    else:
+        sv = np.flatnonzero(model.alpha)
+        f0 = data.y * (model.alpha[sv] @ rows.Q.take(sv, 0))
+        kt_at = expand(spec, priv, model.alpha_tilde, priv)
+    np.testing.assert_array_equal(model.decision_train, f0 + model.b)
+    np.testing.assert_array_equal(model.kt_at, kt_at)
     model = solve_svmplus(data, PrivilegedSet(np.eye(n)), spec, spec, 1.0,
                           0.0)
     Q, = wsvm_q

@@ -156,21 +156,26 @@ def test_row_cache_beyond_one_block(spec, monkeypatch, wsvm_q):
                         DEFAULT_TOL, DEFAULT_MAX_ITER)
     dense = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
     fills = []
-    monkeypatch.setattr(wsvm, "gram", lambda spec, a, b=None: fills.append(
-        a) or gram(spec, a, b))
+    fill = wsvm._KernelRows._fill
+    monkeypatch.setattr(wsvm._KernelRows, "_fill", lambda self, rows: (
+        fills.append(rows), fill(self, rows)))
     model = solve_wsvm(data, spec, c)
     report = check_wsvm_kkt(model, tol=1e-8)
     assert report.passed, report.to_text()
     assert model.objective_dual == pytest.approx(dense, rel=1e-10)
-    assert 0 < sum(len(a) for a in fills) < n / 2
+    assert 0 < sum(len(rows) for rows in fills) < n / 2
     # a one-row fill is a matrix-vector product, whose last bits differ
-    # from the dense Q's; the fills fill the buffer's slots in call order
+    # from the dense Q's; a row listed twice keeps its last computation
+    expected = {}
+    for rows in fills:
+        K = gram(spec, data.X[rows], data.X)
+        expected.update(zip(rows.tolist(),
+                            np.outer(data.y[rows], data.y) * K))
     source, = wsvm_q
-    done = np.flatnonzero(source.slot >= 0)
-    K = np.vstack([gram(spec, a, data.X) for a in fills])
-    np.testing.assert_array_equal(
-        source.take(done, 0),
-        np.outer(data.y[done], data.y) * K[source.slot[done]])
+    done = list(source.rows)
+    assert sorted(done) == sorted(expected)
+    np.testing.assert_array_equal(source.take(done, 0),
+                                  [expected[i] for i in done])
 
 
 def test_offset_interval_minimizes_weighted_hinge(rng):

@@ -54,6 +54,13 @@ def commands() -> dict[str, list[str]]:
         "--methods", "wsvm-from-svmplus,svmplus,wsvm-prob,svm",
         "--split", "fixed-validation", "--subset-sizes", "10,30",
         "--repetitions", "3", "--seed", "8", *GRIDS]
+    # 700 test points: the predictions go through two whole blocks of 256
+    # points and a partial third (kernels.expand)
+    runs["wmixture-linear-fixed-validation-seed8-ntest700.csv"] = [
+        *runs["wmixture-linear-fixed-validation-seed8.csv"],
+        "--n-test", "700"]
+    runs["blobs-rbf-seed11-ntest700.csv"] = [
+        *runs["blobs-rbf-seed11.csv"], "--n-test", "700"]
     runs["wmixture-learned-seed5.csv"] = [
         "experiment", "--source", "wmixture", "--methods", "svm,wsvm-learned",
         "--subset-sizes", "20", "--repetitions", "2", "--seed", "5"]
