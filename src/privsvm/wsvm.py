@@ -159,12 +159,13 @@ class _KernelRows:
     def take(self, rows, axis=0):
         """The rows, as ``ndarray.take(rows, 0)`` gives them."""
         rows = np.asarray(rows)
-        new = [i not in self.rows for i in rows.tolist()]
+        keys = rows.tolist()
+        new = [i not in self.rows for i in keys]
         if any(new):
             # a row listed twice is computed twice, to no harm
             self._fill(rows[new])
         out = np.empty((rows.size, self.data.n))
-        for k, i in enumerate(rows.tolist()):
+        for k, i in enumerate(keys):
             out[k] = self.rows[i]
         return out
 
