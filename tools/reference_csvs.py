@@ -1,25 +1,43 @@
-"""Write the reference CSVs of the privsvm CLI into one directory.
+"""Write the reference outputs of privsvm: 18 CLI CSVs and the digests of
+four fits above 256 points.
 
     PYTHONPATH=src python tools/reference_csvs.py OUTDIR
+    PYTHONPATH=src python tools/reference_csvs.py --update
 
 Each CSV comes from one CLI command, run in process with BLAS pinned to
 one thread (as tests/conftest.py and bench/run.py pin it), and is written
-under a fixed name.  A change is checked against its parent by running the
-script once per side, each with its own ``src`` on PYTHONPATH, and then
-``diff -r`` on the two directories.  The script uses whichever ``privsvm``
-the import path gives, and names it on stderr.
+under a fixed name.  The CLI's grids never fit more than 256 points, so
+``digests.json`` adds the hex digests of alpha, f0, b, n_iter and a
+700-point prediction of three n = 3000 weighted fits (shaped like the
+``wsvm-large`` benchmark's) and one n = 600 SVM+ fit, whose kernel rows
+come from row sources.  ``environment.txt`` names the Python, numpy and
+BLAS build that wrote them: the bits depend on it.
+
+The committed copies live in ``tests/golden``, and the tier-1 test
+``tests/test_golden.py`` writes every output in process and compares it
+byte for byte.  ``--update`` rewrites the committed copies; a change that
+moves a reference output on purpose runs it and lists each moved row in
+CHANGES.md.  The script uses whichever ``privsvm`` the import path gives,
+and names it on stderr.
 """
 
+import hashlib
+import json
 import os
+import platform
 import sys
 
 # BLAS reads these once, when numpy loads
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+
 import privsvm  # noqa: E402
 from privsvm.cli import main  # noqa: E402
 
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests", "golden")
 GRIDS = ["--c-grid", "0.25,1,4", "--gamma-grid", "0.25,4"]
 FOUR = "svm,wsvm-prob,svmplus,wsvm-from-svmplus"
 
@@ -67,6 +85,51 @@ def commands() -> dict[str, list[str]]:
     return runs
 
 
+def _hex(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float)).hexdigest()
+
+
+def _fit_digest(model, f) -> dict:
+    return {"alpha": _hex(model.alpha), "f0": _hex(model.f0),
+            "b": float(model.b).hex(), "n_iter": model.n_iter,
+            "predict": _hex(f)}
+
+
+def digests() -> dict[str, dict]:
+    """Fit name -> digests of three n = 3000 weighted fits, on the
+    Nadaraya-Watson probability weights of ``wsvm-large`` at C = 1, and
+    of one n = 600 RBF SVM+ fit with the exact posterior as its
+    privileged feature; each predicts 700 test points."""
+    train = privsvm.generate_w_mixture(3000, seed=26).data
+    test = privsvm.generate_w_mixture(700, seed=27).data
+    eta = privsvm.nadaraya_watson(train, bandwidth=0.5)
+    c = privsvm.probability_weights(eta, train.y, tau=1.0)
+    out = {}
+    for name, spec in (("wsvm-linear", privsvm.KernelSpec(privsvm.LINEAR)),
+                       ("wsvm-rbf0.5", privsvm.KernelSpec(
+                           privsvm.GAUSSIAN_RBF, 0.5)),
+                       ("wsvm-rbf2", privsvm.KernelSpec(
+                           privsvm.GAUSSIAN_RBF, 2.0))):
+        model = privsvm.solve_wsvm(train, spec, c)
+        out[name] = _fit_digest(model, privsvm.predict(model, test))
+    sample = privsvm.generate_w_mixture(600, seed=28)
+    model = privsvm.solve_svmplus(
+        sample.data, privsvm.PrivilegedSet(sample.eta[:, None]),
+        privsvm.KernelSpec(privsvm.GAUSSIAN_RBF, 1.0),
+        privsvm.KernelSpec(privsvm.GAUSSIAN_RBF, 0.5), 1.0, 3.0)
+    out["svmplus-rbf"] = _fit_digest(model, model.predict(test))
+    return out
+
+
+def environment() -> str:
+    """The Python, numpy and BLAS build, in one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"python={platform.python_version()} numpy={np.__version__} "
+            f"blas={blas['name']} {blas['version']} "
+            f"({blas.get('openblas configuration', '')}) "
+            f"machine={platform.machine()}")
+
+
 def run(outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     print(f"privsvm from {os.path.dirname(privsvm.__file__)}", file=sys.stderr)
@@ -75,10 +138,15 @@ def run(outdir: str) -> int:
         status = main(argv + ["--out", os.path.join(outdir, name)])
         print(f"{name}: exit {status}", file=sys.stderr)
         failed += status != 0
+    with open(os.path.join(outdir, "digests.json"), "w") as fh:
+        json.dump(digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    with open(os.path.join(outdir, "environment.txt"), "w") as fh:
+        fh.write(environment() + "\n")
     return int(failed > 0)
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    sys.exit(run(sys.argv[1]))
+    sys.exit(run(GOLDEN if sys.argv[1] == "--update" else sys.argv[1]))
