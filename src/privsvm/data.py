@@ -37,8 +37,26 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return a
 
 
+class _Points:
+    """What Dataset and PrivilegedSet share: an (n, d) feature matrix X,
+    and its squared row norms, computed on first use and kept."""
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """The squared row norms ||x_i||^2, computed once and read-only."""
+        return _frozen_array(np.sum(self.X * self.X, axis=1))
+
+
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_Points):
     """Labeled instances: an (n, d) feature matrix and labels in {-1, +1}."""
 
     X: np.ndarray
@@ -65,26 +83,13 @@ class Dataset:
         object.__setattr__(self, "y", _frozen_array(y))
         object.__setattr__(self, "ids", _frozen_array(ids, dtype=ids.dtype))
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """The squared row norms ||x_i||^2, computed once and read-only."""
-        return _frozen_array(np.sum(self.X * self.X, axis=1))
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(self.X[indices], self.y[indices], self.ids[indices])
 
 
 @dataclass(frozen=True)
-class PrivilegedSet:
+class PrivilegedSet(_Points):
     """Training-time-only features aligned row by row with a Dataset."""
 
     X: np.ndarray
@@ -94,14 +99,6 @@ class PrivilegedSet:
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite privileged feature values")
         object.__setattr__(self, "X", _frozen_array(X))
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
     def subset(self, indices) -> "PrivilegedSet":
         return PrivilegedSet(self.X[np.asarray(indices)])

@@ -11,8 +11,14 @@ The squared distances behind the RBF Gram, the Nadaraya-Watson weights
 and the bandwidth grid come from one helper, ``_sq_dists``.  It works in
 the buffer of the inner products, a block of rows at a time, so an n x m
 Gram costs one n x m buffer plus one block of rows.  An operand that is
-a Dataset brings its cached squared norms, so a Gram of a few rows
-against a training set does not recompute the norms of all its points.
+a Dataset or a PrivilegedSet brings its cached squared norms, so a Gram
+of a few rows against a training set does not recompute the norms of all
+its points.
+
+Both duals read K, or Q = YKY, through one row source, ``_KernelRows``,
+the only code that switches on the problem's size: whole up to
+``_BLOCK_ROWS`` points, where a fill of a few rows costs as much as the
+Gram, and above that each row computed on first use.
 
 Every prediction, and the SVM+ correcting function, is a kernel
 expansion sum_j coef_j k(a_j, x), computed by ``expand``: the kernel is
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import _Points
 
 LINEAR = "linear"
 GAUSSIAN_RBF = "gaussian-rbf"
@@ -69,8 +75,8 @@ def _features(a) -> np.ndarray:
 
 def _sq_norms(a, A: np.ndarray) -> np.ndarray:
     """The squared row norms of operand ``a`` with features ``A``: cached
-    on a Dataset, computed otherwise."""
-    return a.sq_norms if isinstance(a, Dataset) else np.sum(A * A, axis=1)
+    on a Dataset or a PrivilegedSet, computed otherwise."""
+    return a.sq_norms if isinstance(a, _Points) else np.sum(A * A, axis=1)
 
 
 _BLOCK_ROWS = 256  # rows (or points) per temporary block
@@ -155,3 +161,61 @@ def _expand_block(spec, support, nz, coef, P) -> np.ndarray:
     K = np.zeros((len(coef), len(P)))
     K[nz] = gram(spec, support, P)
     return K.T @ coef
+
+
+class _KernelRows:
+    """The rows of K = gram(spec, data), or of Q = YKY when signs y are
+    given, as the QP core reads them, and their products with a vector.
+
+    Up to ``_BLOCK_ROWS`` points the matrix is one gram(spec, data), which
+    is exactly symmetric (a gemm over every row, gram(spec, X, data), is
+    not).  Above that ``take`` computes the rows it has not seen, one gram
+    call per fill, and keeps each fill's block as it is, never copied.
+    """
+
+    def __init__(self, spec: KernelSpec, data, y=None):
+        self.spec, self.data, self.y = spec, data, y
+        self.rows = {}  # i -> row i, a view into the fill that computed it
+        self.whole = (self._signed(gram(spec, data), slice(None))
+                      if data.n <= _BLOCK_ROWS else None)
+
+    def __len__(self):
+        return self.data.n
+
+    def take(self, rows, axis=0):
+        """The rows, as ``ndarray.take(rows, 0)`` gives them."""
+        if self.whole is not None:
+            return self.whole.take(rows, 0)
+        rows = np.asarray(rows)
+        keys = rows.tolist()
+        new = [i not in self.rows for i in keys]
+        if any(new):
+            # a row listed twice is computed twice, to no harm
+            self._fill(rows[new])
+        out = np.empty((rows.size, self.data.n))
+        for k, i in enumerate(keys):
+            out[k] = self.rows[i]
+        return out
+
+    def dot(self, coef) -> np.ndarray:
+        """K coef, or Q coef: a product with the whole matrix, or the sum of
+        the computed rows when they include the row of every nonzero
+        coefficient, or else a kernel expansion, which keeps no row."""
+        if self.whole is not None:
+            return self.whole @ coef
+        nz = np.flatnonzero(coef)
+        if all(i in self.rows for i in nz.tolist()):
+            return coef[nz] @ self.take(nz)
+        y = 1.0 if self.y is None else self.y
+        return y * expand(self.spec, self.data, y * coef, self.data)
+
+    def _fill(self, rows: np.ndarray):
+        block = gram(self.spec, self.data.X[rows], self.data)
+        self.rows.update(zip(rows.tolist(), self._signed(block, rows)))
+
+    def _signed(self, K: np.ndarray, rows) -> np.ndarray:
+        """K's block of ``rows`` flipped into Q's in place, exactly (+-1)."""
+        if self.y is not None:
+            K *= self.y[rows, None]
+            K *= self.y
+        return K

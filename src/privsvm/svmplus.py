@@ -16,18 +16,17 @@ one a of each label up, one b down by twice as much, or the reverse.
 The core reads H only as rows, and H z = [Qa + Kt s/g; Kt s/g] with
 s = a + b, so row i < n is [Q_i + Kt_i/g, Kt_i/g] and row n + i is
 [Kt_i/g, Kt_i/g], each formed on demand, Kt_i/g included, with the bits
-of the dense H.  Up to ``kernels._BLOCK_ROWS`` points Q = YKY is built
-in the decision Gram's own buffer and Kt whole.  Above that both are row
-sources, as the weighted SVM's Q is (``wsvm._KernelRows``): a fit reads
-a few percent of their rows, each computed on first use.  The two whole
-products a fit needs, the linear term Kt (C/g) 1 and Kt at at the end,
-are then kernel expansions (``kernels.expand``), 256 points at a time,
-and Q a is summed over the support rows that the solve computed, so no
-n x n matrix is built.  The start z0 = (0, nC e_1) puts all b mass on
-the first b, which has no upper bound; its gradient is one row of H.
-The model holds no Gram: it keeps f0 = K(y o a) without the offset,
-read off Q a, and Kt at, all that decision_train and the KKT report
-read; both objectives are read off the same two products.
+of the dense H.  Q = YKY and Kt are row sources (``kernels._KernelRows``),
+as the weighted SVM's Q is: whole up to 256 points, and above that each
+row computed on first use, of which a fit reads a few percent.  The
+three products a fit needs, the linear term Kt (C/g) 1, Q a and Kt at,
+are their ``dot``: above 256 points Q a sums the support rows that the
+solve computed, and the other two are kernel expansions, 256 points at a
+time, so no n x n matrix is built.  The start z0 = (0, nC e_1) puts all
+b mass on the first b, which has no upper bound; its gradient is one row
+of H.  The model holds no Gram: it keeps f0 = K(y o a) without the
+offset, read off Q a, and Kt at, all that decision_train and the KKT
+report read; both objectives are read off the same two products.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import _BLOCK_ROWS, KernelSpec, expand, gram
+from .kernels import KernelSpec, _KernelRows, expand, gram
 from .qp import solve_qp
-from .wsvm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _KernelRows, _pick_offset,
-                   _q_rows, solve_wsvm)
+from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
 __all__ = ["SvmPlusModel", "solve_svmplus", "correcting_values"]
 
@@ -105,13 +103,9 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     n = data.n
     y = data.y
     # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
-    if n > _BLOCK_ROWS:
-        Kt = _KernelRows(priv_spec, priv)
-        shift = expand(priv_spec, priv, np.full(n, C / gamma), priv)
-    else:
-        Kt = gram(priv_spec, priv)
-        shift = (Kt / gamma) @ np.full(n, C)
-    Q = _q_rows(spec, data)
+    Kt = _KernelRows(priv_spec, priv)
+    Q = _KernelRows(spec, data, y)
+    shift = Kt.dot(np.full(n, C / gamma))
     z, n_iter = solve_qp(
         _HRows(Q, Kt, gamma), np.r_[-1.0 - shift, -shift],
         np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
@@ -119,16 +113,8 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
         tol, max_iter)
     alpha, beta = np.split(z, 2)
     at = alpha + beta - C
-    if n > _BLOCK_ROWS:
-        # Q a from the support rows, which the solve computed
-        sv = np.flatnonzero(alpha)
-        q_alpha = alpha[sv] @ Q.take(sv, 0)
-        kt_at = expand(priv_spec, priv, at, priv)
-    else:
-        q_alpha = Q @ alpha
-        kt_at = Kt @ at
     return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
-                   q_alpha, kt_at, n_iter)
+                   Q.dot(alpha), Kt.dot(at), n_iter)
 
 
 @dataclass
@@ -153,8 +139,7 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
     y = data.y
     gb = kt_at / gamma
     ga = q_alpha - 1.0 + gb
-    # the labels are +-1, so f0 has the bits of K (y o alpha), or above
-    # one block of (y o alpha)_S K_S over the support S
+    # the labels are +-1, so f0 has the bits of the same product over K
     f0 = y * q_alpha
 
     # multiplier of the sum constraint, then the offsets

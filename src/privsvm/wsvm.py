@@ -12,24 +12,20 @@ stores as ``b_interval``.
 
 The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
 few of them: the rows of the pairs it moves and of the faces it steps
-on.  So above ``kernels._BLOCK_ROWS`` points Q is a row source
-(``_KernelRows``, which SVM+ also uses): each row is computed on first
-use, by gram(spec, X[rows], data) with its signs flipped, and each fill's
-block of rows is kept as it is, so growing copies nothing; the Dataset
-caches the squared norms of its points, so a fill does not recompute
-them.  Up to that size the fixed cost of a fill is as large as the whole
-Gram, so Q is built whole, in the Gram's own buffer.
+on.  So Q is a row source, ``kernels._KernelRows``, as SVM+'s Q and Kt
+are: the whole matrix up to 256 points, and above that each row
+computed on first use.
 
 The fitted model holds no Gram, only n-vectors: besides a, b and the
 slacks it keeps the decision values f0 = K(y o a) without the offset,
-which decision_train and the KKT report read.  f0 is y o (a_S Q_S) over
-the support vectors S, whose rows the solve computed; the labels are
-+-1, so it has the bits of (y o a)_S K_S.  ``predict`` evaluates the
-kernel at the support vectors only, but sums over all n training points
-with zeros elsewhere (``kernels.expand``): a zero classifier's decision
-values are all rounding, and a sum over S alone changes their signs.  It
-takes the points 256 at a time, so it holds one n x 256 matrix however
-many points it scores.
+which decision_train and the KKT report read.  f0 is y o Q a, summed
+above 256 points over the support vectors' rows, which the solve
+computed; the labels are +-1, so it has the bits of the same sum over K.
+``predict`` evaluates the kernel at the support vectors only, but sums
+over all n training points with zeros elsewhere (``kernels.expand``): a
+zero classifier's decision values are all rounding, and a sum over S
+alone changes their signs.  It takes the points 256 at a time, so it
+holds one n x 256 matrix however many points it scores.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import _BLOCK_ROWS, KernelSpec, expand, gram
+from .kernels import KernelSpec, _KernelRows, expand, gram
 from .qp import ConvergenceError, solve_qp
 
 __all__ = [
@@ -143,51 +139,6 @@ def _pick_offset(interval: tuple[float, float]) -> float:
     return lo if np.isfinite(lo) else hi
 
 
-class _KernelRows:
-    """The rows of K, or of Q = YKY when signs y are given, as the QP core
-    reads them: ``take`` computes the rows it has not seen, with one gram
-    call per fill, and keeps each fill's block of rows as it is, so the
-    rows already computed are never copied again."""
-
-    def __init__(self, spec: KernelSpec, data, y=None):
-        self.spec, self.data, self.y = spec, data, y
-        self.rows = {}  # i -> row i, a view into the fill that computed it
-
-    def __len__(self):
-        return self.data.n
-
-    def take(self, rows, axis=0):
-        """The rows, as ``ndarray.take(rows, 0)`` gives them."""
-        rows = np.asarray(rows)
-        keys = rows.tolist()
-        new = [i not in self.rows for i in keys]
-        if any(new):
-            # a row listed twice is computed twice, to no harm
-            self._fill(rows[new])
-        out = np.empty((rows.size, self.data.n))
-        for k, i in enumerate(keys):
-            out[k] = self.rows[i]
-        return out
-
-    def _fill(self, rows: np.ndarray):
-        block = gram(self.spec, self.data.X[rows], self.data)
-        if self.y is not None:
-            # y_i y_j is +-1, so the flip is exact in one pass
-            block *= np.multiply.outer(self.y[rows], self.y)
-        self.rows.update(zip(rows.tolist(), block))
-
-
-def _q_rows(spec: KernelSpec, data: Dataset):
-    """Q = YKY as the QP core reads it: built whole, in the Gram's own
-    buffer, up to ``_BLOCK_ROWS`` points, and a ``_KernelRows`` above."""
-    if data.n > _BLOCK_ROWS:
-        return _KernelRows(spec, data, data.y)
-    Q = gram(spec, data)
-    Q *= data.y[:, None]
-    Q *= data.y
-    return Q
-
-
 def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                b_override: float | None = None) -> WsvmModel:
@@ -203,12 +154,10 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         raise ValueError("b_override must be finite")
     c = check_weights(c, data.n)
     y = data.y
-    Q = _q_rows(spec, data)
+    Q = _KernelRows(spec, data, y)
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
-    # f0 from the support vectors' rows of Q, which the solve computed
-    sv = np.flatnonzero(alpha)
-    f0 = y * (alpha[sv] @ Q.take(sv, 0))
+    f0 = y * Q.dot(alpha)
     quad = float((y * alpha) @ f0)
     interval = _optimal_offset_interval(y, c, f0)
     if b_override is not None:

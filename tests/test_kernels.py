@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsvm import (Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, gram,
-                     predict, solve_primal, solve_svmplus, solve_wsvm)
-from privsvm.kernels import _sq_dists, expand
+                     kernels, predict, solve_primal, solve_svmplus,
+                     solve_wsvm)
+from privsvm.kernels import _KernelRows, _sq_dists, expand
 
 from conftest import random_dataset, random_privileged
 
@@ -175,3 +176,94 @@ def test_expand_has_the_bits_of_the_full_sum(n, m, spec):
         if m <= 256:
             np.testing.assert_array_equal(f, K.T @ weights + model.b)
         _assert_blockwise_sum(f, spec, data, points, weights, model.b)
+
+
+def _row_source(n, signed):
+    rng = np.random.default_rng(n)
+    data = random_dataset(rng, n)
+    return data, _KernelRows(KernelSpec(GAUSSIAN_RBF, 0.8), data,
+                             data.y if signed else None)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["K", "Q"])
+@pytest.mark.parametrize("n", [40, 300])
+def test_row_source_gram_calls(n, signed, monkeypatch):
+    # up to 256 points the row source holds the whole matrix, made by one
+    # gram call, gram(spec, data), exactly symmetric; above that each
+    # request with rows it has not seen is one gram call over those rows,
+    # in request order
+    calls = []
+    full = kernels.gram
+    monkeypatch.setattr(kernels, "gram", lambda spec, a, b=None: (
+        calls.append(a), full(spec, a, b))[1])
+    data, rows = _row_source(n, signed)
+    spec = rows.spec
+    signs = np.outer(data.y, data.y) if signed else np.ones((n, n))
+    requests = [[3], [5, 3, 8], [8, 3]]
+    taken = [rows.take(r, 0) for r in requests]
+    if n <= 256:
+        assert calls == [data]
+        whole = signs * full(spec, data)
+        np.testing.assert_array_equal(whole, whole.T)
+        for r, got in zip(requests, taken):
+            np.testing.assert_array_equal(got, whole[r])
+    else:
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], data.X[[3]])
+        np.testing.assert_array_equal(calls[1], data.X[[5, 8]])
+        fills = dict(zip([3, 5, 8], [*full(spec, data.X[[3]], data),
+                                     *full(spec, data.X[[5, 8]], data)]))
+        for r, got in zip(requests, taken):
+            np.testing.assert_array_equal(got,
+                                          signs[r] * [fills[i] for i in r])
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["K", "Q"])
+@pytest.mark.parametrize("n", [40, 300])
+def test_row_source_products(n, signed):
+    # dot(coef) is the whole matrix times coef, or, above 256 points, the
+    # sum of the computed rows when they hold every nonzero coefficient's
+    # row, and otherwise a kernel expansion, which computes no row
+    data, rows = _row_source(n, signed)
+    y = data.y if signed else np.ones(n)
+    coef = np.zeros(n)
+    coef[[3, 5, 8]] = (0.5, -2.0, 1.25)
+    rows.take([3, 5, 8], 0)
+    if n <= 256:
+        whole = np.outer(y, y) * gram(rows.spec, data)
+        np.testing.assert_array_equal(rows.dot(coef), whole @ coef)
+        return
+    np.testing.assert_array_equal(rows.dot(coef),
+                                  coef[[3, 5, 8]] @ rows.take([3, 5, 8], 0))
+    coef[11] = 3.0
+    np.testing.assert_array_equal(
+        rows.dot(coef), y * expand(rows.spec, data, y * coef, data))
+    assert sorted(rows.rows) == [3, 5, 8]
+
+
+@pytest.mark.parametrize("container", ["dataset", "privileged"])
+def test_second_fill_reads_the_cached_squared_norms(container, monkeypatch):
+    # each fill above 256 points needs the squared norms of all n points;
+    # a Dataset and a PrivilegedSet compute them once and keep them
+    n = 300
+    rng = np.random.default_rng(7)
+    points = (random_dataset(rng, n) if container == "dataset"
+              else random_privileged(rng, n))
+    norms = []
+    sq_norms = kernels._sq_norms
+
+    def spy(a, A):
+        out = sq_norms(a, A)
+        if a is points:
+            norms.append(out)
+        return out
+
+    monkeypatch.setattr(kernels, "_sq_norms", spy)
+    rows = _KernelRows(KernelSpec(GAUSSIAN_RBF, 1.0), points)
+    rows.take([4], 0)
+    rows.take([9, 2], 0)
+    assert len(norms) == 2 and norms[1] is norms[0]
+    np.testing.assert_array_equal(norms[0],
+                                  np.sum(points.X * points.X, axis=1))
+    with pytest.raises(ValueError):
+        norms[0][0] = 0.0

@@ -199,7 +199,7 @@ def test_row_view_matches_dense_h_bitwise():
 def test_both_duals_read_h_only_through_take(monkeypatch, n):
     # fits whose QP sees an H with nothing but take have the bits of the
     # fits on the H each dual builds, on either side of the 256-point
-    # switch of the weighted SVM to a row source
+    # block where the row sources stop holding their matrices whole
     rng = np.random.default_rng(n)
     data, priv = random_dataset(rng, n), random_privileged(rng, n)
     spec = KernelSpec(GAUSSIAN_RBF, 1.0)

@@ -16,7 +16,6 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm import svmplus
-from privsvm.kernels import expand
 
 from conftest import random_dataset, random_kernel, random_privileged
 from reference import reference_svmplus_dual
@@ -122,12 +121,11 @@ def test_predict_matches_decision_train(rng):
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
 def test_decision_train_bitwise_gram_product(n, spec, wsvm_q, monkeypatch):
-    # the model keeps f0 = K (y a) and Kt at, and no Gram, on either side
-    # of the 256-row block.  Up to one block they are the dense products;
-    # above it f0 is y (a_S Q_S) from the support vectors' rows of the row
-    # source the QP read, and Kt at is ``expand``ed a block at a time.  The
-    # gamma = 0 fit is a weighted SVM, whose f0 is y (a_S Q_S) from the
-    # support vectors' rows of the Q it solved on
+    # the model keeps f0 = K (y a) and Kt at, and no Gram: f0 = y o Q a and
+    # Kt at are the products of the row sources the QP read, on either
+    # side of the 256-row block where they stop holding Q and Kt whole.
+    # The gamma = 0 fit is a weighted SVM, whose f0 is y o Q a of the Q
+    # it solved on
     seen = []
     solve_qp = svmplus.solve_qp
     monkeypatch.setattr(svmplus, "solve_qp",
@@ -136,21 +134,14 @@ def test_decision_train_bitwise_gram_product(n, spec, wsvm_q, monkeypatch):
     priv = random_privileged(np.random.default_rng(n), n)
     model = solve_svmplus(data, priv, spec, spec, 1.0, 10.0)
     rows, = seen
-    assert isinstance(rows.Q, np.ndarray) == (n <= 256)
-    if n <= 256:
-        f0 = gram(spec, data) @ (data.y * model.alpha)
-        kt_at = gram(spec, priv) @ model.alpha_tilde
-    else:
-        sv = np.flatnonzero(model.alpha)
-        f0 = data.y * (model.alpha[sv] @ rows.Q.take(sv, 0))
-        kt_at = expand(spec, priv, model.alpha_tilde, priv)
+    f0 = data.y * rows.Q.dot(model.alpha)
     np.testing.assert_array_equal(model.decision_train, f0 + model.b)
-    np.testing.assert_array_equal(model.kt_at, kt_at)
+    np.testing.assert_array_equal(model.kt_at,
+                                  rows.Kt.dot(model.alpha_tilde))
     model = solve_svmplus(data, PrivilegedSet(np.eye(n)), spec, spec, 1.0,
                           0.0)
     Q, = wsvm_q
-    sv = np.flatnonzero(model.alpha)
-    f0 = data.y * (model.alpha[sv] @ Q.take(sv, 0))
+    f0 = data.y * Q.dot(model.alpha)
     np.testing.assert_array_equal(model.decision_train, f0 + model.b)
 
 

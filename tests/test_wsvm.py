@@ -10,9 +10,9 @@ from privsvm import (
     gram,
     predict,
     solve_wsvm,
-    wsvm,
 )
 from privsvm.experiments import generate_w_mixture
+from privsvm.kernels import _KernelRows
 from privsvm.qp import solve_qp
 from privsvm.wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, check_weights
 
@@ -98,25 +98,22 @@ def test_matches_projected_gradient_oracle(rng):
         assert -model.objective_dual == pytest.approx(obj_ref, abs=1e-6)
 
 
-def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
-    # up to 256 points solve_wsvm builds Q = YKY whole, by flipping the
-    # signs of the Gram it built in its own buffer; the iterates must be
-    # those of a separate Q, and f0 and the dual objective are read off
-    # the support vectors' rows of Q
-    for _ in range(20):
-        n = int(rng.integers(2, 60))
-        data = random_dataset(rng, n)
-        spec = random_kernel(rng)
-        c = rng.uniform(0.05, 4.0, n)
+@pytest.mark.parametrize("n", [40, 300])
+def test_fit_is_the_qp_on_its_row_source(n):
+    # solve_wsvm hands the QP core the row source of Q = YKY, whole or a
+    # row at a time, and reads f0 and the dual objective off Q a; a fresh
+    # source asked for the same rows gives the same iterates bit for bit
+    rng = np.random.default_rng(n)
+    data = random_dataset(rng, n)
+    c = rng.uniform(0.05, 4.0, n)
+    for spec in (KernelSpec(LINEAR), KernelSpec(GAUSSIAN_RBF, 1.0)):
         model = solve_wsvm(data, spec, c)
-        K = gram(spec, data)
-        Q = (data.y[:, None] * data.y[None, :]) * K
+        Q = _KernelRows(spec, data, data.y)
         alpha, n_iter = solve_qp(Q, -np.ones(n), data.y[None, :], c,
                                  np.zeros(n), DEFAULT_TOL, DEFAULT_MAX_ITER)
         np.testing.assert_array_equal(model.alpha, alpha)
         assert model.n_iter == n_iter
-        sv = np.flatnonzero(alpha)
-        f0 = data.y * (alpha[sv] @ Q[sv])
+        f0 = data.y * Q.dot(alpha)
         np.testing.assert_array_equal(model.decision_train, f0 + model.b)
         assert model.objective_dual == (float(np.sum(alpha))
                                         - 0.5 * float((data.y * alpha) @ f0))
@@ -127,16 +124,14 @@ def test_q_in_gram_buffer_keeps_gram_and_iterates_bitwise(rng):
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],
                          ids=["linear", "rbf"])
 def test_decision_train_bitwise_gram_product(n, spec, wsvm_q):
-    # the model keeps f0 = y (a_S Q_S) from the rows of Q that the solve
-    # computed, on either side of the 256-row block where Q stops being
-    # built whole
+    # the model keeps f0 = y o Q a, the product of the row source the QP
+    # read, on either side of the 256-row block where it stops holding Q
+    # whole
     data = generate_w_mixture(n, seed=n).data
     c = np.random.default_rng(n).uniform(0.1, 4.0, n)
     model = solve_wsvm(data, spec, c)
     Q, = wsvm_q
-    assert isinstance(Q, np.ndarray) == (n <= 256)
-    sv = np.flatnonzero(model.alpha)
-    f0 = data.y * (model.alpha[sv] @ Q.take(sv, 0))
+    f0 = data.y * Q.dot(model.alpha)
     np.testing.assert_array_equal(model.decision_train, f0 + model.b)
 
 
@@ -156,8 +151,8 @@ def test_row_cache_beyond_one_block(spec, monkeypatch, wsvm_q):
                         DEFAULT_TOL, DEFAULT_MAX_ITER)
     dense = float(np.sum(alpha)) - 0.5 * float(alpha @ Q @ alpha)
     fills = []
-    fill = wsvm._KernelRows._fill
-    monkeypatch.setattr(wsvm._KernelRows, "_fill", lambda self, rows: (
+    fill = _KernelRows._fill
+    monkeypatch.setattr(_KernelRows, "_fill", lambda self, rows: (
         fills.append(rows), fill(self, rows)))
     model = solve_wsvm(data, spec, c)
     report = check_wsvm_kkt(model, tol=1e-8)
