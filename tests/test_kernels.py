@@ -194,8 +194,8 @@ def test_row_source_gram_calls(n, signed, monkeypatch):
     # in request order
     calls = []
     full = kernels.gram
-    monkeypatch.setattr(kernels, "gram", lambda spec, a, b=None: (
-        calls.append(a), full(spec, a, b))[1])
+    monkeypatch.setattr(kernels, "gram", lambda spec, a, b=None:
+                        calls.append(a) or full(spec, a, b))
     data, rows = _row_source(n, signed)
     spec = rows.spec
     signs = np.outer(data.y, data.y) if signed else np.ones((n, n))

@@ -11,7 +11,7 @@ under a fixed name.  The CLI's grids never fit more than 256 points, so
 700-point prediction of three n = 3000 weighted fits (shaped like the
 ``wsvm-large`` benchmark's) and one n = 600 SVM+ fit, whose kernel rows
 come from row sources.  ``environment.txt`` names the Python, numpy and
-BLAS build that wrote them: the bits depend on it.
+BLAS build and the CPU that wrote them: the bits depend on them.
 
 The committed copies live in ``tests/golden``, and the tier-1 test
 ``tests/test_golden.py`` writes every output in process and compares it
@@ -121,13 +121,22 @@ def digests() -> dict[str, dict]:
     return out
 
 
+def _cpu() -> str:
+    """The CPU model: a DYNAMIC_ARCH OpenBLAS picks its kernels by it."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next(line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or platform.machine()
+
+
 def environment() -> str:
-    """The Python, numpy and BLAS build, in one line."""
+    """The Python, numpy and BLAS build, and the CPU, in one line."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"python={platform.python_version()} numpy={np.__version__} "
             f"blas={blas['name']} {blas['version']} "
-            f"({blas.get('openblas configuration', '')}) "
-            f"machine={platform.machine()}")
+            f"({blas.get('openblas configuration', '')}) cpu={_cpu()}")
 
 
 def run(outdir: str) -> int:
