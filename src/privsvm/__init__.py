@@ -10,7 +10,8 @@ from .equivalence import (ConstructedPrivileged, EquivalenceReport,
                           NotRepresentableError, RhoZeroDiagnostic,
                           check_rho_zero_reduction, construct_privileged,
                           equivalence_report, family_membership,
-                          necessary_condition, rho, weights_from_svmplus)
+                          necessary_condition, rho, weights_from_svmplus,
+                          wsvm_from_svmplus)
 from .experiments import (BlobsSample, ExperimentConfig, ResultRow,
                           ResultTable, WMixture, bandwidth_grid,
                           counterexample_dataset, emit_results,

@@ -4,7 +4,7 @@ Given a WSVM solution, the statistic rho = <c - cbar 1, xi*> decides
 whether any correcting space can reproduce it; when rho >= 0 a minimal
 one-dimensional privileged feature set does the job.  In the opposite
 direction, c = alpha + beta extracted from an SVM+ solution always yields
-an equivalent WSVM.
+an equivalent WSVM, with the same alpha and b, so it is built, not solved.
 
 The diagnostics take no tolerance: the sign of rho is judged up to a
 rounding bound (``_rho_tol``), the other checks compare at FAMILY_TOL.
@@ -18,13 +18,14 @@ import numpy as np
 
 from .data import PrivilegedSet
 from .svmplus import SvmPlusModel
-from .wsvm import WsvmModel, check_weights
+from .wsvm import WsvmModel, _model, check_weights
 
 __all__ = [
     "NotRepresentableError",
     "EquivalenceReport",
     "rho",
     "weights_from_svmplus",
+    "wsvm_from_svmplus",
     "necessary_condition",
     "construct_privileged",
     "ConstructedPrivileged",
@@ -65,6 +66,13 @@ def rho(c, xi) -> tuple[float, float | None]:
 def weights_from_svmplus(model: SvmPlusModel) -> np.ndarray:
     """Equivalent WSVM weights c = alpha + beta."""
     return model.alpha + model.beta
+
+
+def wsvm_from_svmplus(plus: SvmPlusModel) -> WsvmModel:
+    """The equivalent WSVM of an SVM+ fit: weights alpha + beta, whose
+    optimal dual is the fit's alpha with the fit's offset b."""
+    return _model(plus.data, plus.spec, weights_from_svmplus(plus),
+                  plus.alpha, plus.f0, plus.b, 0)
 
 
 def necessary_condition(c, h) -> bool:
@@ -186,9 +194,7 @@ def check_rho_zero_reduction(model: SvmPlusModel) -> RhoZeroDiagnostic:
             False, "none", False,
             f"not in equality regime (slack {lhs - mean_h:.3e})")
     if model.gamma > 0:
-        wt_norm_sq = float(
-            model.alpha_tilde @ model.gram_priv @ model.alpha_tilde
-        ) / model.gamma**2
+        wt_norm_sq = float(model.alpha_tilde @ model.kt_at) / model.gamma**2
         flat = np.max(np.abs(model.xi - model.b_tilde))
         ok = wt_norm_sq <= FAMILY_TOL and flat <= FAMILY_TOL
         return RhoZeroDiagnostic(

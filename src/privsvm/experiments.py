@@ -11,7 +11,8 @@ Model selection has one winner rule: every candidate fit is keyed
 (validation error, C, kernel rank, extra rank), the lowest key wins and
 the first one wins a tie.  Only each method's winner is evaluated on the
 test sample.  Each grid is fitted once per split: svm's is the tau = 0
-row of wsvm-prob's, and wsvm-from-svmplus replays the SVM+ winner.
+row of wsvm-prob's, and wsvm-from-svmplus is the WSVM built from the SVM+
+winner, with no solve of its own.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
+from .equivalence import wsvm_from_svmplus
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
 from .schemes import probability_weights
 from .svmplus import SvmPlusModel, solve_svmplus
@@ -325,8 +327,7 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     WSVM grid, fitted once: svm's candidates are its tau = 0 row (extra
     rank 0), whose weights are 1 exactly.  The SVM+ grid is
     searched once for both svmplus and wsvm-from-svmplus; the latter
-    replays only the winner as a WSVM with c = alpha + beta and the SVM+
-    offset.
+    evaluates the WSVM built from the winner (``wsvm_from_svmplus``).
     """
     methods = set(config.methods)
     specs = _kernel_candidates(config, train.X)
@@ -376,9 +377,8 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
         if "svmplus" in methods:
             f_test["svmplus"] = plus.predict(test.X)
         if "wsvm-from-svmplus" in methods:
-            replay = solve_wsvm(train, plus.spec, plus.alpha + plus.beta,
-                                b_override=plus.b)
-            f_test["wsvm-from-svmplus"] = predict(replay, test)
+            f_test["wsvm-from-svmplus"] = predict(wsvm_from_svmplus(plus),
+                                                  test)
     return {m: _error(test.y, f) for m, f in f_test.items()}
 
 
@@ -428,10 +428,10 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
 
 def replicate_svmplus_with_wsvm(plus: SvmPlusModel, points) -> dict:
-    """Refit a WSVM with the weights induced by an SVM+ model and the SVM+
-    offset copied in; reports prediction agreement on ``points``."""
-    w = solve_wsvm(plus.data, plus.spec, plus.alpha + plus.beta,
-                   b_override=plus.b)
+    """Build the WSVM equivalent to an SVM+ model (``wsvm_from_svmplus``)
+    and report its prediction agreement with the SVM+ model on
+    ``points``."""
+    w = wsvm_from_svmplus(plus)
     f_w = predict(w, points)
     f_p = plus.predict(points)
     agree = float(np.mean(np.sign(f_w) == np.sign(f_p)))

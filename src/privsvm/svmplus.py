@@ -70,11 +70,6 @@ class SvmPlusModel:
         return gram(self.spec, self.data)
 
     @property
-    def gram_priv(self) -> np.ndarray:
-        """The privileged Gram Kt, built anew on every call."""
-        return gram(self.priv_spec, self.priv)
-
-    @property
     def decision_train(self) -> np.ndarray:
         return self.f0 + self.b
 

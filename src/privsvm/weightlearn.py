@@ -26,7 +26,7 @@ The outer loop moves c a little at a time, so each inner solve after the
 first of a delta warm-starts from the model of the previous outer step
 (projected mode: the accepted iterate; log mode: the previous L-BFGS-B
 evaluation) and reuses its training Gram matrix, which is then built once
-per delta.
+per delta.  The validation Gram is built once per call, for every delta.
 
 ``WeightLearningConfig`` holds what callers vary (deltas, c_init, mode,
 max_outer_iter).  The outer stop GTOL and the projected mode's first step
@@ -173,9 +173,8 @@ def _val_grad(model, K_val, slopes):
 
 
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
-                     delta: float, config: WeightLearningConfig):
+                     delta: float, config: WeightLearningConfig, K_val):
     n = train.n
-    K_val = gram(spec, train, val)
     history = []
     best = {"loss": np.inf, "err": np.inf, "c": None, "model": None}
 
@@ -251,9 +250,10 @@ def learn_weights(train: Dataset, val: Dataset, spec: KernelSpec,
     if train.d != val.d:
         raise ValueError("train/validation feature dimension mismatch")
     best = None
+    K_val = gram(spec, train, val)  # every delta reads the same one
     for delta in config.deltas:
         c, model, err, loss, history, n_iter = _learn_one_delta(
-            train, val, spec, delta, config)
+            train, val, spec, delta, config, K_val)
         key = (err, loss, delta)
         if best is None or key < best[0]:
             best = (key, WeightLearningResult(

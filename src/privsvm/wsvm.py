@@ -145,8 +145,8 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     """Solve the weighted SVM for per-instance weights c.
 
     ``b_override`` replaces the midpoint offset convention with an external
-    value (used to replicate an SVM+ classifier exactly); the stored
-    b_interval is unaffected.
+    value; the stored b_interval is unaffected.  An SVM+ classifier's
+    replay needs no solve: ``equivalence.wsvm_from_svmplus`` builds it.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -157,19 +157,22 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
     Q = _KernelRows(spec, data, y)
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
-    f0 = y * Q.dot(alpha)
+    return _model(data, spec, c, alpha, y * Q.dot(alpha), b_override, n_iter)
+
+
+def _model(data, spec, c, alpha, f0, b, n_iter) -> WsvmModel:
+    """The model of the dual solution alpha for weights c, with decision
+    values f0 = K(y o alpha): the exact offset interval, b (its midpoint
+    unless one is given), the slacks and both objectives."""
+    y = data.y
     quad = float((y * alpha) @ f0)
     interval = _optimal_offset_interval(y, c, f0)
-    if b_override is not None:
-        b = float(b_override)
-    else:
-        b = _pick_offset(interval)
+    b = _pick_offset(interval) if b is None else float(b)
     xi = np.maximum(0.0, 1.0 - y * (f0 + b))
-    beta = c - alpha
     primal = 0.5 * quad + float(c @ xi)
     dual = float(np.sum(alpha)) - 0.5 * quad
     return WsvmModel(
-        data=data, spec=spec, c=c, alpha=alpha, beta=beta, b=b,
+        data=data, spec=spec, c=c, alpha=alpha, beta=c - alpha, b=b,
         b_interval=interval, xi=xi,
         objective_primal=primal, objective_dual=dual, f0=f0, n_iter=n_iter,
     )

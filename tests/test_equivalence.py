@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsvm import (
     Dataset,
+    GAUSSIAN_RBF,
     KernelSpec,
     LINEAR,
     NotRepresentableError,
     check_rho_zero_reduction,
+    check_wsvm_kkt,
     construct_privileged,
     dual_uniqueness_condition,
     equivalence_report,
@@ -17,6 +20,7 @@ from privsvm import (
     solve_svmplus,
     solve_wsvm,
     weights_from_svmplus,
+    wsvm_from_svmplus,
 )
 from privsvm.data import PrivilegedSet
 from privsvm.experiments import counterexample_dataset
@@ -93,6 +97,51 @@ def test_weights_from_svmplus_round_trip(rng):
                                atol=1e-6)
 
 
+def _kernel(kind, log2_bandwidth):
+    if kind == LINEAR:
+        return KernelSpec(LINEAR)
+    return KernelSpec(GAUSSIAN_RBF, 2.0**log2_bandwidth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 200),
+       duplicates=st.booleans(),
+       kinds=st.tuples(*[st.sampled_from((LINEAR, GAUSSIAN_RBF))] * 2),
+       log2_bandwidths=st.tuples(*[st.integers(-1, 1)] * 2),
+       log2_C=st.integers(-2, 4), log2_gamma=st.integers(-2, 4))
+def test_wsvm_built_from_svmplus_is_certified(seed, n, duplicates, kinds,
+                                               log2_bandwidths, log2_C,
+                                               log2_gamma):
+    # the WSVM with weights alpha + beta has the SVM+ alpha as an optimal
+    # dual, with the SVM+ offset: built without a solve, its own KKT
+    # report certifies it, and it predicts with the SVM+ model's bits
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n)
+    priv = random_privileged(rng, n)
+    if duplicates:
+        # about a third of the rows copy other rows, label and privileged
+        # features included
+        src = rng.integers(0, n, size=n)
+        rows = rng.random(n) < 1 / 3
+        take = np.where(rows, src, np.arange(n))
+        y = data.y[take]
+        if np.all(y == y[0]):
+            take, y = np.arange(n), data.y
+        data = Dataset(data.X[take], y)
+        priv = PrivilegedSet(priv.X[take])
+    spec, priv_spec = (_kernel(k, h) for k, h in zip(kinds, log2_bandwidths))
+    plus = solve_svmplus(data, priv, spec, priv_spec, 2.0**log2_C,
+                         2.0**log2_gamma)
+    built = wsvm_from_svmplus(plus)
+    report = check_wsvm_kkt(built, tol=1e-8)
+    assert report.passed, report
+    np.testing.assert_array_equal(built.alpha, plus.alpha)
+    assert built.b == plus.b
+    np.testing.assert_array_equal(built.c, plus.alpha + plus.beta)
+    probe = rng.normal(size=(50, data.d))
+    np.testing.assert_array_equal(predict(built, probe), plus.predict(probe))
+
+
 def test_family_membership_three_point_instance():
     model, c = three_point_model()
     # alpha* = (4, 6, 2), xi* = (0, 0, 4): members must match the dual on
@@ -155,7 +204,7 @@ def test_rho_zero_constant_correction_branch():
     assert diag.branch == "constant-correction"
     assert diag.ok, diag.detail
     at = plus.alpha_tilde
-    wt_norm_sq = float(at @ gram(lin, priv) @ at) / plus.gamma**2
+    wt_norm_sq = float(at @ plus.kt_at) / plus.gamma**2
     assert diag.detail.startswith(f"||wt||^2 = {wt_norm_sq:.3e},")
 
 

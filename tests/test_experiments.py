@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -211,32 +213,32 @@ def test_run_experiment_golden_output(params, expected):
     assert emit_results(run_experiment(config)) == expected
 
 
-def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch):
+def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch, wsvm_q):
+    # the replay of the SVM+ winner is built from it, not solved: no
+    # weighted solve runs, and its row is the svmplus row
     from privsvm import experiments
-    calls = {"svmplus": 0, "replay": 0}
+    calls = []
 
     def counting_svmplus(*args, **kwargs):
-        calls["svmplus"] += 1
+        calls.append(1)
         return solve_svmplus(*args, **kwargs)
 
-    def counting_wsvm(*args, **kwargs):
-        calls["replay"] += kwargs.get("b_override") is not None
-        return solve_wsvm(*args, **kwargs)
-
     monkeypatch.setattr(experiments, "solve_svmplus", counting_svmplus)
-    monkeypatch.setattr(experiments, "solve_wsvm", counting_wsvm)
     config = ExperimentConfig(methods=("svmplus", "wsvm-from-svmplus"),
                               kernel=LINEAR, seed=4, subset_sizes=(12,),
                               **PROTOCOL)
-    run_experiment(config)
+    plus, replay = run_experiment(config).rows
     # 2 repetitions x 3 C x 2 gamma, one linear kernel on each side
-    assert calls == {"svmplus": 12, "replay": 2}
+    assert len(calls) == 12
+    assert wsvm_q == []
+    assert replay == ResultRow("wsvm-from-svmplus", *astuple(plus)[1:])
 
 
 def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
     # tau = 0 gives svm's weights 1 exactly, so with both methods the 45
     # fits of wsvm-prob's grid (3 bandwidths x 5 tau x 3 C) hold svm's 9,
-    # and each split makes 46 weighted fits with the SVM+ replay, not 55
+    # and each split makes 45 weighted fits, not 54: the SVM+ replay is
+    # built, not solved
     from privsvm import experiments
     calls = []
 
@@ -250,7 +252,7 @@ def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
     config = ExperimentConfig(methods=("svm", "wsvm-prob", "svmplus",
                                        "wsvm-from-svmplus"), **base)
     rows = run_experiment(config).rows
-    assert len(calls) == 46 * config.repetitions
+    assert len(calls) == 45 * config.repetitions
     alone = [run_experiment(ExperimentConfig(methods=(m,), **base)).rows[0]
              for m in ("svm", "wsvm-prob")]
     assert rows[:2] == alone

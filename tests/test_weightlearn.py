@@ -12,7 +12,7 @@ from privsvm import (
     learn_weights,
     solve_primal,
 )
-from privsvm import smooth
+from privsvm import smooth, weightlearn
 from privsvm.experiments import (bandwidth_grid, generate_blobs_with_outliers,
                                  generate_w_mixture)
 from privsvm.kernels import gram
@@ -192,17 +192,19 @@ def test_dimension_mismatch_rejected(rng):
 
 
 def test_training_gram_built_once_per_delta(monkeypatch):
-    builds = []
+    # one training Gram per delta, and one validation cross Gram per
+    # call that every delta reads
+    builds = {"train": 0, "cross": 0}
 
     def counting_gram(spec, a, b=None):
-        if b is None:
-            builds.append(spec)
+        builds["train" if b is None else "cross"] += 1
         return gram(spec, a, b)
 
     monkeypatch.setattr(smooth, "gram", counting_gram)
+    monkeypatch.setattr(weightlearn, "gram", counting_gram)
     sample, val = _outlier_setup()
     config = WeightLearningConfig(deltas=(0.1, 1.0), mode="projected",
                                   max_outer_iter=10)
     result = learn_weights(sample.data, val, KernelSpec(LINEAR), config)
     assert len(result.history) > 2
-    assert len(builds) == 2
+    assert builds == {"train": 2, "cross": 1}

@@ -66,7 +66,9 @@ def commands() -> dict[str, list[str]]:
     runs["figure3-reps5.csv"] = ["figure3", "--reps", "5"]
     runs["wshape-reps3.csv"] = ["wshape", "--reps", "3"]
     # its first n = 30 repetition is won by a zero classifier (ROADMAP
-    # item 5), so its rows move with the rounding of the SVM+ iterates
+    # item 5), so its svmplus rows move with the rounding of the SVM+
+    # iterates; the wsvm-from-svmplus rows, built from the SVM+ winner
+    # without a solve, equal them
     runs["wmixture-linear-fixed-validation-seed8.csv"] = [
         "experiment", "--source", "wmixture", "--kernel", "linear",
         "--methods", "wsvm-from-svmplus,svmplus,wsvm-prob,svm",
