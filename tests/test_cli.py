@@ -258,7 +258,7 @@ def test_reference_csv_commands_parse():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     runs = tool.commands()
-    assert len(runs) == 18
+    assert len(runs) == 19
     for name, argv in runs.items():
         args = build_parser().parse_args(argv + ["--out", name])
         assert args.command in ("experiment", "figure3", "wshape")

@@ -1,6 +1,6 @@
 """The reference outputs, byte for byte.
 
-``tests/golden`` holds the 18 CSVs of ``tools/reference_csvs.py`` and the
+``tests/golden`` holds the 19 CSVs of ``tools/reference_csvs.py`` and the
 digests of four fits above 256 points, where the solvers read their
 kernel rows from row sources, which no CSV reaches.  Each test writes its
 output in process and compares it with the committed copy.  Bits depend

@@ -1,4 +1,4 @@
-"""Write the reference outputs of privsvm: 18 CLI CSVs and the digests of
+"""Write the reference outputs of privsvm: 19 CLI CSVs and the digests of
 four fits above 256 points.
 
     PYTHONPATH=src python tools/reference_csvs.py OUTDIR
@@ -81,6 +81,12 @@ def commands() -> dict[str, list[str]]:
         "--n-test", "700"]
     runs["blobs-rbf-seed11-ntest700.csv"] = [
         *runs["blobs-rbf-seed11.csv"], "--n-test", "700"]
+    # the blobs arm of the fixed-validation pool
+    runs["blobs-rbf-fixed-validation-seed11.csv"] = [
+        "experiment", "--source", "blobs", "--kernel", "gaussian-rbf",
+        "--split", "fixed-validation", "--methods", FOUR,
+        "--subset-sizes", "10,30", "--repetitions", "2", "--seed", "11",
+        *GRIDS]
     runs["wmixture-learned-seed5.csv"] = [
         "experiment", "--source", "wmixture", "--methods", "svm,wsvm-learned",
         "--subset-sizes", "20", "--repetitions", "2", "--seed", "5"]
