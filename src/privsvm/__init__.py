@@ -17,8 +17,7 @@ from .experiments import (BlobsSample, ExperimentConfig, ResultRow,
                           counterexample_dataset, emit_results,
                           figure3_study, generate_blobs_with_outliers,
                           generate_w_mixture,
-                          parse_results, replicate_svmplus_with_wsvm,
-                          run_experiment, wshape_study)
+                          parse_results, run_experiment, wshape_study)
 from .kernels import GAUSSIAN_RBF, LINEAR, KernelSpec, gram
 from .kkt import (BUniquenessResult, IndexSets, KktReport, b_uniqueness,
                   check_svmplus_kkt, check_wsvm_kkt,

@@ -6,8 +6,11 @@ one-dimensional privileged feature set does the job.  In the opposite
 direction, c = alpha + beta extracted from an SVM+ solution always yields
 an equivalent WSVM, with the same alpha and b, so it is built, not solved.
 
-The diagnostics take no tolerance: the sign of rho is judged up to a
-rounding bound (``_rho_tol``), the other checks compare at FAMILY_TOL.
+The diagnostics take no tolerance: the sign of rho is judged in one place
+(``_rho_judged``), up to a rounding bound (``_rho_tol``), and the other
+checks compare at FAMILY_TOL.  ``equivalence_report`` evaluates rho once
+and builds the privileged features when it holds; ``construct_privileged``
+reads them off the report, or raises NotRepresentableError.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .data import PrivilegedSet
 from .svmplus import SvmPlusModel
-from .wsvm import WsvmModel, _model, check_weights
+from .wsvm import WsvmModel, _model
 
 __all__ = [
     "NotRepresentableError",
@@ -75,16 +78,22 @@ def wsvm_from_svmplus(plus: SvmPlusModel) -> WsvmModel:
                   plus.alpha, plus.f0, plus.b, 0)
 
 
+def _rho_judged(c, h) -> tuple[float, float | None, bool]:
+    """rho's two forms, and whether rho >= 0 holds up to the rounding of
+    _rho_tol: the one place that judges the sign of rho."""
+    c = np.asarray(c, dtype=float).ravel()
+    h = np.asarray(h, dtype=float).ravel()
+    unnormalized, normalized = rho(c, h)
+    return unnormalized, normalized, unnormalized >= -_rho_tol(c, h)
+
+
 def necessary_condition(c, h) -> bool:
     """Does <c - cbar 1, h> >= 0 hold (up to the rounding of _rho_tol)?
 
     Every SVM+ solution satisfies this with the weights it induces; a WSVM
     solution violating it for all equivalent weights is out of reach.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    h = np.asarray(h, dtype=float).ravel()
-    value, _ = rho(c, h)
-    return value >= -_rho_tol(c, h)
+    return _rho_judged(c, h)[2]
 
 
 @dataclass
@@ -96,35 +105,21 @@ class ConstructedPrivileged:
     b_tilde: float
 
 
-def construct_privileged(model: WsvmModel, c=None) -> ConstructedPrivileged:
+def construct_privileged(model: WsvmModel) -> ConstructedPrivileged:
     """Build (C, gamma, privileged features) making the WSVM solution an
     SVM+ solution, with the minimal one-dimensional linear correcting space.
 
     Requires rho(c, xi*) >= 0; otherwise no correcting space exists for
     this weighting and NotRepresentableError is raised.
     """
-    if c is None:
-        c = model.c
-    c = check_weights(np.asarray(c, dtype=float), model.data.n)
-    xi = model.xi
-    unnorm, _ = rho(c, xi)
-    tol = _rho_tol(c, xi)
-    if unnorm < -tol:
+    report = equivalence_report(model)
+    if report.constructed is None:
         raise NotRepresentableError(
-            f"rho(c, xi*) = {unnorm:.6g} < 0: the weighted average slack is "
-            "below the plain average, so no correcting space reproduces "
-            "this solution"
+            f"rho(c, xi*) = {report.rho_unnormalized:.6g} < 0: the weighted "
+            "average slack is below the plain average, so no correcting "
+            "space reproduces this solution"
         )
-    gamma = max(unnorm, 0.0)
-    b_tilde = float(c @ xi / np.sum(c))
-    features = (xi - b_tilde)[:, None]
-    return ConstructedPrivileged(
-        C=float(np.mean(c)),
-        gamma=gamma,
-        priv=PrivilegedSet(features),
-        w_tilde=1.0,
-        b_tilde=b_tilde,
-    )
+    return report.constructed
 
 
 def family_membership(candidate, model: WsvmModel) -> bool:
@@ -182,17 +177,13 @@ def check_rho_zero_reduction(model: SvmPlusModel) -> RhoZeroDiagnostic:
     constant, or gamma = 0 with full-rank design and alpha + beta = C.
     Every comparison is at FAMILY_TOL."""
     ab = model.alpha + model.beta
-    total = float(np.sum(ab))
-    h = model.h
-    if total <= 0:
+    _, slack = rho(ab, model.h)
+    if slack is None:
         return RhoZeroDiagnostic(False, "none", False, "zero dual mass")
-    lhs = float(ab @ h) / total
-    mean_h = float(np.mean(h))
-    scale = 1.0 + abs(mean_h)
-    if lhs - mean_h > FAMILY_TOL * scale:
+    if slack > FAMILY_TOL * (1.0 + abs(float(np.mean(model.h)))):
         return RhoZeroDiagnostic(
             False, "none", False,
-            f"not in equality regime (slack {lhs - mean_h:.3e})")
+            f"not in equality regime (slack {slack:.3e})")
     if model.gamma > 0:
         wt_norm_sq = float(model.alpha_tilde @ model.kt_at) / model.gamma**2
         flat = np.max(np.abs(model.xi - model.b_tilde))
@@ -237,21 +228,27 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def equivalence_report(model: WsvmModel, c=None,
+def equivalence_report(model: WsvmModel,
                        candidate=None) -> EquivalenceReport:
-    if c is None:
-        c = model.c
-    unnorm, norm = rho(c, model.xi)
-    holds = necessary_condition(c, model.xi)
+    """rho of the model's own weights and slacks, whether the necessary
+    condition holds and, when it does, the constructed privileged features;
+    with ``candidate``, also whether it is in the equivalent-weight family."""
+    c, xi = model.c, model.xi
+    unnorm, norm, holds = _rho_judged(c, xi)
     report = EquivalenceReport(
         rho_unnormalized=unnorm,
         rho_normalized=norm,
         necessary_condition_holds=holds,
     )
-    try:
-        report.constructed = construct_privileged(model, c)
-    except NotRepresentableError:
-        pass
+    if holds:
+        b_tilde = float(c @ xi / np.sum(c))
+        report.constructed = ConstructedPrivileged(
+            C=float(np.mean(c)),
+            gamma=max(unnorm, 0.0),
+            priv=PrivilegedSet((xi - b_tilde)[:, None]),
+            w_tilde=1.0,
+            b_tilde=b_tilde,
+        )
     if candidate is not None:
         report.family_membership = family_membership(candidate, model)
     return report

@@ -12,7 +12,9 @@ Model selection has one winner rule: every candidate fit is keyed
 the first one wins a tie.  Only each method's winner is evaluated on the
 test sample.  Each grid is fitted once per split: svm's is the tau = 0
 row of wsvm-prob's, and wsvm-from-svmplus is the WSVM built from the SVM+
-winner, with no solve of its own.
+winner (``equivalence.wsvm_from_svmplus``), with no solve of its own.  The
+test sample and the fixed-validation pool are draws of the source without
+planted points.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
@@ -34,7 +36,7 @@ from .data import Dataset, PrivilegedSet
 from .equivalence import wsvm_from_svmplus
 from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
 from .schemes import probability_weights
-from .svmplus import SvmPlusModel, solve_svmplus
+from .svmplus import solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
 from .wsvm import solve_wsvm, predict
 
@@ -53,7 +55,6 @@ __all__ = [
     "counterexample_dataset",
     "figure3_study",
     "wshape_study",
-    "replicate_svmplus_with_wsvm",
 ]
 
 METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus", "wsvm-from-svmplus")
@@ -247,24 +248,27 @@ def parse_results(text: str) -> ResultTable:
     return ResultTable(rows=rows)
 
 
+def _clean_sample(source: str, n: int, seed: int) -> Dataset:
+    """A draw of the source without planted points (blobs: n // 2 per
+    class): the test sample and the fixed-validation pool."""
+    if source == "blobs":
+        return generate_blobs_with_outliers(
+            n_per_class=n // 2, outlier_count=0, seed=seed).data
+    return generate_w_mixture(n, seed=seed).data
+
+
 def _generate_pool(config: ExperimentConfig, seed_seq):
-    params = dict(config.generator_params)
-    seeds = seed_seq.spawn(2)
-    s_pool = int(seeds[0].generate_state(1)[0])
-    s_test = int(seeds[1].generate_state(1)[0])
+    s_pool, s_test = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
+    test = _clean_sample(config.source, config.n_test, s_test)
     if config.source == "blobs":
-        per_class = config.n_pool // 2
         pool = generate_blobs_with_outliers(
-            n_per_class=per_class, seed=s_pool, **params)
-        test = generate_blobs_with_outliers(
-            n_per_class=config.n_test // 2, outlier_count=0, seed=s_test,
-            **{k: v for k, v in params.items() if k != "outlier_count"})
+            n_per_class=config.n_pool // 2, seed=s_pool,
+            **dict(config.generator_params))
         # planted points carry full confidence in the opposite label
         eta = pool.data.y * (1.0 - 2.0 * pool.outlier_mask)
-        return pool.data, pool.priv.X, eta, test.data
+        return pool.data, pool.priv.X, eta, test
     mix = generate_w_mixture(config.n_pool, seed=s_pool)
-    test = generate_w_mixture(config.n_test, seed=s_test)
-    return mix.data, mix.eta[:, None], mix.eta, test.data
+    return mix.data, mix.eta[:, None], mix.eta, test
 
 
 def _sample_subset(rng, pool_n: int, size: int, y: np.ndarray):
@@ -390,11 +394,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     data_seq, proto_seq = root.spawn(2)
     pool, priv_X, eta, test = _generate_pool(config, data_seq)
     if config.split == "fixed-validation":
+        # data_seq's third child, after the pool's and the test sample's
         s_val = int(data_seq.spawn(1)[0].generate_state(1)[0])
-        val_pool = (generate_blobs_with_outliers(
-            n_per_class=N_VAL // 2, outlier_count=0, seed=s_val).data
-            if config.source == "blobs"
-            else generate_w_mixture(N_VAL, seed=s_val).data)
+        val_pool = _clean_sample(config.source, N_VAL, s_val)
     table = ResultTable()
     rep_seqs = proto_seq.spawn(config.repetitions)
     for subset in config.subset_sizes:
@@ -427,21 +429,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 # study drivers
 
 
-def replicate_svmplus_with_wsvm(plus: SvmPlusModel, points) -> dict:
-    """Build the WSVM equivalent to an SVM+ model (``wsvm_from_svmplus``)
-    and report its prediction agreement with the SVM+ model on
-    ``points``."""
-    w = wsvm_from_svmplus(plus)
-    f_w = predict(w, points)
-    f_p = plus.predict(points)
-    agree = float(np.mean(np.sign(f_w) == np.sign(f_p)))
-    return {
-        "model": w,
-        "agreement": agree,
-        "max_decision_diff": float(np.max(np.abs(f_w - f_p))),
-    }
-
-
 def figure3_study(repetitions: int = 50, seed: int = 0) -> list[dict]:
     """Per repetition: uniform-cost SVM versus a WSVM with zero weight on
     the planted wrong-label points, both linear, evaluated on a clean test
@@ -452,8 +439,7 @@ def figure3_study(repetitions: int = 50, seed: int = 0) -> list[dict]:
         s1, s2 = (int(s.generate_state(1)[0]) for s in seq.spawn(2))
         sample = generate_blobs_with_outliers(
             n_per_class=FIGURE3_N_PER_CLASS, seed=s1)
-        test = generate_blobs_with_outliers(
-            n_per_class=500, outlier_count=0, seed=s2).data
+        test = _clean_sample("blobs", 1000, s2)
         spec = KernelSpec(LINEAR)
         svm = solve_wsvm(sample.data, spec, np.full(sample.data.n, FIGURE3_C))
         c = np.full(sample.data.n, FIGURE3_C)

@@ -138,15 +138,15 @@ def b_uniqueness(model: WsvmModel) -> BUniquenessResult:
     f = model.decision_train
     sets = IndexSets.from_decision(y, f)
     c = model.c
-    in_0 = np.zeros(model.data.n, dtype=bool)
-    in_0[sets.i_0] = True
-    in_1 = np.zeros(model.data.n, dtype=bool)
-    in_1[sets.i_1] = True
-    pos = y > 0
-    s1_left = float(np.sum(c[~pos & in_0]))
-    s1_right = float(np.sum(c[pos & in_1]))
-    s2_left = float(np.sum(c[pos & in_0]))
-    s2_right = float(np.sum(c[~pos & in_1]))
+
+    def mass(label_set, margin_set):  # sum of c over the intersection
+        return float(np.sum(c[np.intersect1d(label_set, margin_set,
+                                             assume_unique=True)]))
+
+    s1_left = mass(sets.i_minus, sets.i_0)
+    s1_right = mass(sets.i_plus, sets.i_1)
+    s2_left = mass(sets.i_plus, sets.i_0)
+    s2_right = mass(sets.i_minus, sets.i_1)
     scale = 1.0 + float(np.sum(c))
     cond: int | None = None
     if abs(s1_left - s1_right) <= MARGIN_TOL * scale:

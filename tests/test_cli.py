@@ -66,6 +66,22 @@ def test_equiv_command(three_point_files, capsys):
     assert "constructed none" in out
 
 
+def test_equiv_command_on_representable_fit(three_point_files, tmp_path,
+                                            capsys):
+    # weights (4, 6, 4): rho = 8/3 > 0, so the constructed features print
+    data_path, _ = three_point_files
+    weights_path = tmp_path / "rep.weights"
+    save_weights(weights_path, [4.0, 6.0, 4.0])
+    rc = main(["equiv", "--data", data_path, "--weights", str(weights_path)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "necessary_condition 1"
+    assert [line.split()[0] for line in out[3:]] == [
+        "constructed_C", "constructed_gamma", "constructed_b_tilde",
+        "constructed_w_tilde"]
+    assert float(out[4].split()[1]) == pytest.approx(8.0 / 3.0)
+
+
 def test_learn_weights_command(tmp_path, capsys):
     rng = np.random.default_rng(1)
     for name, n in (("train", 8), ("val", 8)):
@@ -211,6 +227,22 @@ def test_convergence_error_exits_with_one_line(three_point_files,
     assert captured.out == ""
     assert captured.err == ("error: primal Newton did not converge "
                             "(final residual 1.000e+00)\n")
+
+
+@pytest.mark.parametrize("command", ["train-wsvm", "train-svmplus"])
+def test_check_reports_at_the_asked_tol(command, three_point_files, tmp_path,
+                                        capsys):
+    # the report judges the fit at --tol itself, below the default too
+    data_path, weights_path = three_point_files
+    priv_path = tmp_path / "ce.priv"
+    save_sparse(priv_path, [[0.0], [1.0], [0.0]])
+    extra = (["--weights", weights_path] if command == "train-wsvm"
+             else ["--priv", str(priv_path)])
+    rc = main([command, "--data", data_path, *extra, "--tol", "1e-10",
+               "--check"])
+    out = capsys.readouterr().out.splitlines()
+    assert "tol 1.000000e-10" in out
+    assert rc == 0 and "pass 1" in out
 
 
 @pytest.mark.parametrize("command", ["train-wsvm", "train-svmplus"])

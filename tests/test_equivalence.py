@@ -241,3 +241,26 @@ def test_equivalence_report_text():
     assert "necessary_condition 0" in text
     assert "constructed none" in text
     assert "family_membership 1" in text
+
+
+def test_equivalence_report_on_representable_fit():
+    # weights (4, 6, 4) on the three-point instance: xi* = (0, 2, 0) and
+    # rho = 8/3 > 0, so the report carries the constructed features
+    data, _ = counterexample_dataset()
+    model = solve_wsvm(data, KernelSpec(LINEAR), np.array([4.0, 6.0, 4.0]))
+    report = equivalence_report(model)
+    assert report.necessary_condition_holds
+    assert report.rho_unnormalized == pytest.approx(8.0 / 3.0)
+    built = construct_privileged(model)
+    for name in ("C", "gamma", "w_tilde", "b_tilde"):
+        assert getattr(report.constructed, name) == getattr(built, name)
+    np.testing.assert_array_equal(report.constructed.priv.X, built.priv.X)
+    assert built.C == pytest.approx(14.0 / 3.0)
+    assert built.gamma == report.rho_unnormalized
+    assert built.b_tilde == pytest.approx(6.0 / 7.0)
+    lines = report.to_text().splitlines()
+    assert [line.split()[0] for line in lines[3:]] == [
+        "constructed_C", "constructed_gamma", "constructed_b_tilde",
+        "constructed_w_tilde"]
+    assert lines[3] == f"constructed_C {built.C:.17g}"
+    assert lines[6] == "constructed_w_tilde 1"

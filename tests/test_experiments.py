@@ -21,11 +21,8 @@ from privsvm.experiments import (
     generate_blobs_with_outliers,
     generate_w_mixture,
     parse_results,
-    replicate_svmplus_with_wsvm,
     run_experiment,
 )
-
-from conftest import random_dataset, random_privileged
 
 
 def test_counterexample_dataset_contents():
@@ -256,18 +253,6 @@ def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
     alone = [run_experiment(ExperimentConfig(methods=(m,), **base)).rows[0]
              for m in ("svm", "wsvm-prob")]
     assert rows[:2] == alone
-
-
-def test_replication_driver_identical_predictions(rng):
-    n = 10
-    data = random_dataset(rng, n)
-    priv = random_privileged(rng, n)
-    plus = solve_svmplus(data, priv, KernelSpec(LINEAR), KernelSpec(LINEAR),
-                         1.0, 2.0, tol=1e-10)
-    points = rng.normal(size=(200, data.d))
-    out = replicate_svmplus_with_wsvm(plus, points)
-    assert out["agreement"] == 1.0
-    assert out["max_decision_diff"] <= 1e-6
 
 
 def test_protocol_keeps_test_pool_disjoint():
