@@ -2,7 +2,8 @@
 
 ``tests/golden`` holds the 19 CSVs of ``tools/reference_csvs.py`` and the
 digests of four fits above 256 points, where the solvers read their
-kernel rows from row sources, which no CSV reaches.  Each test writes its
+kernel rows from row sources, which no CSV reaches, and of one
+projected-mode weight learning, which no CSV runs.  Each test writes its
 output in process and compares it with the committed copy.  Bits depend
 on the numpy and BLAS build, so a mismatch names the build that wrote the
 committed copies next to the one running the test.  A change that moves

@@ -1,5 +1,5 @@
-"""Write the reference outputs of privsvm: 19 CLI CSVs and the digests of
-four fits above 256 points.
+"""Write the reference outputs of privsvm: 19 CLI CSVs, the digests of
+four fits above 256 points and of one projected-mode weight learning.
 
     PYTHONPATH=src python tools/reference_csvs.py OUTDIR
     PYTHONPATH=src python tools/reference_csvs.py --update
@@ -10,7 +10,10 @@ under a fixed name.  The CLI's grids never fit more than 256 points, so
 ``digests.json`` adds the hex digests of alpha, f0, b, n_iter and a
 700-point prediction of three n = 3000 weighted fits (shaped like the
 ``wsvm-large`` benchmark's) and one n = 600 SVM+ fit, whose kernel rows
-come from row sources.  ``environment.txt`` names the Python, numpy and
+come from row sources.  It also holds the learned weights, alpha, b,
+history and outer step count of one ``learn_weights`` run in projected
+mode, shaped like a ``wlearn`` benchmark task: the CSVs reach weight
+learning only in log mode.  ``environment.txt`` names the Python, numpy and
 BLAS build and the CPU that wrote them: the bits depend on them.
 
 The committed copies live in ``tests/golden``, and the tier-1 test
@@ -126,7 +129,23 @@ def digests() -> dict[str, dict]:
         privsvm.KernelSpec(privsvm.GAUSSIAN_RBF, 1.0),
         privsvm.KernelSpec(privsvm.GAUSSIAN_RBF, 0.5), 1.0, 3.0)
     out["svmplus-rbf"] = _fit_digest(model, model.predict(test))
+    out["learn-projected"] = _learn_digest()
     return out
+
+
+def _learn_digest() -> dict:
+    """Projected-gradient weight learning on a W-mixture draw of 60
+    training and 600 validation points, RBF kernel at the median distance,
+    delta in {0.1, 1} and at most 40 outer steps."""
+    train = privsvm.generate_w_mixture(60, seed=29).data
+    val = privsvm.generate_w_mixture(600, seed=30).data
+    spec = privsvm.KernelSpec(privsvm.GAUSSIAN_RBF, float(np.median(
+        privsvm.bandwidth_grid(train.X, (0.5,)))))
+    res = privsvm.learn_weights(train, val, spec, privsvm.WeightLearningConfig(
+        deltas=(0.1, 1.0), mode="projected", max_outer_iter=40))
+    return {"weights": _hex(res.weights), "alpha": _hex(res.model.alpha),
+            "b": float(res.model.b).hex(), "history": _hex(res.history),
+            "n_outer_iter": res.n_outer_iter}
 
 
 def _cpu() -> str:
