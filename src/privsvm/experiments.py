@@ -202,6 +202,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if self.source not in ("blobs", "wmixture"):
             raise ValueError(f"unknown source {self.source!r}")
+        # the pool's size and seed come from n_pool and the seed, and the
+        # W mixture has no other parameter
+        known = (("outlier_count", "outlier_distance")
+                 if self.source == "blobs" else ())
+        unknown = sorted({key for key, _ in self.generator_params}
+                         - set(known))
+        if unknown:
+            raise ValueError(f"unknown generator_params {unknown} for "
+                             f"source {self.source!r}")
         # a split needs two training points and one validation point
         least = 2 if self.split == "fixed-validation" else 3
         if any(s < least for s in self.subset_sizes):

@@ -21,6 +21,14 @@ quasi-Newton fallback.  A solve may start from an earlier model on the
 same inputs and kernel (``warm``): Newton then begins at that model's
 (a, b) and reuses its Gram matrix, which pays when a caller solves a
 sequence of nearby weight vectors, as weight learning does.
+
+Each quantity is computed once.  A line-search trial evaluates only the
+loss values and the objective; the slopes u = y o l' and v = c o l'' are
+formed once per accepted iterate, from the clipped margins the trial
+already holds, and the band S is found once per step.  The solved model
+keeps the (u, v) it stopped on, which the gradients of weight learning
+read instead of evaluating the loss at its decision values again.  Each
+value is the one ``smooth_hinge`` gives at the same margins, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,18 +48,44 @@ PRIMAL_TOL = 1e-10
 PRIMAL_MAX_ITER = 200
 
 
+def _check_delta(delta) -> None:
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _loss(t, delta):
+    """l_delta(t), with the clipped s = 1 - t and the mask of the linear
+    piece, from which ``_loss_slope`` and ``_loss_curvature`` read."""
+    s = 1.0 - t
+    # q = clip(s, 0, 2 delta); q = 0 gives the flat piece t >= 1
+    q = np.minimum(np.maximum(s, 0.0), 2.0 * delta)
+    linear = s >= 2.0 * delta
+    value = np.where(linear, s - delta,
+                     q**3 * (4.0 * delta - q) / (16.0 * delta**3))
+    return value, q, linear
+
+
+def _loss_slope(q, linear, delta):
+    """l'_delta, from the clipped s and linear mask of ``_loss``."""
+    return np.where(linear, -1.0,
+                    -(q**2) * (3.0 * delta - q) / (4.0 * delta**3))
+
+
+def _loss_curvature(q, delta):
+    """l''_delta, from the clipped s of ``_loss``."""
+    return 3.0 * q * (2.0 * delta - q) / (4.0 * delta**3)
+
+
 def smooth_hinge(t, delta: float):
     """Value, first and second derivative of l_delta, elementwise."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    s = 1.0 - np.asarray(t, dtype=float)
-    q = np.clip(s, 0.0, 2.0 * delta)  # q = 0 gives the flat piece t >= 1
-    d3 = delta**3
-    linear = s >= 2.0 * delta
-    value = np.where(linear, s - delta, q**3 * (4.0 * delta - q) / (16.0 * d3))
-    d1 = np.where(linear, -1.0, -(q**2) * (3.0 * delta - q) / (4.0 * d3))
-    d2 = 3.0 * q * (2.0 * delta - q) / (4.0 * d3)
-    return value, d1, d2
+    _check_delta(delta)
+    value, q, linear = _loss(np.asarray(t, dtype=float), delta)
+    return value, _loss_slope(q, linear, delta), _loss_curvature(q, delta)
+
+
+def _margin_slopes(y, c, q, linear, delta):
+    """u = y o l'(y o f) and v = c o l''(y o f), from ``_loss`` at y o f."""
+    return y * _loss_slope(q, linear, delta), c * _loss_curvature(q, delta)
 
 
 @dataclass
@@ -66,6 +100,9 @@ class PrimalModel:
     n_iter: int = 0
     method: str = "newton"
     _gram: np.ndarray | None = field(default=None, repr=False)
+    # (u, v) at the solution, as the solve's last residual read them
+    _uv: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                      repr=False)
 
     @property
     def gram_train(self) -> np.ndarray:
@@ -82,12 +119,12 @@ class PrimalModel:
 
 
 def _objective(alpha, b, K, y, c, delta):
+    """The objective at (a, b), f = K a + b, and the clipped s and linear
+    mask of ``_loss`` at y o f."""
     f = K @ alpha + b
-    value, d1, d2 = smooth_hinge(y * f, delta)
+    value, q, linear = _loss(y * f, delta)
     obj = 0.5 * float(alpha @ K @ alpha) + float(c @ value)
-    u = y * d1
-    v = c * d2
-    return obj, f, u, v
+    return obj, f, q, linear
 
 
 def _bordered(K, v, last_row, corner):
@@ -99,16 +136,16 @@ def _bordered(K, v, last_row, corner):
     m = v.size
     M = np.empty((m + 1, m + 1))
     np.multiply(v[:, None], K, out=M[:m, :m])
-    diag = np.arange(m)
-    M[diag, diag] += 1.0
+    M.reshape(-1)[:m * (m + 2):m + 2] += 1.0  # the first m diagonal entries
     M[:m, m] = v
     M[m, :m] = last_row
     M[m, m] = corner
     return M
 
 
-def _newton_step(K, v, r1, r2):
-    """Solve J [step_a; step_b] = -[r1; r2] on the band S = {i : v_i > 0}.
+def _newton_step(K, v, band, r1, r2):
+    """Solve J [step_a; step_b] = -[r1; r2] on the band S = {i : v_i > 0},
+    given as the indices ``band``.
 
     Outside S (the set T) the rows of J are identity rows, so
     step_a[T] = -r1[T] exactly, and (step_a[S], step_b) solve
@@ -116,7 +153,6 @@ def _newton_step(K, v, r1, r2):
         [[I + diag(v_S) K_SS, v_S], [v_S' K_SS, sum(v_S)]] [a_S; b]
             = [-r1_S - v_S o (K_ST a_T);  -r2 - v_S' K_ST a_T].
     """
-    band = np.flatnonzero(v > 0)
     m = band.size
     step_a = -r1
     # K_ST a_T is the rows S of K applied to step_a with its S entries
@@ -127,7 +163,7 @@ def _newton_step(K, v, r1, r2):
     k_T = K_S @ a_T
     v_S = v[band]
     K_SS = K_S[:, band]
-    M = _bordered(K_SS, v_S, v_S @ K_SS, float(np.sum(v_S)))
+    M = _bordered(K_SS, v_S, v_S @ K_SS, float(v_S.sum()))
     rhs = np.empty(m + 1)
     np.subtract(step_a[band], v_S * k_T, out=rhs[:m])
     rhs[m] = -r2 - float(v_S @ k_T)
@@ -143,7 +179,7 @@ def _offset_shift(t, y, c, delta, r2):
     # distance each margin travels before it reaches the band; margins
     # moving away from the band get a negative distance
     dist = np.where(y * s > 0, 1.0 - 2.0 * delta - t, t - 1.0)
-    return float(s * (np.min(dist[(c > 0) & (dist >= 0)]) + delta))
+    return float(s * (dist[(c > 0) & (dist >= 0)].min() + delta))
 
 
 def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
@@ -178,6 +214,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     ways to raise are those of a cold start.  A warm model with another
     spec or other inputs raises ValueError.
     """
+    _check_delta(delta)
     c = check_weights(c, data.n, allow_all_zero=True)
     y = data.y
     n = data.n
@@ -193,22 +230,27 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         K = warm.gram_train
         alpha = np.array(warm.alpha, dtype=float)
         b = float(warm.b)
-    stop = PRIMAL_TOL * (1.0 + float(np.max(c)))
-    obj, f, u, v = _objective(alpha, b, K, y, c, delta)
+    stop = PRIMAL_TOL * (1.0 + float(c.max()))
+    obj, f, q, linear = _objective(alpha, b, K, y, c, delta)
     for it in range(max_iter + 1):
+        # the slopes of the accepted iterate; line-search trials need
+        # only the objective
+        u, v = _margin_slopes(y, c, q, linear, delta)
         r1 = alpha + u * c
         r2 = float(u @ c)
-        resid = max(float(np.max(np.abs(r1))), abs(r2))
+        r1_max = float(np.abs(r1).max())
+        resid = max(r1_max, abs(r2))
         if resid <= stop:
             return PrimalModel(
                 data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
-                b=float(b), objective=obj, n_iter=it, _gram=K,
+                b=float(b), objective=obj, n_iter=it, _gram=K, _uv=(u, v),
             )
         if it == max_iter:
             raise ConvergenceError("primal Newton did not converge", resid)
-        if np.any(v > 0):
-            step_a, step_b = _newton_step(K, v, r1, r2)
-        elif float(np.max(np.abs(r1))) > stop:
+        band = np.flatnonzero(v > 0)
+        if band.size:
+            step_a, step_b = _newton_step(K, v, band, r1, r2)
+        elif r1_max > stop:
             step_a, step_b = -r1, 0.0
         else:
             step_a, step_b = -r1, _offset_shift(y * f, y, c, delta, r2)
@@ -216,12 +258,14 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         # move the iterate (or a non-finite one, once t underflows) stalls
         t = 1.0
         while True:
-            a_new, b_new = alpha + t * step_a, b + t * step_b
+            # 1.0 * step_a is step_a, bit for bit
+            a_new = alpha + step_a if t == 1.0 else alpha + t * step_a
+            b_new = b + t * step_b
             if t == 0.0 or (b_new == b and np.array_equal(a_new, alpha)):
                 raise ConvergenceError("primal line search stalled", resid)
             trial = _objective(a_new, b_new, K, y, c, delta)
             if trial[0] <= obj + 1e-12 * (1.0 + abs(obj)):
                 alpha, b = a_new, b_new
-                obj, f, u, v = trial
+                obj, f, q, linear = trial
                 break
             t *= 0.5

@@ -20,7 +20,9 @@ with the transposed sensitivity system.  That system, like the inner
 Newton Jacobian, is the identity outside the curvature band, so the solve
 has one more row than the training margins inside the band.
 ``implicit_gradient`` still builds the full n x n sensitivity, for callers
-that want it.
+that want it.  Both read the loss slopes u and v that the inner solve
+stopped on and keeps in its model; a model built by hand computes them on
+first use.
 
 The outer loop moves c a little at a time, so each inner solve after the
 first of a delta warm-starts from the model of the previous outer step
@@ -41,7 +43,8 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, gram
-from .smooth import PrimalModel, _bordered, smooth_hinge, solve_primal
+from .smooth import (PrimalModel, _bordered, _loss, _loss_slope,
+                     _margin_slopes, solve_primal)
 
 __all__ = [
     "GradientWorkspace",
@@ -84,7 +87,7 @@ def implicit_gradient(model: PrimalModel) -> GradientWorkspace:
     """
     n = model.data.n
     u, v = _slopes(model)
-    if np.max(v) <= 0:
+    if v.max() <= 0:
         return GradientWorkspace(u, v, np.diag(u), np.zeros(n),
                                  kink_free=True)
     rhs = np.zeros((n + 1, n))
@@ -94,10 +97,14 @@ def implicit_gradient(model: PrimalModel) -> GradientWorkspace:
 
 
 def _slopes(model: PrimalModel):
-    """u_i = y_i l'(y_i f_i) and v_i = c_i l''(y_i f_i) at the model."""
-    y = model.data.y
-    _, d1, d2 = smooth_hinge(y * model.decision_train, model.delta)
-    return y * d1, model.c * d2
+    """u_i = y_i l'(y_i f_i) and v_i = c_i l''(y_i f_i) at the model: those
+    its solve stopped on, or, for a model built by hand, computed on first
+    use and kept."""
+    if model._uv is None:
+        y = model.data.y
+        _, q, linear = _loss(y * model.decision_train, model.delta)
+        model._uv = _margin_slopes(y, model.c, q, linear, model.delta)
+    return model._uv
 
 
 def _adjoint_gradient(model: PrimalModel, g_alpha, g_b: float):
@@ -141,8 +148,10 @@ class WeightLearningConfig:
             raise ValueError("need at least one delta")
         if any(not 0.01 <= d <= 1.0 for d in self.deltas):
             raise ValueError("deltas must lie in [0.01, 1]")
-        if not self.c_init > 0:
-            raise ValueError("c_init must be positive")
+        if not 0.0 < self.c_init < np.inf:
+            raise ValueError("c_init must be positive and finite")
+        if self.max_outer_iter < 0:
+            raise ValueError("max_outer_iter must be nonnegative")
 
 
 @dataclass
@@ -162,14 +171,15 @@ def _val_loss(c, train, val, spec, delta, K_val, warm):
     model = solve_primal(train, spec, c, delta, warm=warm)
     f_val = K_val.T @ model.alpha + model.b
     t = val.y * f_val
-    value, d1, _ = smooth_hinge(t, delta)
-    return float(np.sum(value)), float(np.mean(t <= 0)), model, val.y * d1
+    value, q, linear = _loss(t, delta)
+    return (float(value.sum()), float((t <= 0).mean()), model,
+            val.y * _loss_slope(q, linear, delta))
 
 
 def _val_grad(model, K_val, slopes):
     """The gradient of the validation loss in the weights, from one
     adjoint solve."""
-    return _adjoint_gradient(model, K_val @ slopes, float(np.sum(slopes)))
+    return _adjoint_gradient(model, K_val @ slopes, float(slopes.sum()))
 
 
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
@@ -212,7 +222,7 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
         record(c, loss, err, model)
         n_iter = 0
         for n_iter in range(1, config.max_outer_iter + 1):
-            if np.max(np.abs(grad)) <= GTOL:
+            if np.abs(grad).max() <= GTOL:
                 break
             moved = False
             while step > 1e-12:

@@ -261,7 +261,8 @@ def test_check_prints_each_key_once(command, three_point_files, tmp_path,
 
 
 @pytest.mark.parametrize("case",
-                         ["rejected-input", "missing-file", "missing-config"])
+                         ["rejected-input", "rejected-config", "missing-file",
+                          "missing-config"])
 def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
                                          capsys):
     # like a ConvergenceError, an input the solver rejects or a file that
@@ -271,6 +272,10 @@ def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
     if case == "rejected-input":
         argv = ["train-wsvm", "--data", data_path, "--b-override", "nan"]
         err = "error: b_override must be finite\n"
+    elif case == "rejected-config":
+        argv = ["learn-weights", "--train", data_path, "--val", data_path,
+                "--max-iter", "-1"]
+        err = "error: max_outer_iter must be nonnegative\n"
     else:
         missing = str(tmp_path / "missing.data")
         argv = (["train-wsvm", "--data", missing] if case == "missing-file"

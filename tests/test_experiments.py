@@ -126,6 +126,16 @@ def test_config_validation():
     ExperimentConfig(subset_sizes=(2,), split="fixed-validation")
     with pytest.raises(ValueError, match="pool"):
         ExperimentConfig(subset_sizes=(400,), n_pool=200)
+    # an override the source's generator does not take; the W mixture
+    # takes none, and used to drop it without a word
+    for source in ("blobs", "wmixture"):
+        with pytest.raises(ValueError, match="generator_params"):
+            ExperimentConfig(source=source, generator_params=(("bogus", 1),))
+    with pytest.raises(ValueError, match="generator_params"):
+        ExperimentConfig(source="wmixture",
+                         generator_params=(("outlier_count", 0),))
+    ExperimentConfig(generator_params=(("outlier_count", 0),
+                                       ("outlier_distance", 5.0)))
 
 
 def test_emit_parse_round_trip():

@@ -56,8 +56,14 @@ def test_curvature_bound_and_sign():
 
 
 def test_delta_validation():
-    with pytest.raises(ValueError, match="delta"):
-        smooth_hinge(0.0, 0.0)
+    # the solver checks delta once, at entry; an infinite one used to get
+    # as far as an empty minimum in the offset shift
+    data = Dataset([[0.0], [1.0]], [-1.0, 1.0])
+    for delta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta"):
+            smooth_hinge(0.0, delta)
+        with pytest.raises(ValueError, match="delta"):
+            solve_primal(data, KernelSpec(LINEAR), np.ones(2), delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +172,8 @@ def test_band_newton_step_matches_full_solve(kernel, delta):
             assert np.array_equal(v > 0, inside)
             r1 = rng.normal(size=n) + u * c
             r2 = float(u @ c)
-            step_a, step_b = _newton_step(K, v, r1, r2)
+            step_a, step_b = _newton_step(K, v, np.flatnonzero(v > 0),
+                                          r1, r2)
             full_a, full_b = _full_newton_step(K, v, r1, r2)
             np.testing.assert_array_equal(step_a[~inside], -r1[~inside])
             full = np.r_[full_a, full_b]
@@ -208,6 +215,28 @@ def test_primal_certifies_or_raises():
         assert resid <= 1e-10 * (1.0 + np.max(c))
         certified += 1
     assert certified >= 90
+
+
+def test_solved_model_carries_its_slopes():
+    # the (u, v) a solve stops on are those of smooth_hinge at the
+    # model's decision values, bit for bit, cold and warm
+    rng = np.random.default_rng(2025)
+    carried = 0
+    for _ in range(40):
+        data, spec, c, delta = _hard_instance(rng)
+        try:
+            cold = solve_primal(data, spec, c, delta)
+            warm = solve_primal(data, spec, c * rng.uniform(0.5, 2.0, data.n),
+                                delta, warm=cold)
+        except ConvergenceError:
+            continue
+        for model in (cold, warm):
+            _, d1, d2 = smooth_hinge(data.y * model.decision_train, delta)
+            u, v = model._uv
+            assert np.array_equal(u, data.y * d1)
+            assert np.array_equal(v, model.c * d2)
+            carried += 1
+    assert carried >= 70
 
 
 def test_primal_budget_raises(rng):

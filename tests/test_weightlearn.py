@@ -86,24 +86,42 @@ def test_adjoint_gradient_matches_implicit_gradient(rng):
     assert np.any(work.u != 0)
 
 
+def test_adjoint_gradient_same_on_hand_built_model(rng):
+    # a solved model carries the slopes its solve stopped on; a hand-built
+    # copy computes them on first use, to the same bits
+    for delta in DEFAULT_DELTAS:
+        data = random_dataset(rng, 30)
+        solved = solve_primal(data, random_kernel(rng),
+                              rng.uniform(0.5, 2.0, 30), delta)
+        copy = PrimalModel(data=data, spec=solved.spec, c=solved.c,
+                           delta=delta, alpha=solved.alpha, b=solved.b,
+                           objective=solved.objective)
+        assert copy._uv is None
+        g_alpha, g_b = rng.normal(size=30), float(rng.normal())
+        assert np.array_equal(_adjoint_gradient(solved, g_alpha, g_b),
+                              _adjoint_gradient(copy, g_alpha, g_b))
+
+
 def test_projected_learning_solves_only_on_the_band(monkeypatch):
     # every linear solve of weight learning, Newton steps and gradients
     # alike, has one right-hand side and at most one row more than the
-    # training margins inside the curvature band of the iterate it is for
+    # training margins inside the curvature band of the iterate it is for;
+    # the primal solve takes the curvature once per accepted iterate, and
+    # nothing else in weight learning takes it
     band = []
     shapes = []
-    objective, solve = smooth._objective, np.linalg.solve
+    curvature, solve = smooth._loss_curvature, np.linalg.solve
 
-    def tracking_objective(*args):
-        out = objective(*args)
-        band.append(int(np.count_nonzero(out[3] > 0)))
+    def tracking_curvature(*args):
+        out = curvature(*args)
+        band.append(int(np.count_nonzero(out > 0)))
         return out
 
     def recording_solve(a, b):
         shapes.append((a.shape[0], b.shape, band[-1]))
         return solve(a, b)
 
-    monkeypatch.setattr(smooth, "_objective", tracking_objective)
+    monkeypatch.setattr(smooth, "_loss_curvature", tracking_curvature)
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     n = 60
     train = generate_w_mixture(n, seed=3).data
@@ -127,8 +145,12 @@ def test_config_validation():
         WeightLearningConfig(deltas=(0.001,))
     with pytest.raises(ValueError, match="delta"):
         WeightLearningConfig(deltas=())
-    with pytest.raises(ValueError, match="c_init"):
-        WeightLearningConfig(c_init=0.0)
+    for c_init in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="c_init"):
+            WeightLearningConfig(c_init=c_init)
+    with pytest.raises(ValueError, match="max_outer_iter"):
+        WeightLearningConfig(max_outer_iter=-3)
+    WeightLearningConfig(max_outer_iter=0)
 
 
 def _outlier_setup(seed=5):
