@@ -210,10 +210,10 @@ def load_sparse_features(path) -> np.ndarray:
 
 
 def load_weights(path, n: int | None = None) -> np.ndarray:
-    """One nonnegative decimal per line."""
+    """One finite nonnegative decimal per line."""
     values = _load_column(path)
-    if np.any(values < 0):
-        raise ValueError(f"{path}: weights must be nonnegative")
+    if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
+        raise ValueError(f"{path}: weights must be finite and nonnegative")
     _check_length(path, values, n)
     return values
 
@@ -227,7 +227,7 @@ def save_weights(path, c) -> None:
 def load_confidence(path, n: int | None = None) -> np.ndarray:
     """One decimal in [-1, 1] per line."""
     values = _load_column(path)
-    if np.any(np.abs(values) > 1):
+    if not np.all(np.abs(values) <= 1):  # NaN fails too
         raise ValueError(f"{path}: confidence scores must lie in [-1, 1]")
     _check_length(path, values, n)
     return values

@@ -20,7 +20,8 @@ planted points.
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
 fixed-validation pool size (N_VAL), the RBF bandwidth quantiles
 (``bandwidth_grid``'s default), the shapes of both data families (BLOB_*,
-W_*) and the study sizes (FIGURE3_*, WSHAPE_*) are constants.  In the
+W_*), weight learning's widths and budget (LEARN_*) and the study sizes
+(FIGURE3_*, WSHAPE_*) are constants.  In the
 1-to-2 and 2-to-1 split modes every subset needs at least 3 points: two
 to train on and one to validate on.
 """
@@ -68,7 +69,9 @@ BLOB_OFFSET = 1.5  # distance of each blob center from the origin
 FIGURE3_C = 1.0           # cost of every non-planted point, both fits
 FIGURE3_N_PER_CLASS = 30  # training blob size per class
 WSHAPE_N_TRAIN, WSHAPE_N_VAL, WSHAPE_N_TEST = 60, 600, 1000
-WSHAPE_DELTAS = (0.1, 1.0)  # smoothing widths searched by weight learning
+WSHAPE_MAX_OUTER = 40  # outer steps of wshape's weight learning
+LEARN_DELTAS = (0.1, 1.0)  # smoothing widths of wsvm-learned and wshape
+LEARN_MAX_OUTER = 30       # outer steps of wsvm-learned's weight learning
 
 
 def bandwidth_grid(X, quantiles=(0.1, 0.5, 0.9)) -> tuple[float, ...]:
@@ -188,9 +191,6 @@ class ExperimentConfig:
     n_test: int = 1000
     C_grid: tuple[float, ...] = DEFAULT_LOG_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_LOG_GRID
-    delta_grid: tuple[float, ...] = (0.1, 1.0)
-    max_outer_iter: int = 30
-    generator_params: tuple = ()           # key/value overrides for the source
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -202,15 +202,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if self.source not in ("blobs", "wmixture"):
             raise ValueError(f"unknown source {self.source!r}")
-        # the pool's size and seed come from n_pool and the seed, and the
-        # W mixture has no other parameter
-        known = (("outlier_count", "outlier_distance")
-                 if self.source == "blobs" else ())
-        unknown = sorted({key for key, _ in self.generator_params}
-                         - set(known))
-        if unknown:
-            raise ValueError(f"unknown generator_params {unknown} for "
-                             f"source {self.source!r}")
         # a split needs two training points and one validation point
         least = 2 if self.split == "fixed-validation" else 3
         if any(s < least for s in self.subset_sizes):
@@ -271,8 +262,7 @@ def _generate_pool(config: ExperimentConfig, seed_seq):
     test = _clean_sample(config.source, config.n_test, s_test)
     if config.source == "blobs":
         pool = generate_blobs_with_outliers(
-            n_per_class=config.n_pool // 2, seed=s_pool,
-            **dict(config.generator_params))
+            n_per_class=config.n_pool // 2, seed=s_pool)
         # planted points carry full confidence in the opposite label
         eta = pool.data.y * (1.0 - 2.0 * pool.outlier_mask)
         return pool.data, pool.priv.X, eta, test
@@ -379,8 +369,8 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
         if "wsvm-prob" in methods:
             f_test["wsvm-prob"] = predict(_winner(grid), test)
     if "wsvm-learned" in methods:
-        wl = WeightLearningConfig(deltas=tuple(config.delta_grid),
-                                  max_outer_iter=config.max_outer_iter)
+        wl = WeightLearningConfig(deltas=LEARN_DELTAS,
+                                  max_outer_iter=LEARN_MAX_OUTER)
         results = (learn_weights(train, val, spec, wl) for spec in specs)
         model = _winner(((res.val_error, 0.0, si, 0), res.model)
                         for si, res in enumerate(results))
@@ -475,7 +465,7 @@ def wshape_study(repetitions: int = 20, seed: int = 0) -> list[dict]:
         spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
             bandwidth_grid(train.X, (0.5,)))))
         res = learn_weights(train, val, spec, WeightLearningConfig(
-            deltas=WSHAPE_DELTAS, max_outer_iter=40))
+            deltas=LEARN_DELTAS, max_outer_iter=WSHAPE_MAX_OUTER))
         svm = solve_wsvm(train, spec, np.ones(train.n))
         out.append({
             "rep": rep,

@@ -65,7 +65,7 @@ class KernelSpec:
         parts = text.split()
         if parts[0] == LINEAR:
             return KernelSpec(LINEAR)
-        return KernelSpec(GAUSSIAN_RBF, float(parts[1]))
+        return KernelSpec(parts[0], float(parts[1]))  # checks the kind
 
 
 def _features(a) -> np.ndarray:

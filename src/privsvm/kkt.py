@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .svmplus import SvmPlusModel
-from .wsvm import WsvmModel
+from .wsvm import DEFAULT_TOL, WsvmModel
 
 __all__ = [
     "KktReport",
@@ -100,14 +100,15 @@ def _report(model: WsvmModel | SvmPlusModel, stationarity: dict,
     )
 
 
-def check_wsvm_kkt(model: WsvmModel, tol: float = 1e-8) -> KktReport:
+def check_wsvm_kkt(model: WsvmModel, tol: float = DEFAULT_TOL) -> KktReport:
     return _report(model, {
         "stationarity_xi": np.max(
             np.abs(model.alpha + model.beta - model.c)),
     }, tol)
 
 
-def check_svmplus_kkt(model: SvmPlusModel, tol: float = 1e-8) -> KktReport:
+def check_svmplus_kkt(model: SvmPlusModel,
+                      tol: float = DEFAULT_TOL) -> KktReport:
     # correcting-space stationarity: Kt at = gamma (xi - bt)
     corr = model.kt_at - model.gamma * (model.xi - model.b_tilde)
     return _report(model, {

@@ -47,12 +47,14 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
     exp(-||x - x'||^2 / (2 h^2)).
 
     ``queries`` defaults to the training inputs themselves.  Where every
-    kernel weight underflows to zero the estimate falls back to 0 (no
-    confidence either way) and the underflow flag is set.  The queries
-    stream through ``kernels._BLOCK_ROWS`` rows at a time, each block's
-    weights built in one block x train buffer of squared distances from
-    the training set's cached norms; every block reuses that buffer and
-    the one of its outer sum.
+    kernel weight underflows to zero the underflow flag is set, and the
+    estimate is still a weighted label average: each row's distances are
+    shifted by their minimum, so the nearest point keeps weight 1 (far
+    from the data, the estimate is its label).  The queries stream
+    through ``kernels._BLOCK_ROWS`` rows at a time, each block's weights
+    built in one block x train buffer of squared distances from the
+    training set's cached norms; every block reuses that buffer and the
+    one of its outer sum.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")

@@ -121,19 +121,31 @@ def model_to_text(model) -> str:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def _read_pairs(lines, start, count):
+def _read_block(lines, pos):
+    """The pairs under the count line ``lines[pos]``; the next position."""
+    count = int(lines[pos].split()[1])
     idx = np.empty(count, dtype=int)
     val = np.empty(count)
     for k in range(count):
-        a, b = lines[start + k].split()
+        a, b = lines[pos + 1 + k].split()
         idx[k], val[k] = int(a), float(b)
-    return idx, val, start + count
+    return idx, val, pos + 1 + count
 
 
 def record_from_text(text: str):
+    """The record ``model_to_text`` wrote; ValueError if it is incomplete."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty model record")
+    try:
+        return _parse_record(lines)
+    except KeyError as exc:
+        raise ValueError(f"model record has no {exc.args[0]} line") from None
+    except IndexError:
+        raise ValueError("truncated model record") from None
+
+
+def _parse_record(lines):
     kv = {}
     pos = 1
     while pos < len(lines):
@@ -143,8 +155,7 @@ def record_from_text(text: str):
         kv[key] = rest
         pos += 1
     if lines[0] == WsvmRecord.TAG:
-        n_sup = int(lines[pos].split()[1])
-        idx, val, pos = _read_pairs(lines, pos + 1, n_sup)
+        idx, val, pos = _read_block(lines, pos)
         lo, hi = (float(t) for t in kv["b_interval"].split())
         return WsvmRecord(
             kernel=KernelSpec.parse(kv["kernel"]),
@@ -154,10 +165,8 @@ def record_from_text(text: str):
             support_coef=val,
         )
     if lines[0] == SvmPlusRecord.TAG:
-        n_sup = int(lines[pos].split()[1])
-        idx, val, pos = _read_pairs(lines, pos + 1, n_sup)
-        n_t = int(lines[pos].split()[1])
-        tidx, tval, pos = _read_pairs(lines, pos + 1, n_t)
+        idx, val, pos = _read_block(lines, pos)
+        tidx, tval, pos = _read_block(lines, pos)
         return SvmPlusRecord(
             kernel=KernelSpec.parse(kv["kernel"]),
             priv_kernel=KernelSpec.parse(kv["priv_kernel"]),

@@ -183,7 +183,6 @@ def _offset_shift(t, y, c, delta, r2):
 
 
 def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
-                 max_iter: int = PRIMAL_MAX_ITER,
                  warm: PrimalModel | None = None) -> PrimalModel:
     """Minimize the smoothed weighted primal in the expansion (a, b).
 
@@ -201,7 +200,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     ``_newton_step``).  Each step is halved until the objective does not
     rise.  The solve stops when max |r| <= PRIMAL_TOL * (1 + max c) and
     raises ConvergenceError, carrying the residual, when no step is
-    accepted or max_iter steps do not get there.
+    accepted or PRIMAL_MAX_ITER steps do not get there.
 
     Where no weighted margin lies in the curvature band (v = 0), J is
     diag(I, 0): the step solves the first block for a and keeps b, and once
@@ -232,7 +231,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         b = float(warm.b)
     stop = PRIMAL_TOL * (1.0 + float(c.max()))
     obj, f, q, linear = _objective(alpha, b, K, y, c, delta)
-    for it in range(max_iter + 1):
+    for it in range(PRIMAL_MAX_ITER + 1):
         # the slopes of the accepted iterate; line-search trials need
         # only the objective
         u, v = _margin_slopes(y, c, q, linear, delta)
@@ -245,7 +244,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
                 data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
                 b=float(b), objective=obj, n_iter=it, _gram=K, _uv=(u, v),
             )
-        if it == max_iter:
+        if it == PRIMAL_MAX_ITER:
             raise ConvergenceError("primal Newton did not converge", resid)
         band = np.flatnonzero(v > 0)
         if band.size:

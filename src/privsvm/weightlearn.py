@@ -9,8 +9,8 @@ differentiation of the stationarity system.  The outer objective
 
 over a validation set is then minimized by bounded L-BFGS-B in
 log-weights (which keeps c positive and within a factor WEIGHT_SPREAD of
-c_init, so weight ratios are at most WEIGHT_SPREAD**2 and every inner solve
-can be certified) or, alternatively, by projected gradient in c directly.
+C_INIT, every weight's start, so weight ratios are at most WEIGHT_SPREAD**2
+and every inner solve can be certified) or by projected gradient in c.
 An inner solve that cannot be certified raises ConvergenceError.
 
 The outer loop needs only the gradient g' d(a*, b*)/dc of the validation
@@ -30,9 +30,10 @@ first of a delta warm-starts from the model of the previous outer step
 evaluation) and reuses its training Gram matrix, which is then built once
 per delta.  The validation Gram is built once per call, for every delta.
 
-``WeightLearningConfig`` holds what callers vary (deltas, c_init, mode,
-max_outer_iter).  The outer stop GTOL and the projected mode's first step
-STEP_INIT and weight floor WEIGHT_FLOOR are module constants.
+``WeightLearningConfig`` holds what callers vary (deltas, mode,
+max_outer_iter).  The start weight C_INIT, the outer stop GTOL and the
+projected mode's first step STEP_INIT and weight floor WEIGHT_FLOOR are
+module constants.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS = (0.01, 0.1, 1.0)
+C_INIT = 1.0  # every weight's start value
 # outer stop: L-BFGS-B's gtol, and the projected loop's bound on max |grad|
 GTOL = 1e-6
-# log mode: each weight stays within this factor of c_init
+# log mode: each weight stays within this factor of C_INIT
 WEIGHT_SPREAD = 1e4
 # projected mode: first step length, and the floor that keeps c positive
 STEP_INIT = 1.0
@@ -137,7 +139,6 @@ def _adjoint_gradient(model: PrimalModel, g_alpha, g_b: float):
 @dataclass(frozen=True)
 class WeightLearningConfig:
     deltas: tuple[float, ...] = DEFAULT_DELTAS
-    c_init: float = 1.0
     mode: str = "log"          # "log" (L-BFGS-B in log-weights) or "projected"
     max_outer_iter: int = 200
 
@@ -148,21 +149,25 @@ class WeightLearningConfig:
             raise ValueError("need at least one delta")
         if any(not 0.01 <= d <= 1.0 for d in self.deltas):
             raise ValueError("deltas must lie in [0.01, 1]")
-        if not 0.0 < self.c_init < np.inf:
-            raise ValueError("c_init must be positive and finite")
         if self.max_outer_iter < 0:
             raise ValueError("max_outer_iter must be nonnegative")
 
 
 @dataclass
 class WeightLearningResult:
-    weights: np.ndarray
     model: PrimalModel
-    delta: float
     val_error: float
     val_loss: float
     history: list = field(default_factory=list)
     n_outer_iter: int = 0
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.model.c
+
+    @property
+    def delta(self) -> float:
+        return self.model.delta
 
 
 def _val_loss(c, train, val, spec, delta, K_val, warm):
@@ -186,12 +191,12 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                      delta: float, config: WeightLearningConfig, K_val):
     n = train.n
     history = []
-    best = {"loss": np.inf, "err": np.inf, "c": None, "model": None}
+    best = WeightLearningResult(None, np.inf, np.inf, history)
 
-    def record(c, loss, err, model):
+    def record(loss, err, model):
         history.append((float(loss), float(err)))
-        if (err, loss) < (best["err"], best["loss"]):
-            best.update(loss=loss, err=err, c=c.copy(), model=model)
+        if (err, loss) < (best.val_error, best.val_loss):
+            best.model, best.val_error, best.val_loss = model, err, loss
 
     if config.mode == "log":
         from scipy.optimize import minimize  # slow to import; only used here
@@ -202,11 +207,11 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             c = np.exp(theta)
             loss, err, last, slopes = _val_loss(
                 c, train, val, spec, delta, K_val, last)
-            record(c, loss, err, last)
+            record(loss, err, last)
             # chain rule through c = exp(theta)
             return loss, _val_grad(last, K_val, slopes) * c
 
-        t0 = np.log(config.c_init)
+        t0 = np.log(C_INIT)
         spread = np.log(WEIGHT_SPREAD)
         res = minimize(fun, np.full(n, t0), jac=True, method="L-BFGS-B",
                        bounds=[(t0 - spread, t0 + spread)] * n,
@@ -214,12 +219,12 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                                 "maxiter": config.max_outer_iter})
         n_iter = int(res.nit)
     else:
-        c = np.full(n, config.c_init)
+        c = np.full(n, C_INIT)
         step = STEP_INIT
         loss, err, model, slopes = _val_loss(
             c, train, val, spec, delta, K_val, None)
         grad = _val_grad(model, K_val, slopes)
-        record(c, loss, err, model)
+        record(loss, err, model)
         n_iter = 0
         for n_iter in range(1, config.max_outer_iter + 1):
             if np.abs(grad).max() <= GTOL:
@@ -234,7 +239,7 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                 if loss_new <= loss - 1e-12:
                     c, loss, err, model = c_new, loss_new, err_new, model_new
                     grad = _val_grad(model, K_val, slopes)
-                    record(c, loss, err, model)
+                    record(loss, err, model)
                     step *= 1.5
                     moved = True
                     break
@@ -242,7 +247,8 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
             if not moved:
                 break
 
-    return best["c"], best["model"], best["err"], best["loss"], history, n_iter
+    best.n_outer_iter = n_iter
+    return best
 
 
 def learn_weights(train: Dataset, val: Dataset, spec: KernelSpec,
@@ -259,15 +265,7 @@ def learn_weights(train: Dataset, val: Dataset, spec: KernelSpec,
         config = WeightLearningConfig()
     if train.d != val.d:
         raise ValueError("train/validation feature dimension mismatch")
-    best = None
     K_val = gram(spec, train, val)  # every delta reads the same one
-    for delta in config.deltas:
-        c, model, err, loss, history, n_iter = _learn_one_delta(
-            train, val, spec, delta, config, K_val)
-        key = (err, loss, delta)
-        if best is None or key < best[0]:
-            best = (key, WeightLearningResult(
-                weights=c, model=model, delta=float(delta),
-                val_error=float(err), val_loss=float(loss),
-                history=history, n_outer_iter=n_iter))
-    return best[1]
+    runs = (_learn_one_delta(train, val, spec, delta, config, K_val)
+            for delta in config.deltas)
+    return min(runs, key=lambda r: (r.val_error, r.val_loss, r.delta))

@@ -1,4 +1,6 @@
+import argparse
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from privsvm import (ConvergenceError, Dataset, KktReport, record_from_text,
                      save_sparse, save_weights)
 from privsvm import cli, weightlearn
 from privsvm.cli import build_parser, main
+from privsvm.experiments import ExperimentConfig
 from privsvm.serialize import WsvmRecord
 
 
@@ -102,6 +105,38 @@ def test_learn_weights_command(tmp_path, capsys):
     lines = log_path.read_text().splitlines()
     assert lines[0] == "iteration,objective,val_error"
     assert len(lines) > 1
+
+
+def _flag_dests(command) -> set:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def test_every_experiment_setting_is_a_flag():
+    # a setting that only library code can set is a constant instead
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert names <= _flag_dests("experiment")
+
+
+def test_learn_weights_sets_every_weight_learning_setting(three_point_files,
+                                                          monkeypatch):
+    seen = []
+
+    def capture(train, val, spec, config):
+        seen.append(config)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "learn_weights", capture)
+    data_path, _ = three_point_files
+    given = {"deltas": (0.5,), "mode": "projected", "max_iter": 3}
+    assert main(["learn-weights", "--train", data_path, "--val", data_path,
+                 "--deltas", "0.5", "--mode", "projected",
+                 "--max-iter", "3"]) == 1
+    # --max-iter is the one flag named apart from its field
+    dest = {"max_outer_iter": "max_iter"}
+    for f in fields(weightlearn.WeightLearningConfig):
+        assert getattr(seen[0], f.name) == given[dest.get(f.name, f.name)]
 
 
 def test_experiment_deterministic_bytes(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,12 +132,25 @@ def test_weight_files(tmp_path):
         load_weights(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_weight_files_reject_non_finite(tmp_path, bad):
+    p = tmp_path / "w"
+    p.write_text(f"1\n{bad}\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{p}: weights must be finite")):
+        load_weights(p)
+
+
 def test_confidence_files(tmp_path):
     p = tmp_path / "eta"
     save_confidence(p, [-0.5, 1.0])
     np.testing.assert_array_equal(load_confidence(p, 2), [-0.5, 1.0])
     p.write_text("1.5\n")
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        load_confidence(p)
+    p.write_text("1\nnan\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{p}: confidence scores must lie")):
         load_confidence(p)
 
 

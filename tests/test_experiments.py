@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ from privsvm.experiments import (
     parse_results,
     run_experiment,
 )
+from privsvm import experiments
+
+
+@pytest.fixture(autouse=True)
+def small_weight_learning(monkeypatch):
+    # one smoothing width and a short outer loop keep wsvm-learned quick
+    monkeypatch.setattr(experiments, "LEARN_DELTAS", (1.0,))
+    monkeypatch.setattr(experiments, "LEARN_MAX_OUTER", 5)
 
 
 def test_counterexample_dataset_contents():
@@ -126,16 +135,6 @@ def test_config_validation():
     ExperimentConfig(subset_sizes=(2,), split="fixed-validation")
     with pytest.raises(ValueError, match="pool"):
         ExperimentConfig(subset_sizes=(400,), n_pool=200)
-    # an override the source's generator does not take; the W mixture
-    # takes none, and used to drop it without a word
-    for source in ("blobs", "wmixture"):
-        with pytest.raises(ValueError, match="generator_params"):
-            ExperimentConfig(source=source, generator_params=(("bogus", 1),))
-    with pytest.raises(ValueError, match="generator_params"):
-        ExperimentConfig(source="wmixture",
-                         generator_params=(("outlier_count", 0),))
-    ExperimentConfig(generator_params=(("outlier_count", 0),
-                                       ("outlier_distance", 5.0)))
 
 
 def test_emit_parse_round_trip():
@@ -158,8 +157,7 @@ def test_emit_empty_table_is_header_only():
 
 
 SMALL = dict(subset_sizes=(12,), repetitions=2, n_pool=40, n_test=100,
-             C_grid=(1.0,), gamma_grid=(1.0,), delta_grid=(1.0,),
-             max_outer_iter=5)
+             C_grid=(1.0,), gamma_grid=(1.0,))
 
 
 def test_run_experiment_deterministic():
@@ -171,10 +169,12 @@ def test_run_experiment_deterministic():
     assert 0.0 <= row.mean_error <= 1.0 and row.std >= 0.0 and row.reps == 2
 
 
-def test_run_experiment_separable_blobs_low_error():
-    config = ExperimentConfig(
-        methods=("svm",), seed=1, generator_params=(("outlier_count", 0),),
-        **SMALL)
+def test_run_experiment_separable_blobs_low_error(monkeypatch):
+    # a pool without planted points
+    monkeypatch.setattr(experiments, "generate_blobs_with_outliers",
+                        partial(generate_blobs_with_outliers,
+                                outlier_count=0))
+    config = ExperimentConfig(methods=("svm",), seed=1, **SMALL)
     table = run_experiment(config)
     assert table.rows[0].mean_error <= 0.01
 
@@ -188,8 +188,7 @@ def test_run_experiment_weighted_methods():
 
 
 PROTOCOL = dict(repetitions=2, n_pool=40, n_test=100,
-                C_grid=(0.25, 1.0, 4.0), gamma_grid=(0.25, 4.0),
-                delta_grid=(1.0,), max_outer_iter=5)
+                C_grid=(0.25, 1.0, 4.0), gamma_grid=(0.25, 4.0))
 ALL_METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus",
                "wsvm-from-svmplus")
 
@@ -223,7 +222,6 @@ def test_run_experiment_golden_output(params, expected):
 def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch, wsvm_q):
     # the replay of the SVM+ winner is built from it, not solved: no
     # weighted solve runs, and its row is the svmplus row
-    from privsvm import experiments
     calls = []
 
     def counting_svmplus(*args, **kwargs):
@@ -246,7 +244,6 @@ def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
     # fits of wsvm-prob's grid (3 bandwidths x 5 tau x 3 C) hold svm's 9,
     # and each split makes 45 weighted fits, not 54: the SVM+ replay is
     # built, not solved
-    from privsvm import experiments
     calls = []
 
     def counting_wsvm(*args, **kwargs):

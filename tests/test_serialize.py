@@ -55,3 +55,44 @@ def test_unknown_payloads_rejected():
         record_from_text("")
     with pytest.raises(TypeError, match="serialize"):
         model_to_text(object())
+
+
+def _wsvm_record_lines(rng):
+    data = random_dataset(rng, 7)
+    model = solve_wsvm(data, KernelSpec(LINEAR), np.ones(7))
+    return model_to_text(model).splitlines()
+
+
+def test_record_without_support_block_rejected(rng):
+    lines = _wsvm_record_lines(rng)
+    head = lines.index(next(ln for ln in lines if ln.startswith("support")))
+    with pytest.raises(ValueError, match="truncated"):
+        record_from_text("\n".join(lines[:head]))
+
+
+def test_record_with_short_support_block_rejected(rng):
+    lines = _wsvm_record_lines(rng)
+    assert int(lines[4].split()[1]) >= 1
+    with pytest.raises(ValueError, match="truncated"):
+        record_from_text("\n".join(lines[:-1]))
+
+
+def test_record_with_bandwidthless_rbf_kernel_rejected(rng):
+    lines = _wsvm_record_lines(rng)
+    lines[1] = "kernel gaussian-rbf"
+    with pytest.raises(ValueError, match="truncated"):
+        record_from_text("\n".join(lines))
+
+
+def test_record_with_unknown_kernel_rejected(rng):
+    # used to load as an RBF kernel with bandwidth 3
+    lines = _wsvm_record_lines(rng)
+    lines[1] = "kernel poly 3"
+    with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+        record_from_text("\n".join(lines))
+
+
+def test_record_without_b_line_rejected(rng):
+    lines = [ln for ln in _wsvm_record_lines(rng) if not ln.startswith("b ")]
+    with pytest.raises(ValueError, match="no b line"):
+        record_from_text("\n".join(lines))

@@ -11,6 +11,7 @@ from privsvm import (
     smooth_hinge,
     solve_primal,
 )
+from privsvm import smooth
 from privsvm.kernels import gram
 from privsvm.smooth import _newton_step
 
@@ -239,12 +240,13 @@ def test_solved_model_carries_its_slopes():
     assert carried >= 70
 
 
-def test_primal_budget_raises(rng):
+def test_primal_budget_raises(rng, monkeypatch):
     data = random_dataset(rng, 20)
     c = rng.uniform(0.5, 2.0, 20)
     assert solve_primal(data, KernelSpec(LINEAR), c, 0.1).n_iter > 1
+    monkeypatch.setattr(smooth, "PRIMAL_MAX_ITER", 1)
     with pytest.raises(ConvergenceError):
-        solve_primal(data, KernelSpec(LINEAR), c, 0.1, max_iter=1)
+        solve_primal(data, KernelSpec(LINEAR), c, 0.1)
 
 
 def test_warm_start_from_own_solution_takes_no_step(rng):

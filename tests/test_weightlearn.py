@@ -145,9 +145,6 @@ def test_config_validation():
         WeightLearningConfig(deltas=(0.001,))
     with pytest.raises(ValueError, match="delta"):
         WeightLearningConfig(deltas=())
-    for c_init in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="c_init"):
-            WeightLearningConfig(c_init=c_init)
     with pytest.raises(ValueError, match="max_outer_iter"):
         WeightLearningConfig(max_outer_iter=-3)
     WeightLearningConfig(max_outer_iter=0)
@@ -170,6 +167,9 @@ def test_learned_weights_suppress_planted_outliers():
     assert outlier < 1e-2 * inlier
     assert result.val_error == 0.0
     assert result.delta == 1.0
+    # the weights and delta are read off the winning model
+    assert result.weights is result.model.c
+    assert result.delta == result.model.delta
     assert len(result.history) > 0
 
 
@@ -194,12 +194,12 @@ def test_projected_mode_decreases_validation_loss():
     assert np.all(result.weights >= 0.0)
 
 
-def test_log_mode_weights_stay_bounded():
+def test_log_mode_weights_stay_bounded(monkeypatch):
     # unbounded log-weights run off to 2e-36 and 8e9 on this instance
     sample, val = _outlier_setup(seed=21)
     c_init = 2.0
-    config = WeightLearningConfig(deltas=(1.0,), c_init=c_init,
-                                  max_outer_iter=40)
+    monkeypatch.setattr(weightlearn, "C_INIT", c_init)
+    config = WeightLearningConfig(deltas=(1.0,), max_outer_iter=40)
     result = learn_weights(sample.data, val, KernelSpec(LINEAR), config)
     slack = 1.0 + 1e-12  # exp(log c) rounds by an ulp or two
     assert np.all(result.weights >= c_init / WEIGHT_SPREAD / slack)
