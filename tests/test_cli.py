@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privsvm import (ConvergenceError, Dataset, KktReport, record_from_text,
-                     save_sparse, save_weights)
+from privsvm import (ConvergenceError, Dataset, KktReport, save_sparse,
+                     save_weights)
 from privsvm import cli, weightlearn
 from privsvm.cli import build_parser, main
 from privsvm.experiments import ExperimentConfig
-from privsvm.serialize import WsvmRecord
 
 
 @pytest.fixture
@@ -40,9 +39,9 @@ def test_train_wsvm_writes_model(three_point_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "objective_primal 10" in out
     assert "pass 1" in out
-    record = record_from_text(model_path.read_text())
-    assert isinstance(record, WsvmRecord)
-    assert record.b == 3.0
+    assert model_path.read_text() == (
+        "wsvm-model\nkernel linear\nb 3\nb_interval 3 3\nsupport 3\n"
+        "0 4\n1 -6\n2 2\n")
 
 
 def test_train_svmplus_command(tmp_path, capsys):
@@ -53,11 +52,22 @@ def test_train_svmplus_command(tmp_path, capsys):
     save_sparse(data_path, X, y)
     priv_path = tmp_path / "d.priv"
     save_sparse(priv_path, rng.normal(size=(8, 1)))
+    model_path = tmp_path / "d.model"
     rc = main(["train-svmplus", "--data", str(data_path), "--priv",
-               str(priv_path), "--cost", "1.0", "--gamma", "2.0", "--check"])
+               str(priv_path), "--cost", "1.0", "--gamma", "2.0",
+               "--model-out", str(model_path), "--check"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "b_tilde" in out and "pass 1" in out
+    assert model_path.read_text() == (
+        "svmplus-model\nkernel linear\npriv_kernel linear\nC 1\ngamma 2\n"
+        "b 0.44749241524997746\nb_tilde 0.16176162093847302\n"
+        "support 4\n"
+        "0 3.2639066022296523\n2 -2.3340622199735113\n"
+        "4 -0.79303056173475661\n5 -0.13681382052138502\n"
+        "alpha_tilde 8\n"
+        "0 2.2639066022296523\n1 -1\n2 1.3340622199735113\n3 -1\n"
+        "4 -0.20696943826524339\n5 0.60900061606207956\n6 -1\n7 -1\n")
 
 
 def test_equiv_command(three_point_files, capsys):
