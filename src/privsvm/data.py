@@ -1,11 +1,11 @@
-"""Dataset containers, feature rescaling, and the sparse text data formats.
+"""Dataset containers and the sparse text data formats.
 
 The on-disk format is the usual sparse text format: one instance per line,
 ``label index:value ...`` with 1-based feature indices and labels that must
 parse to -1 or +1.  Companion files (privileged features, per-instance
-weights, confidence scores) are aligned with the data file line by line; a
-sparse companion file is read by the same parser, so index 0 is rejected
-there too, and its leading label is an optional placeholder.
+weights) are aligned with the data file line by line; a sparse companion
+file is read by the same parser, so index 0 is rejected there too, and its
+leading label is an optional placeholder.
 """
 
 from __future__ import annotations
@@ -18,16 +18,10 @@ import numpy as np
 __all__ = [
     "Dataset",
     "PrivilegedSet",
-    "AffineMap",
-    "rescale_features",
     "load_sparse",
-    "save_sparse",
     "load_privileged",
-    "load_sparse_features",
     "load_weights",
     "save_weights",
-    "load_confidence",
-    "save_confidence",
 ]
 
 
@@ -110,36 +104,6 @@ class PrivilegedSet(_Points):
             )
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Per-feature map x -> (x - shift) * scale fitted on training data."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X - self.shift) * self.scale
-
-    def apply_dataset(self, data: Dataset) -> Dataset:
-        return Dataset(self.apply(data.X), data.y, data.ids)
-
-
-def rescale_features(data: Dataset) -> tuple[Dataset, AffineMap]:
-    """Min-max rescale every feature column into [0, 1].
-
-    Returns the rescaled dataset together with the fitted affine map, so
-    validation/test data can be transformed with the training map instead of
-    being refit.  A constant column is mapped to 0.
-    """
-    lo = data.X.min(axis=0)
-    hi = data.X.max(axis=0)
-    span = hi - lo
-    scale = np.where(span > 0, 1.0 / np.where(span > 0, span, 1.0), 0.0)
-    fmap = AffineMap(_frozen_array(lo), _frozen_array(scale))
-    return fmap.apply_dataset(data), fmap
-
-
 def _read_sparse(path, labeled: bool):
     """Parse ``label index:value ...`` lines (1-based indices) into the
     labels and a dense matrix.  Unlabeled companion files may still carry
@@ -184,37 +148,22 @@ def load_sparse(path) -> Dataset:
     return Dataset(X, labels)
 
 
-def save_sparse(path, X, labels=None) -> None:
-    """Write features (and optional labels, else +1) in the sparse format."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if labels is None:
-        labels = np.ones(X.shape[0])
-    with open(path, "w") as fh:
-        for row, label in zip(X, labels):
-            items = [f"{int(label):+d}"]
-            items += [f"{j + 1}:{v:.17g}" for j, v in enumerate(row) if v != 0.0]
-            fh.write(" ".join(items) + "\n")
-
-
 def load_privileged(path, data: Dataset) -> PrivilegedSet:
     """Load a privileged-feature companion file aligned with ``data``."""
-    companion = load_sparse_features(path)
-    priv = PrivilegedSet(companion)
+    priv = PrivilegedSet(_read_sparse(path, labeled=False)[1])
     priv.check_aligned(data)
     return priv
 
 
-def load_sparse_features(path) -> np.ndarray:
-    """Parse a sparse companion file whose labels are ignored placeholders."""
-    return _read_sparse(path, labeled=False)[1]
-
-
 def load_weights(path, n: int | None = None) -> np.ndarray:
     """One finite nonnegative decimal per line."""
-    values = _load_column(path)
+    with open(path) as fh:
+        values = [float(line.strip()) for line in fh if line.strip()]
+    values = np.asarray(values, dtype=float)
     if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
         raise ValueError(f"{path}: weights must be finite and nonnegative")
-    _check_length(path, values, n)
+    if n is not None and len(values) != n:
+        raise ValueError(f"{path}: expected {n} lines, found {len(values)}")
     return values
 
 
@@ -222,26 +171,3 @@ def save_weights(path, c) -> None:
     with open(path, "w") as fh:
         for v in np.asarray(c, dtype=float).ravel():
             fh.write(f"{v:.17g}\n")
-
-
-def load_confidence(path, n: int | None = None) -> np.ndarray:
-    """One decimal in [-1, 1] per line."""
-    values = _load_column(path)
-    if not np.all(np.abs(values) <= 1):  # NaN fails too
-        raise ValueError(f"{path}: confidence scores must lie in [-1, 1]")
-    _check_length(path, values, n)
-    return values
-
-
-save_confidence = save_weights
-
-
-def _load_column(path) -> np.ndarray:
-    with open(path) as fh:
-        values = [float(line.strip()) for line in fh if line.strip()]
-    return np.asarray(values, dtype=float)
-
-
-def _check_length(path, values, n) -> None:
-    if n is not None and len(values) != n:
-        raise ValueError(f"{path}: expected {n} lines, found {len(values)}")

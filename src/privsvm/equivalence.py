@@ -7,10 +7,11 @@ direction, c = alpha + beta extracted from an SVM+ solution always yields
 an equivalent WSVM, with the same alpha and b, so it is built, not solved.
 
 The diagnostics take no tolerance: the sign of rho is judged in one place
-(``_rho_judged``), up to a rounding bound (``_rho_tol``), and the other
-checks compare at FAMILY_TOL.  ``equivalence_report`` evaluates rho once
-and builds the privileged features when it holds; ``construct_privileged``
-reads them off the report, or raises NotRepresentableError.
+(``equivalence_report``), up to a rounding bound (``_rho_tol``), and
+``family_membership`` compares at FAMILY_TOL.  ``equivalence_report``
+evaluates rho once and builds the privileged features when it holds;
+``construct_privileged`` reads them off the report, or raises
+NotRepresentableError.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ __all__ = [
     "rho",
     "weights_from_svmplus",
     "wsvm_from_svmplus",
-    "necessary_condition",
     "construct_privileged",
     "ConstructedPrivileged",
     "family_membership",
-    "check_rho_zero_reduction",
-    "RhoZeroDiagnostic",
     "equivalence_report",
 ]
 
-FAMILY_TOL = 1e-6  # tolerance of family_membership and the rho = 0 check
+FAMILY_TOL = 1e-6  # tolerance of family_membership
 
 
 class NotRepresentableError(ValueError):
@@ -76,24 +74,6 @@ def wsvm_from_svmplus(plus: SvmPlusModel) -> WsvmModel:
     optimal dual is the fit's alpha with the fit's offset b."""
     return _model(plus.data, plus.spec, weights_from_svmplus(plus),
                   plus.alpha, plus.f0, plus.b, 0)
-
-
-def _rho_judged(c, h) -> tuple[float, float | None, bool]:
-    """rho's two forms, and whether rho >= 0 holds up to the rounding of
-    _rho_tol: the one place that judges the sign of rho."""
-    c = np.asarray(c, dtype=float).ravel()
-    h = np.asarray(h, dtype=float).ravel()
-    unnormalized, normalized = rho(c, h)
-    return unnormalized, normalized, unnormalized >= -_rho_tol(c, h)
-
-
-def necessary_condition(c, h) -> bool:
-    """Does <c - cbar 1, h> >= 0 hold (up to the rounding of _rho_tol)?
-
-    Every SVM+ solution satisfies this with the weights it induces; a WSVM
-    solution violating it for all equivalent weights is out of reach.
-    """
-    return _rho_judged(c, h)[2]
 
 
 @dataclass
@@ -164,40 +144,6 @@ def family_membership(candidate, model: WsvmModel) -> bool:
 
 
 @dataclass
-class RhoZeroDiagnostic:
-    applicable: bool
-    branch: str
-    ok: bool
-    detail: str
-
-
-def check_rho_zero_reduction(model: SvmPlusModel) -> RhoZeroDiagnostic:
-    """Verify the equality-regime dichotomy: with the weighted and plain
-    average losses equal, either gamma > 0 and the correcting function is
-    constant, or gamma = 0 with full-rank design and alpha + beta = C.
-    Every comparison is at FAMILY_TOL."""
-    ab = model.alpha + model.beta
-    _, slack = rho(ab, model.h)
-    if slack is None:
-        return RhoZeroDiagnostic(False, "none", False, "zero dual mass")
-    if slack > FAMILY_TOL * (1.0 + abs(float(np.mean(model.h)))):
-        return RhoZeroDiagnostic(
-            False, "none", False,
-            f"not in equality regime (slack {slack:.3e})")
-    if model.gamma > 0:
-        wt_norm_sq = float(model.alpha_tilde @ model.kt_at) / model.gamma**2
-        flat = np.max(np.abs(model.xi - model.b_tilde))
-        ok = wt_norm_sq <= FAMILY_TOL and flat <= FAMILY_TOL
-        return RhoZeroDiagnostic(
-            True, "constant-correction", bool(ok),
-            f"||wt||^2 = {wt_norm_sq:.3e}, max |xi - bt| = {flat:.3e}")
-    resid = float(np.max(np.abs(ab - model.C)))
-    return RhoZeroDiagnostic(
-        True, "soft-margin-reduction", bool(resid <= FAMILY_TOL),
-        f"max |alpha + beta - C| = {resid:.3e}")
-
-
-@dataclass
 class EquivalenceReport:
     rho_unnormalized: float
     rho_normalized: float | None
@@ -231,10 +177,12 @@ class EquivalenceReport:
 def equivalence_report(model: WsvmModel,
                        candidate=None) -> EquivalenceReport:
     """rho of the model's own weights and slacks, whether the necessary
-    condition holds and, when it does, the constructed privileged features;
-    with ``candidate``, also whether it is in the equivalent-weight family."""
+    condition rho >= 0 holds (up to the rounding of _rho_tol) and, when it
+    does, the constructed privileged features; with ``candidate``, also
+    whether it is in the equivalent-weight family."""
     c, xi = model.c, model.xi
-    unnorm, norm, holds = _rho_judged(c, xi)
+    unnorm, norm = rho(c, xi)
+    holds = unnorm >= -_rho_tol(c, xi)
     report = EquivalenceReport(
         rho_unnormalized=unnorm,
         rho_normalized=norm,

@@ -20,13 +20,14 @@ the only code that switches on the problem's size: whole up to
 ``_BLOCK_ROWS`` points, where a fill of a few rows costs as much as the
 Gram, and above that each row computed on first use.
 
-Every prediction, and the SVM+ correcting function, is a kernel
-expansion sum_j coef_j k(a_j, x), computed by ``expand``: the kernel is
-evaluated only at the nonzero coefficients, but the sum runs over every
-coefficient, zeros included, in the order of the full product.  The
-points go through ``_BLOCK_ROWS`` at a time, so a prediction holds one
-n x 256 matrix however many points it scores; each block has the bits of
-gram(a, block).T @ coef, and up to one block that is the full product.
+Every prediction, and a large row source's product over rows it has not
+computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
+``expand``: the kernel is evaluated only at the nonzero coefficients, but
+the sum runs over every coefficient, zeros included, in the order of the
+full product.  The points go through ``_BLOCK_ROWS`` at a time, so a
+prediction holds one n x 256 matrix however many points it scores; each
+block has the bits of gram(a, block).T @ coef, and up to one block that is
+the full product.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class KernelSpec:
         if self.kind == LINEAR:
             return LINEAR
         return f"{GAUSSIAN_RBF} {self.bandwidth:.17g}"
-
-    @staticmethod
-    def parse(text: str) -> "KernelSpec":
-        parts = text.split()
-        if parts[0] == LINEAR:
-            return KernelSpec(LINEAR)
-        return KernelSpec(parts[0], float(parts[1]))  # checks the kind
 
 
 def _features(a) -> np.ndarray:

@@ -21,9 +21,6 @@ __all__ = [
     "ConfidenceScores",
     "nadaraya_watson",
     "probability_weights",
-    "weighted_risk",
-    "hinge_losses",
-    "zero_one_losses",
 ]
 
 
@@ -108,32 +105,3 @@ def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:
     w = 0.5 * (1.0 + y * eta)
     return w**tau
 
-
-def weighted_risk(f, y, c, loss=None) -> float:
-    """Weighted empirical risk (1/n) sum_i (c_i / cbar) l(y_i f_i).
-
-    Normalizing the weights to mean one makes uniform weights reproduce
-    the plain average loss; equivalently this is sum_i c_i l_i / sum_i c_i.
-    """
-    f = np.asarray(f, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    c = np.asarray(c, dtype=float).ravel()
-    if not (f.shape == y.shape == c.shape):
-        raise ValueError("decision/label/weight length mismatch")
-    losses = (hinge_losses if loss is None else loss)(y, f)
-    total = float(np.sum(c))
-    if not total > 0:
-        raise ValueError("weights must have positive sum")
-    return float(c @ losses) / total
-
-
-def hinge_losses(y, f) -> np.ndarray:
-    y = np.asarray(y, dtype=float).ravel()
-    f = np.asarray(f, dtype=float).ravel()
-    return np.maximum(0.0, 1.0 - y * f)
-
-
-def zero_one_losses(y, f) -> np.ndarray:
-    y = np.asarray(y, dtype=float).ravel()
-    f = np.asarray(f, dtype=float).ravel()
-    return (y * f <= 0).astype(float)

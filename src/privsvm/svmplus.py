@@ -40,7 +40,7 @@ from .kernels import KernelSpec, _KernelRows, expand, gram
 from .qp import solve_qp
 from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
-__all__ = ["SvmPlusModel", "solve_svmplus", "correcting_values"]
+__all__ = ["SvmPlusModel", "solve_svmplus"]
 
 
 @dataclass
@@ -204,13 +204,3 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
         kt_at=np.zeros(data.n), n_iter=wsvm.n_iter,
     )
 
-
-def correcting_values(model: SvmPlusModel, priv_points) -> np.ndarray:
-    """Slack estimates <wt, zt> + bt = (1/g) sum_j at_j kt(xt_j, .) + bt."""
-    if model.gamma == 0.0:
-        raise ValueError(
-            "gamma = 0: the correcting function is only available as the "
-            "stored slacks on the training points"
-        )
-    return (expand(model.priv_spec, model.priv, model.alpha_tilde,
-                   priv_points) / model.gamma + model.b_tilde)

@@ -21,6 +21,18 @@ def random_dataset(rng, n, d=2, x_scale=1.0):
     return Dataset(X, y)
 
 
+def save_sparse(path, X, labels=None) -> None:
+    """Write features (and optional labels, else +1) in the sparse format."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if labels is None:
+        labels = np.ones(X.shape[0])
+    with open(path, "w") as fh:
+        for row, label in zip(X, labels):
+            items = [f"{int(label):+d}"]
+            items += [f"{j + 1}:{v:.17g}" for j, v in enumerate(row) if v != 0.0]
+            fh.write(" ".join(items) + "\n")
+
+
 def random_privileged(rng, n, d=2):
     return PrivilegedSet(rng.normal(0.0, 1.0, size=(n, d)))
 

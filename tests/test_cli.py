@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privsvm import (ConvergenceError, Dataset, KktReport, save_sparse,
-                     save_weights)
+from privsvm import ConvergenceError, KktReport, save_weights
 from privsvm import cli, weightlearn
 from privsvm.cli import build_parser, main
 from privsvm.experiments import ExperimentConfig
+
+from conftest import save_sparse
 
 
 @pytest.fixture

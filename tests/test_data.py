@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from privsvm import (
-    AffineMap,
     Dataset,
     PrivilegedSet,
-    load_confidence,
     load_privileged,
     load_sparse,
     load_weights,
-    rescale_features,
-    save_confidence,
-    save_sparse,
     save_weights,
 )
+
+from conftest import save_sparse
 
 
 def test_dataset_validation():
@@ -58,21 +55,6 @@ def test_privileged_alignment():
     PrivilegedSet([[1.0], [2.0]]).check_aligned(data)
     with pytest.raises(ValueError, match="rows"):
         PrivilegedSet([[1.0]]).check_aligned(data)
-
-
-def test_rescale_unit_interval():
-    data = Dataset([[2.0], [4.0], [6.0]], [1.0, -1.0, 1.0])
-    scaled, fmap = rescale_features(data)
-    np.testing.assert_allclose(scaled.X[:, 0], [0.0, 0.5, 1.0])
-    # the fitted map, not a refit, transforms new points
-    np.testing.assert_allclose(fmap.apply([[8.0]]), [[1.5]])
-
-
-def test_rescale_constant_column():
-    data = Dataset([[5.0, 1.0], [5.0, 3.0]], [1.0, -1.0])
-    scaled, _ = rescale_features(data)
-    np.testing.assert_allclose(scaled.X[:, 0], [0.0, 0.0])
-    np.testing.assert_allclose(scaled.X[:, 1], [0.0, 1.0])
 
 
 def test_sparse_round_trip(tmp_path):
@@ -140,23 +122,3 @@ def test_weight_files_reject_non_finite(tmp_path, bad):
                        match=re.escape(f"{p}: weights must be finite")):
         load_weights(p)
 
-
-def test_confidence_files(tmp_path):
-    p = tmp_path / "eta"
-    save_confidence(p, [-0.5, 1.0])
-    np.testing.assert_array_equal(load_confidence(p, 2), [-0.5, 1.0])
-    p.write_text("1.5\n")
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        load_confidence(p)
-    p.write_text("1\nnan\n")
-    with pytest.raises(ValueError,
-                       match=re.escape(f"{p}: confidence scores must lie")):
-        load_confidence(p)
-
-
-def test_affine_map_on_dataset():
-    fmap = AffineMap(np.array([1.0]), np.array([2.0]))
-    data = Dataset([[2.0]], [1.0])
-    out = fmap.apply_dataset(data)
-    np.testing.assert_array_equal(out.X, [[2.0]])
-    np.testing.assert_array_equal(out.y, data.y)

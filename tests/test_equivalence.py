@@ -8,14 +8,12 @@ from privsvm import (
     KernelSpec,
     LINEAR,
     NotRepresentableError,
-    check_rho_zero_reduction,
     check_wsvm_kkt,
     construct_privileged,
     dual_uniqueness_condition,
     equivalence_report,
     family_membership,
     gram,
-    necessary_condition,
     rho,
     solve_svmplus,
     solve_wsvm,
@@ -49,8 +47,8 @@ def test_rho_zero_weight_sum():
 
 
 def test_necessary_condition_fails_on_three_point_instance():
-    model, c = three_point_model()
-    assert not necessary_condition(c, model.xi)
+    model, _ = three_point_model()
+    assert not equivalence_report(model).necessary_condition_holds
     with pytest.raises(NotRepresentableError, match="no correcting space"):
         construct_privileged(model)
 
@@ -190,47 +188,6 @@ def test_family_membership_lp_path():
     again = solve_wsvm(data, spec, outsider)
     assert np.max(np.abs((again.decision_train - again.b)
                          - (model.decision_train - model.b))) > 1e-3
-
-
-def test_rho_zero_constant_correction_branch():
-    # separable classes: every loss is zero, so the weighted and plain
-    # averages agree and the correcting function is a constant
-    data = Dataset([[-2.0], [-3.0], [2.0], [3.0]], [-1.0, -1.0, 1.0, 1.0])
-    priv = PrivilegedSet([[1.0], [2.0], [3.0], [4.0]])
-    lin = KernelSpec(LINEAR)
-    plus = solve_svmplus(data, priv, lin, lin, 1.0, 2.0)
-    diag = check_rho_zero_reduction(plus)
-    assert diag.applicable
-    assert diag.branch == "constant-correction"
-    assert diag.ok, diag.detail
-    at = plus.alpha_tilde
-    wt_norm_sq = float(at @ plus.kt_at) / plus.gamma**2
-    assert diag.detail.startswith(f"||wt||^2 = {wt_norm_sq:.3e},")
-
-
-def test_rho_zero_outside_equality_regime():
-    # overlapping classes: the dual mass sits on the points with large
-    # losses, so the weighted average loss exceeds the plain one
-    data = Dataset([[-2.0], [-1.0], [0.5], [1.0], [2.0], [-0.5]],
-                   [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    priv = PrivilegedSet([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
-    lin = KernelSpec(LINEAR)
-    plus = solve_svmplus(data, priv, lin, lin, 1.0, 1.0)
-    diag = check_rho_zero_reduction(plus)
-    assert not diag.applicable and not diag.ok
-    assert diag.branch == "none"
-    assert diag.detail.startswith("not in equality regime")
-
-
-def test_rho_zero_soft_margin_branch(rng):
-    n = 6
-    data = random_dataset(rng, n)
-    plus = solve_svmplus(data, PrivilegedSet(np.eye(n)), KernelSpec(LINEAR),
-                         KernelSpec(LINEAR), 2.0, 0.0)
-    diag = check_rho_zero_reduction(plus)
-    assert diag.applicable
-    assert diag.branch == "soft-margin-reduction"
-    assert diag.ok, diag.detail
 
 
 def test_equivalence_report_text():

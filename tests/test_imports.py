@@ -70,3 +70,41 @@ def test_no_unused_imports():
                    for name, line in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+
+def _loads(tree):
+    """Each name a module loads, bare or as an attribute, except where a
+    top-level function or class loads its own name in its own body."""
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            name = (node.id if isinstance(node, ast.Name)
+                    else getattr(node, "attr", None))
+            if name is not None and name != own:
+                yield name
+
+
+def test_every_export_has_a_caller():
+    # an export that only its own unit tests reach is dead weight: each is
+    # read by other package code, the benchmark, the tools or an
+    # acceptance test (docstrings, comments and __all__ do not count)
+    package = os.path.dirname(privsvm.__file__)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(package, f"{info.name}.py")
+             for info in pkgutil.iter_modules(privsvm.__path__)]
+    for folder in ("bench", "tools"):
+        paths += sorted(os.path.join(root, folder, name)
+                        for name in os.listdir(os.path.join(root, folder))
+                        if name.endswith(".py"))
+    paths.append(os.path.join(root, "tests", "test_acceptance.py"))
+    loaded = set()
+    for path in paths:
+        with open(path) as fh:
+            loaded.update(_loads(ast.parse(fh.read())))
+    with open(os.path.join(package, "__init__.py")) as fh:
+        exported = {name for name, _ in _imported_names(ast.parse(fh.read()))}
+    uncalled = sorted(exported - loaded)
+    assert uncalled == [], f"exported but never called: {uncalled}"

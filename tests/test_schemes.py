@@ -5,11 +5,8 @@ from hypothesis import given, settings, strategies as st
 from privsvm import (
     ConfidenceScores,
     Dataset,
-    hinge_losses,
     nadaraya_watson,
     probability_weights,
-    weighted_risk,
-    zero_one_losses,
 )
 from privsvm.kernels import _BLOCK_ROWS
 
@@ -109,40 +106,6 @@ def test_probability_weights_accept_scores_object():
     scores = ConfidenceScores(np.array([0.5]))
     w = probability_weights(scores, np.array([1.0]), tau=1.0)
     assert w[0] == pytest.approx(0.75)
-
-
-def test_weighted_risk_uniform_weights_reduce_to_mean():
-    y = np.array([1.0, -1.0, 1.0])
-    f = np.array([0.5, 0.5, 2.0])
-    plain = float(np.mean(hinge_losses(y, f)))
-    assert weighted_risk(f, y, np.ones(3)) == pytest.approx(plain)
-    assert weighted_risk(f, y, np.full(3, 7.0)) == pytest.approx(plain)
-
-
-def test_weighted_risk_zero_one_loss():
-    y = np.array([1.0, -1.0])
-    f = np.array([1.0, 1.0])
-    assert weighted_risk(f, y, [1.0, 3.0], loss=zero_one_losses) == \
-        pytest.approx(0.75)
-    with pytest.raises(ValueError, match="positive sum"):
-        weighted_risk(f, y, [0.0, 0.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        weighted_risk(f, y, [1.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=10),
-       st.integers(min_value=0, max_value=2**31 - 1))
-def test_weighted_risk_is_a_weighted_average(n, seed):
-    rng = np.random.default_rng(seed)
-    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    f = rng.normal(size=n)
-    c = rng.uniform(0.1, 5.0, n)
-    losses = hinge_losses(y, f)
-    risk = weighted_risk(f, y, c)
-    assert losses.min() - 1e-12 <= risk <= losses.max() + 1e-12
-    # scale invariance in the weights
-    assert weighted_risk(f, y, 3.0 * c) == pytest.approx(risk)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,6 @@ from privsvm import (
     LINEAR,
     PrivilegedSet,
     check_svmplus_kkt,
-    correcting_values,
     generate_blobs_with_outliers,
     generate_w_mixture,
     gram,
@@ -66,10 +65,26 @@ def test_matches_projected_gradient_oracle(rng):
 
 
 def test_correcting_values_reproduce_training_slacks(rng):
+    # the correcting function (1/g) Kt alpha_tilde + b_tilde at the
+    # training points, with Kt built anew, gives the model's slacks
     for _ in range(5):
         model = _random_plus(rng, tol=1e-10)
-        est = correcting_values(model, model.priv)
+        kt = gram(model.priv_spec, model.priv)
+        est = kt @ model.alpha_tilde / model.gamma + model.b_tilde
         np.testing.assert_allclose(est, model.xi, atol=1e-6)
+
+
+def test_separable_fit_has_constant_correcting_function():
+    # separable classes: every loss is zero, so the weighted and plain
+    # average losses agree, and the correcting function is the constant
+    # b_tilde: ||w_tilde||^2 = alpha_tilde' Kt alpha_tilde / g^2 vanishes
+    data = Dataset([[-2.0], [-3.0], [2.0], [3.0]], [-1.0, -1.0, 1.0, 1.0])
+    priv = PrivilegedSet([[1.0], [2.0], [3.0], [4.0]])
+    lin = KernelSpec(LINEAR)
+    plus = solve_svmplus(data, priv, lin, lin, 1.0, 2.0)
+    assert np.all(plus.h == 0.0)
+    assert float(plus.alpha_tilde @ plus.kt_at) / plus.gamma**2 <= 1e-6
+    np.testing.assert_allclose(plus.xi, plus.b_tilde, rtol=0, atol=1e-6)
 
 
 def test_gamma_zero_reduces_to_uniform_soft_margin(rng):
@@ -82,6 +97,9 @@ def test_gamma_zero_reduces_to_uniform_soft_margin(rng):
     np.testing.assert_allclose(plus.alpha, base.alpha, atol=1e-10)
     assert plus.b == pytest.approx(base.b, abs=1e-12)
     assert plus.objective_primal == pytest.approx(base.objective_primal)
+    # a full-rank privileged design leaves alpha + beta = C everywhere
+    np.testing.assert_allclose(plus.alpha + plus.beta, 1.5, rtol=0,
+                               atol=1e-12)
 
 
 def test_gamma_zero_requires_full_row_rank(rng):
@@ -90,10 +108,6 @@ def test_gamma_zero_requires_full_row_rank(rng):
     with pytest.raises(ValueError, match="full row rank"):
         solve_svmplus(data, priv, KernelSpec(LINEAR), KernelSpec(LINEAR),
                       1.0, 0.0)
-    with pytest.raises(ValueError, match="gamma = 0"):
-        plus = solve_svmplus(data, PrivilegedSet(np.eye(5)),
-                             KernelSpec(LINEAR), KernelSpec(LINEAR), 1.0, 0.0)
-        correcting_values(plus, priv)
 
 
 def test_input_validation(rng):
