@@ -190,6 +190,20 @@ def test_family_membership_lp_path():
                          - (model.decision_train - model.b))) > 1e-3
 
 
+def test_rho_zero_soft_margin_branch(rng):
+    # gamma = 0 with a full-rank privileged design: the weighted and plain
+    # average losses agree (rho = 0), and alpha + beta = C on every point
+    n = 6
+    data = random_dataset(rng, n)
+    plus = solve_svmplus(data, PrivilegedSet(np.eye(n)), KernelSpec(LINEAR),
+                         KernelSpec(LINEAR), 2.0, 0.0)
+    ab = plus.alpha + plus.beta
+    _, norm = rho(ab, plus.h)
+    assert norm is not None
+    assert abs(norm) <= 1e-6 * (1.0 + abs(float(np.mean(plus.h))))
+    np.testing.assert_allclose(ab, plus.C, rtol=0, atol=1e-6)
+
+
 def test_equivalence_report_text():
     model, c = three_point_model()
     report = equivalence_report(model, candidate=c)
