@@ -12,9 +12,12 @@ Model selection has one winner rule: every candidate fit is keyed
 the first one wins a tie.  Only each method's winner is evaluated on the
 test sample.  Each grid is fitted once per split: svm's is the tau = 0
 row of wsvm-prob's, and wsvm-from-svmplus is the WSVM built from the SVM+
-winner (``equivalence.wsvm_from_svmplus``), with no solve of its own.  The
-test sample and the fixed-validation pool are draws of the source without
-planted points.
+winner (``equivalence.wsvm_from_svmplus``), with no solve of its own.
+The kernel matrices are built once per split, not once per fit: one
+Q = YKY row source per decision kernel, which the weighted and the SVM+
+grids share, and one per privileged kernel (above 256 training points
+each fit still computes its own rows).  The test sample and the
+fixed-validation pool are draws of the source without planted points.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
@@ -35,7 +38,7 @@ import numpy as np
 
 from .data import Dataset, PrivilegedSet
 from .equivalence import wsvm_from_svmplus
-from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _sq_dists
+from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _KernelRows, _sq_dists
 from .schemes import probability_weights
 from .svmplus import solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
@@ -331,26 +334,32 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     rank 0), whose weights are 1 exactly.  The SVM+ grid is
     searched once for both svmplus and wsvm-from-svmplus; the latter
     evaluates the WSVM built from the winner (``wsvm_from_svmplus``).
+    Every fit of both grids solves on the row sources built here, one
+    per kernel candidate.
     """
     methods = set(config.methods)
     specs = _kernel_candidates(config, train.X)
+    qs = ([_KernelRows(spec, train, train.y) for spec in specs]
+          if methods - {"wsvm-learned"} else [])
 
     def wsvm_grid(weights):  # (extra rank, weight vector) pairs, scaled by C
-        for si, spec in enumerate(specs):
+        for si, (spec, Q) in enumerate(zip(specs, qs)):
             for ei, w in weights:
                 for C in config.C_grid:
-                    model = solve_wsvm(train, spec, C * w)
+                    model = solve_wsvm(train, spec, C * w, _Q=Q)
                     val_err = _error(val.y, predict(model, val))
                     yield (val_err, C, si, ei), model
 
     def svmplus_grid():
         priv = PrivilegedSet(priv_X)
         priv_specs = _kernel_candidates(config, priv_X)
-        for si, spec in enumerate(specs):
-            for pi, pspec in enumerate(priv_specs):
+        kts = [_KernelRows(pspec, priv) for pspec in priv_specs]
+        for si, (spec, Q) in enumerate(zip(specs, qs)):
+            for pi, (pspec, Kt) in enumerate(zip(priv_specs, kts)):
                 for C in config.C_grid:
                     for gi, gam in enumerate(config.gamma_grid):
-                        plus = solve_svmplus(train, priv, spec, pspec, C, gam)
+                        plus = solve_svmplus(train, priv, spec, pspec, C, gam,
+                                             _Q=Q, _Kt=Kt)
                         val_err = _error(val.y, plus.predict(val.X))
                         yield (val_err, C, si, pi * 1000 + gi), plus
 

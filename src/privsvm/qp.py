@@ -205,7 +205,10 @@ def _classes(A: np.ndarray) -> tuple[np.ndarray, int, list]:
     # A has one or two rows of small integers, and this key orders its
     # columns lexicographically
     key = A[0] if r == 1 else A[0] * (2 * np.abs(A[1]).max() + 1) + A[1]
-    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    keys = key.tolist()
+    vals = sorted(set(keys))  # a handful of keys, cheaper than np.unique
+    first = [keys.index(v) for v in vals]
+    cls = np.searchsorted(vals, key)
     cols = A[:, first].tolist()
     n_cls = len(first)
     # the class columns span r dimensions, so only r + 1 classes have a

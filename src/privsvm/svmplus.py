@@ -13,20 +13,24 @@ Its moves are the same-class pairs of the classes a+, a- and b (an
 a-transfer within one label, a b-transfer) and the triple +-(1, 1, -2):
 one a of each label up, one b down by twice as much, or the reverse.
 
-The core reads H only as rows, and H z = [Qa + Kt s/g; Kt s/g] with
-s = a + b, so row i < n is [Q_i + Kt_i/g, Kt_i/g] and row n + i is
-[Kt_i/g, Kt_i/g], each formed on demand, Kt_i/g included, with the bits
-of the dense H.  Q = YKY and Kt are row sources (``kernels._KernelRows``),
-as the weighted SVM's Q is: whole up to 256 points, and above that each
-row computed on first use, of which a fit reads a few percent.  The
-three products a fit needs, the linear term Kt (C/g) 1, Q a and Kt at,
-are their ``dot``: above 256 points Q a sums the support rows that the
-solve computed, and the other two are kernel expansions, 256 points at a
-time, so no n x n matrix is built.  The start z0 = (0, nC e_1) puts all
-b mass on the first b, which has no upper bound; its gradient is one row
-of H.  The model holds no Gram: it keeps f0 = K(y o a) without the
-offset, read off Q a, and Kt at, all that decision_train and the KKT
-report read; both objectives are read off the same two products.
+H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n of H is
+[Q_i + Kt_i/g, Kt_i/g] and row n + i is [Kt_i/g, Kt_i/g].  Q = YKY and
+Kt are row sources (``kernels._KernelRows``), as the weighted SVM's Q
+is: whole up to 256 points, and above that each row computed on first
+use, of which a fit reads a few percent.  A fit builds its own, unless a
+grid search hands it the ones it built for the kernel candidates (``_Q``
+shared with the weighted SVM's grid, and ``_Kt``).  While both are whole
+the fit forms the dense H once; above 256 points the core reads H
+through a view that forms each row as it is read, with the bits of the
+dense H.  The three products a fit needs, the linear term Kt (C/g) 1,
+Q a and Kt at, are the sources' ``dot``: above 256 points Q a sums the
+support rows that the solve computed, and the other two are kernel
+expansions, 256 points at a time, so no n x n matrix is built.  The
+start z0 = (0, nC e_1) puts all b mass on the first b, which has no
+upper bound; its gradient is one row of H.  The model holds no Gram: it
+keeps f0 = K(y o a) without the offset, read off Q a, and Kt at, all
+that decision_train and the KKT report read; both objectives are read
+off the same two products.
 """
 
 from __future__ import annotations
@@ -81,8 +85,15 @@ class SvmPlusModel:
 def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
                   priv_spec: KernelSpec, C: float, gamma: float,
                   tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> SvmPlusModel:
-    """Solve the SVM+ problem for finite hyperparameters C > 0, gamma >= 0."""
+                  max_iter: int = DEFAULT_MAX_ITER, *,
+                  _Q: _KernelRows | None = None,
+                  _Kt: _KernelRows | None = None) -> SvmPlusModel:
+    """Solve the SVM+ problem for finite hyperparameters C > 0, gamma >= 0.
+
+    ``_Q`` and ``_Kt``, private to the package's grid searches, are row
+    sources of this data's Q = YKY under ``spec`` and of the privileged
+    Gram under ``priv_spec``, read through ``fresh``.
+    """
     # an integer C would make b an integer array and truncate every step
     C, gamma = float(C), float(gamma)
     if not 0 < C < np.inf:
@@ -93,23 +104,36 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
         raise ValueError("tol must be positive and finite")
     priv.check_aligned(data)
     if gamma == 0.0:
-        return _solve_gamma_zero(data, priv, spec, priv_spec, C, tol, max_iter)
+        return _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
+                                 max_iter, _Q)
 
     n = data.n
     y = data.y
     # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
-    Kt = _KernelRows(priv_spec, priv)
-    Q = _KernelRows(spec, data, y)
+    Kt = _KernelRows(priv_spec, priv) if _Kt is None else _Kt.fresh()
+    Q = _KernelRows(spec, data, y) if _Q is None else _Q.fresh()
     shift = Kt.dot(np.full(n, C / gamma))
-    z, n_iter = solve_qp(
-        _HRows(Q, Kt, gamma), np.r_[-1.0 - shift, -shift],
-        np.vstack([np.r_[y, np.zeros(n)], np.ones(2 * n)]),
-        np.full(2 * n, np.inf), np.r_[np.zeros(n), n * C, np.zeros(n - 1)],
-        tol, max_iter)
+    A = np.zeros((2, 2 * n))
+    A[0, :n] = y
+    A[1] = 1.0
+    z0 = np.zeros(2 * n)
+    z0[n] = n * C
+    z, n_iter = solve_qp(_hessian(Q, Kt, gamma),
+                         np.concatenate((-1.0 - shift, -shift)), A,
+                         np.full(2 * n, np.inf), z0, tol, max_iter)
     alpha, beta = np.split(z, 2)
     at = alpha + beta - C
     return _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
                    Q.dot(alpha), Kt.dot(at), n_iter)
+
+
+def _hessian(Q: _KernelRows, Kt: _KernelRows, gamma: float):
+    """H over z = (a, b): the dense matrix, every row formed once, when the
+    row sources hold Q and Kt whole, else a view that forms each row as
+    the core reads it."""
+    if Q.whole is None or Kt.whole is None:
+        return _HRows(Q, Kt, gamma)
+    return _HRows(Q.whole, Kt.whole, gamma).take(np.arange(2 * len(Q)))
 
 
 @dataclass
@@ -178,10 +202,11 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
     )
 
 
-def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
-                      max_iter) -> SvmPlusModel:
+def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol, max_iter,
+                      Q) -> SvmPlusModel:
     """gamma = 0 path: the soft-margin reduction, valid when the privileged
-    design has full row rank n (any slack vector is then representable)."""
+    design has full row rank n (any slack vector is then representable);
+    Q is the caller's row source of Q = YKY, or None."""
     X = priv.X
     rank = np.linalg.matrix_rank(X) if X.size else 0
     if rank < data.n:
@@ -190,7 +215,7 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
             f"(rank {rank} < n = {data.n}); no reduction applies"
         )
     wsvm = solve_wsvm(data, spec, np.full(data.n, C), tol=tol,
-                      max_iter=max_iter)
+                      max_iter=max_iter, _Q=Q)
     at = np.zeros(data.n)
     # correcting function reproducing the slacks: xi = Xt' wt + bt with
     # bt fixed by the weighted-average convention

@@ -14,7 +14,10 @@ The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
 few of them: the rows of the pairs it moves and of the faces it steps
 on.  So Q is a row source, ``kernels._KernelRows``, as SVM+'s Q and Kt
 are: the whole matrix up to 256 points, and above that each row
-computed on first use.
+computed on first use.  A fit builds its own Q, unless a grid search
+hands it the one it built for the kernel candidate (``_Q``): a whole Q
+is then shared by the candidate's fits, and above 256 points each fit
+still computes its own rows, so every fit has the bits of a fit alone.
 
 The fitted model holds no Gram, only n-vectors: besides a, b and the
 slacks it keeps the decision values f0 = K(y o a) without the offset,
@@ -113,8 +116,8 @@ def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
     # merge ties: the right-derivative just past a breakpoint value is the
     # cumulative sum over all events at or below it
     step = beta[1:] != beta[:-1]
-    uniq = beta[np.r_[True, step]]
-    d_right = cum[np.r_[step, True]]
+    uniq = beta[np.concatenate(([True], step))]
+    d_right = cum[np.concatenate((step, [True]))]
     if slope >= 0:
         lo = -np.inf
     else:
@@ -141,12 +144,15 @@ def _pick_offset(interval: tuple[float, float]) -> float:
 
 def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
-               b_override: float | None = None) -> WsvmModel:
+               b_override: float | None = None, *,
+               _Q: _KernelRows | None = None) -> WsvmModel:
     """Solve the weighted SVM for per-instance weights c.
 
     ``b_override`` replaces the midpoint offset convention with an external
     value; the stored b_interval is unaffected.  An SVM+ classifier's
     replay needs no solve: ``equivalence.wsvm_from_svmplus`` builds it.
+    ``_Q``, private to the package's grid searches, is a row source of
+    this data's Q = YKY under ``spec``, read through ``fresh``.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -154,7 +160,7 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         raise ValueError("b_override must be finite")
     c = check_weights(c, data.n)
     y = data.y
-    Q = _KernelRows(spec, data, y)
+    Q = _KernelRows(spec, data, y) if _Q is None else _Q.fresh()
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
     return _model(data, spec, c, alpha, y * Q.dot(alpha), b_override, n_iter)

@@ -24,7 +24,7 @@ from privsvm.experiments import (
     parse_results,
     run_experiment,
 )
-from privsvm import experiments
+from privsvm import experiments, wsvm
 
 
 @pytest.fixture(autouse=True)
@@ -260,6 +260,66 @@ def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
     alone = [run_experiment(ExperimentConfig(methods=(m,), **base)).rows[0]
              for m in ("svm", "wsvm-prob")]
     assert rows[:2] == alone
+
+
+@pytest.mark.parametrize("n, kernel, C_grid, gamma_grid", [
+    (40, "gaussian-rbf", (0.25, 4.0), (0.25, 4.0)),
+    (300, "gaussian-rbf", (1.0,), (4.0,)),
+    (300, LINEAR, (0.25, 4.0), (0.25, 4.0)),
+], ids=["rbf-40", "rbf-300", "linear-300"])
+def test_grids_share_row_sources_and_keep_every_fit_bitwise(
+        monkeypatch, n, kernel, C_grid, gamma_grid):
+    # one split's weighted (tau, C) grid and SVM+ (C, gamma) grid solve on
+    # one Q = YKY per decision kernel and one Gram per privileged kernel,
+    # and every fit has the bits of a fit that builds its own.  Up to 256
+    # points the weighted fits of a kernel read one whole Q; above, each
+    # reads its own rows, since a row computed by another fit's fill may
+    # differ in its last bits
+    monkeypatch.setattr(experiments, "DEFAULT_TAU_GRID", (0.0, 1.0))
+    fits, solved_on = [], []
+
+    def recording(solve):
+        def call(*args, **kwargs):
+            fits.append((solve, args, kwargs, solve(*args, **kwargs)))
+            return fits[-1][-1]
+        return call
+
+    monkeypatch.setattr(experiments, "solve_wsvm", recording(solve_wsvm))
+    monkeypatch.setattr(experiments, "solve_svmplus",
+                        recording(solve_svmplus))
+    solve_qp = wsvm.solve_qp
+    monkeypatch.setattr(wsvm, "solve_qp",
+                        lambda H, *a: solved_on.append(H) or solve_qp(H, *a))
+    mix = generate_w_mixture(n + 40, seed=n)
+    train = mix.data.subset(np.arange(n))
+    val = mix.data.subset(np.arange(n, n + 40))
+    config = ExperimentConfig(source="wmixture",
+                              methods=("wsvm-prob", "svmplus"),
+                              kernel=kernel, C_grid=C_grid,
+                              gamma_grid=gamma_grid)
+    experiments._fit_methods(train, val, val, config, mix.eta[:n, None],
+                             mix.eta[:n])
+    weighted = [f for f in fits if f[0] is solve_wsvm]
+    plus = [f for f in fits if f[0] is solve_svmplus]
+    n_specs = 1 if kernel == LINEAR else 3
+    assert len(weighted) == n_specs * 2 * len(C_grid)
+    assert len(plus) > len(weighted) // 2
+    qs = {id(f[2]["_Q"]) for f in weighted}
+    assert len(qs) == n_specs
+    assert {id(f[2]["_Q"]) for f in plus} == qs
+    per_kt = n_specs * len(C_grid) * len(gamma_grid)
+    assert len({id(f[2]["_Kt"]) for f in plus}) == len(plus) // per_kt
+    assert len({id(H) for H in solved_on}) == (
+        n_specs if n <= 256 else len(weighted))
+    for solve, args, kwargs, model in fits:
+        alone = solve(*args)
+        np.testing.assert_array_equal(model.alpha, alone.alpha)
+        np.testing.assert_array_equal(model.beta, alone.beta)
+        np.testing.assert_array_equal(model.f0, alone.f0)
+        assert model.b == alone.b
+        assert model.n_iter == alone.n_iter
+        if solve is solve_svmplus:
+            np.testing.assert_array_equal(model.kt_at, alone.kt_at)
 
 
 def test_protocol_keeps_test_pool_disjoint():

@@ -15,6 +15,7 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm import svmplus
+from privsvm.kernels import _KernelRows
 
 from conftest import random_dataset, random_kernel, random_privileged
 from reference import reference_svmplus_dual
@@ -133,27 +134,47 @@ def test_predict_matches_decision_train(rng):
                          ids=["linear", "rbf"])
 def test_decision_train_bitwise_gram_product(n, spec, wsvm_q, monkeypatch):
     # the model keeps f0 = K (y a) and Kt at, and no Gram: f0 = y o Q a and
-    # Kt at are the products of the row sources the QP read, on either
-    # side of the 256-row block where they stop holding Q and Kt whole.
-    # The gamma = 0 fit is a weighted SVM, whose f0 is y o Q a of the Q
-    # it solved on
-    seen = []
-    solve_qp = svmplus.solve_qp
-    monkeypatch.setattr(svmplus, "solve_qp",
-                        lambda H, *a: seen.append(H) or solve_qp(H, *a))
+    # Kt at are the products of the row sources the fit solved on, on
+    # either side of the 256-row block where they stop holding Q and Kt
+    # whole (below it the QP reads a dense H formed from them, above it a
+    # view over them).  The gamma = 0 fit is a weighted SVM, whose f0 is
+    # y o Q a of the Q it solved on
+    sources = []
+
+    def recording(*args):
+        sources.append(_KernelRows(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(svmplus, "_KernelRows", recording)
     data = generate_w_mixture(n, seed=n).data
     priv = random_privileged(np.random.default_rng(n), n)
     model = solve_svmplus(data, priv, spec, spec, 1.0, 10.0)
-    rows, = seen
-    f0 = data.y * rows.Q.dot(model.alpha)
+    Kt, Q = sources
+    assert Kt.data is priv and Q.data is data
+    f0 = data.y * Q.dot(model.alpha)
     np.testing.assert_array_equal(model.decision_train, f0 + model.b)
-    np.testing.assert_array_equal(model.kt_at,
-                                  rows.Kt.dot(model.alpha_tilde))
+    np.testing.assert_array_equal(model.kt_at, Kt.dot(model.alpha_tilde))
     model = solve_svmplus(data, PrivilegedSet(np.eye(n)), spec, spec, 1.0,
                           0.0)
     Q, = wsvm_q
     f0 = data.y * Q.dot(model.alpha)
     np.testing.assert_array_equal(model.decision_train, f0 + model.b)
+
+
+def test_gamma_zero_solves_on_the_given_q(rng, wsvm_q):
+    # a grid search hands an SVM+ fit the Q = YKY it built once; at
+    # gamma = 0 the fit is a weighted SVM on that Q, with the bits of the
+    # fit that builds its own
+    data = random_dataset(rng, 12)
+    priv = PrivilegedSet(np.eye(12))
+    spec = KernelSpec(GAUSSIAN_RBF, 1.0)
+    Q = _KernelRows(spec, data, data.y)
+    shared = solve_svmplus(data, priv, spec, spec, 2.0, 0.0, _Q=Q)
+    alone = solve_svmplus(data, priv, spec, spec, 2.0, 0.0)
+    assert wsvm_q[0] is Q and wsvm_q[1] is not Q
+    np.testing.assert_array_equal(shared.alpha, alone.alpha)
+    np.testing.assert_array_equal(shared.f0, alone.f0)
+    assert (shared.b, shared.n_iter) == (alone.b, alone.n_iter)
 
 
 def test_integer_cost_matches_float(rng):
