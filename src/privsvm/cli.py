@@ -278,7 +278,7 @@ COUNTEREXAMPLE_EXPECTED = {
 def _cmd_counterexample(args) -> int:
     data, c = counterexample_dataset()
     model = solve_wsvm(data, KernelSpec(LINEAR), c)
-    slope = float(np.sum(model.alpha * data.y * data.X[:, 0]))
+    slope = float(np.sum(model.coef * data.X[:, 0]))
     report = equivalence_report(model)
     representable = report.constructed is not None
     got = {

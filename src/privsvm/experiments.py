@@ -42,7 +42,7 @@ from .kernels import KernelSpec, LINEAR, GAUSSIAN_RBF, _KernelRows, _sq_dists
 from .schemes import probability_weights
 from .svmplus import solve_svmplus
 from .weightlearn import WeightLearningConfig, learn_weights
-from .wsvm import solve_wsvm, predict
+from .wsvm import solve_wsvm
 
 __all__ = [
     "BlobsSample",
@@ -347,7 +347,7 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
             for ei, w in weights:
                 for C in config.C_grid:
                     model = solve_wsvm(train, spec, C * w, _Q=Q)
-                    val_err = _error(val.y, predict(model, val))
+                    val_err = _error(val.y, model.predict(val))
                     yield (val_err, C, si, ei), model
 
     def svmplus_grid():
@@ -360,7 +360,7 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
                     for gi, gam in enumerate(config.gamma_grid):
                         plus = solve_svmplus(train, priv, spec, pspec, C, gam,
                                              _Q=Q, _Kt=Kt)
-                        val_err = _error(val.y, plus.predict(val.X))
+                        val_err = _error(val.y, plus.predict(val))
                         yield (val_err, C, si, pi * 1000 + gi), plus
 
     f_test = {}  # method -> the winner's decision values on the test sample
@@ -374,23 +374,22 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
                                if np.any(w > 0)]))
         if "svm" in methods:
             model = _winner(pair for pair in grid if pair[0][3] == 0)
-            f_test["svm"] = predict(model, test)
+            f_test["svm"] = model.predict(test)
         if "wsvm-prob" in methods:
-            f_test["wsvm-prob"] = predict(_winner(grid), test)
+            f_test["wsvm-prob"] = _winner(grid).predict(test)
     if "wsvm-learned" in methods:
         wl = WeightLearningConfig(deltas=LEARN_DELTAS,
                                   max_outer_iter=LEARN_MAX_OUTER)
         results = (learn_weights(train, val, spec, wl) for spec in specs)
         model = _winner(((res.val_error, 0.0, si, 0), res.model)
                         for si, res in enumerate(results))
-        f_test["wsvm-learned"] = model.predict(test.X)
+        f_test["wsvm-learned"] = model.predict(test)
     if methods & {"svmplus", "wsvm-from-svmplus"}:
         plus = _winner(svmplus_grid())
         if "svmplus" in methods:
-            f_test["svmplus"] = plus.predict(test.X)
+            f_test["svmplus"] = plus.predict(test)
         if "wsvm-from-svmplus" in methods:
-            f_test["wsvm-from-svmplus"] = predict(wsvm_from_svmplus(plus),
-                                                  test)
+            f_test["wsvm-from-svmplus"] = wsvm_from_svmplus(plus).predict(test)
     return {m: _error(test.y, f) for m, f in f_test.items()}
 
 
@@ -455,8 +454,8 @@ def figure3_study(repetitions: int = 50, seed: int = 0) -> list[dict]:
         wsvm = solve_wsvm(sample.data, spec, c)
         out.append({
             "rep": rep,
-            "svm_error": _error(test.y, predict(svm, test)),
-            "wsvm_error": _error(test.y, predict(wsvm, test)),
+            "svm_error": _error(test.y, svm.predict(test)),
+            "wsvm_error": _error(test.y, wsvm.predict(test)),
         })
     return out
 
@@ -478,7 +477,7 @@ def wshape_study(repetitions: int = 20, seed: int = 0) -> list[dict]:
         svm = solve_wsvm(train, spec, np.ones(train.n))
         out.append({
             "rep": rep,
-            "svm_error": _error(test.y, predict(svm, test)),
-            "learned_error": _error(test.y, res.model.predict(test.X)),
+            "svm_error": _error(test.y, svm.predict(test)),
+            "learned_error": _error(test.y, res.model.predict(test)),
         })
     return out

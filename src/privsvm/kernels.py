@@ -27,19 +27,22 @@ Every prediction, and a large row source's product over rows it has not
 computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
 ``expand``: the kernel is evaluated only at the nonzero coefficients, but
 the sum runs over every coefficient, zeros included, in the order of the
-full product.  The points go through ``_BLOCK_ROWS`` at a time, so a
-prediction holds one n x 256 matrix however many points it scores; each
-block has the bits of gram(a, block).T @ coef, and up to one block that is
-the full product.
+full product (a zero classifier's decision values are all rounding, and a
+sum over the support alone changes their signs).  The points go through
+``_BLOCK_ROWS`` at a time, so a prediction holds one n x 256 matrix
+however many points it scores; each block has the bits of
+gram(a, block).T @ coef, and up to one block that is the full product.
+The three fitted models are such an expansion plus an offset, and share
+one base, ``_Expansion``, which states their contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _Points
+from .data import Dataset, _Points
 
 LINEAR = "linear"
 GAUSSIAN_RBF = "gaussian-rbf"
@@ -158,6 +161,40 @@ def _expand_block(spec, support, nz, coef, P) -> np.ndarray:
     K = np.zeros((len(coef), len(P)))
     K[nz] = gram(spec, support, P)
     return K.T @ coef
+
+
+@dataclass(kw_only=True)
+class _Expansion:
+    """A fitted model: f(x) = sum_j coef_j k(x_j, x) + b over the training
+    points, coef = y o alpha (alpha for the smoothed primal).  f0 = K coef
+    as the solve computed it, so decision_train = f0 + b reads no Gram;
+    predict scores points through ``expand`` with ``coef``; gram_train is
+    K, built on first read (or handed over by the solve) and kept."""
+
+    data: Dataset
+    spec: KernelSpec
+    alpha: np.ndarray
+    b: float
+    f0: np.ndarray  # K coef, the decision values without b
+    n_iter: int = 0
+    _gram: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def coef(self) -> np.ndarray:
+        return self.data.y * self.alpha
+
+    @property
+    def gram_train(self) -> np.ndarray:
+        if self._gram is None:
+            self._gram = gram(self.spec, self.data)
+        return self._gram
+
+    @property
+    def decision_train(self) -> np.ndarray:
+        return self.f0 + self.b
+
+    def predict(self, points) -> np.ndarray:
+        return expand(self.spec, self.data, self.coef, points) + self.b
 
 
 class _KernelRows:

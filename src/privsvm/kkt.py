@@ -78,7 +78,7 @@ def _report(model: WsvmModel | SvmPlusModel, stationarity: dict,
     f = model.decision_train
     alpha, beta, xi = model.alpha, model.beta, model.xi
     residuals = {
-        "stationarity_b": np.sum(alpha * y),
+        "stationarity_b": np.sum(model.coef),
         **stationarity,
         "primal_feasibility_margin": np.max(
             np.maximum(0.0, 1.0 - y * f - xi)),

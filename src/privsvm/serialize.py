@@ -33,7 +33,7 @@ def model_to_text(model) -> str:
     if not isinstance(model, (WsvmModel, SvmPlusModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     idx = np.flatnonzero(model.alpha > 0)
-    support = _block("support", idx, model.alpha[idx] * model.data.y[idx])
+    support = _block("support", idx, model.coef[idx])
     if isinstance(model, WsvmModel):
         lo, hi = model.b_interval
         lines = ["wsvm-model", f"kernel {model.spec.describe()}",

@@ -20,7 +20,10 @@ either meets its one stop test or raises ConvergenceError; there is no
 quasi-Newton fallback.  A solve may start from an earlier model on the
 same inputs and kernel (``warm``): Newton then begins at that model's
 (a, b) and reuses its Gram matrix, which pays when a caller solves a
-sequence of nearby weight vectors, as weight learning does.
+sequence of nearby weight vectors, as weight learning does.  The model
+(``kernels._Expansion``, coefficients a) keeps the Gram of its solve and
+the f0 = K a of its last iterate's objective, so decision_train = f0 + b
+has the bits of K a + b with no further product.
 
 Each quantity is computed once.  A line-search trial evaluates only the
 loss values and the objective; the slopes u = y o l' and v = c o l'' are
@@ -34,11 +37,12 @@ value is the one ``smooth_hinge`` gives at the same margins, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .data import Dataset
-from .kernels import KernelSpec, expand, gram
+from .kernels import KernelSpec, _Expansion, gram
 from .qp import ConvergenceError
 from .wsvm import check_weights
 
@@ -88,43 +92,33 @@ def _margin_slopes(y, c, q, linear, delta):
     return y * _loss_slope(q, linear, delta), c * _loss_curvature(q, delta)
 
 
-@dataclass
-class PrimalModel:
-    data: Dataset
-    spec: KernelSpec
+@dataclass(kw_only=True)
+class PrimalModel(_Expansion):
+    method: ClassVar[str] = "newton"
     c: np.ndarray
     delta: float
-    alpha: np.ndarray
-    b: float
     objective: float
-    n_iter: int = 0
-    method: str = "newton"
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    f0: np.ndarray | None = None  # a model built by hand computes K alpha
     # (u, v) at the solution, as the solve's last residual read them
     _uv: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                       repr=False)
 
-    @property
-    def gram_train(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = gram(self.spec, self.data)
-        return self._gram
+    def __post_init__(self):
+        if self.f0 is None:
+            self.f0 = self.gram_train @ self.alpha
 
     @property
-    def decision_train(self) -> np.ndarray:
-        return self.gram_train @ self.alpha + self.b
-
-    def predict(self, points) -> np.ndarray:
-        return expand(self.spec, self.data, self.alpha, points) + self.b
+    def coef(self) -> np.ndarray:
+        return self.alpha
 
 
 def _objective(alpha, b, K, y, c, delta):
-    """The objective at (a, b), f = K a + b, and the clipped s and linear
-    mask of ``_loss`` at y o f."""
-    f = K @ alpha + b
-    value, q, linear = _loss(y * f, delta)
+    """The objective at (a, b), f0 = K a, and the clipped s and linear
+    mask of ``_loss`` at y o (f0 + b)."""
+    f0 = K @ alpha
+    value, q, linear = _loss(y * (f0 + b), delta)
     obj = 0.5 * float(alpha @ K @ alpha) + float(c @ value)
-    return obj, f, q, linear
+    return obj, f0, q, linear
 
 
 def _bordered(K, v, last_row, corner):
@@ -230,7 +224,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         alpha = np.array(warm.alpha, dtype=float)
         b = float(warm.b)
     stop = PRIMAL_TOL * (1.0 + float(c.max()))
-    obj, f, q, linear = _objective(alpha, b, K, y, c, delta)
+    obj, f0, q, linear = _objective(alpha, b, K, y, c, delta)
     for it in range(PRIMAL_MAX_ITER + 1):
         # the slopes of the accepted iterate; line-search trials need
         # only the objective
@@ -242,7 +236,8 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         if resid <= stop:
             return PrimalModel(
                 data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
-                b=float(b), objective=obj, n_iter=it, _gram=K, _uv=(u, v),
+                b=float(b), objective=obj, f0=f0, n_iter=it, _gram=K,
+                _uv=(u, v),
             )
         if it == PRIMAL_MAX_ITER:
             raise ConvergenceError("primal Newton did not converge", resid)
@@ -252,7 +247,8 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
         elif r1_max > stop:
             step_a, step_b = -r1, 0.0
         else:
-            step_a, step_b = -r1, _offset_shift(y * f, y, c, delta, r2)
+            shift = _offset_shift(y * (f0 + b), y, c, delta, r2)
+            step_a, step_b = -r1, shift
         # halve until the objective does not rise; a step too small to
         # move the iterate (or a non-finite one, once t underflows) stalls
         t = 1.0
@@ -265,6 +261,6 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
             trial = _objective(a_new, b_new, K, y, c, delta)
             if trial[0] <= obj + 1e-12 * (1.0 + abs(obj)):
                 alpha, b = a_new, b_new
-                obj, f, q, linear = trial
+                obj, f0, q, linear = trial
                 break
             t *= 0.5

@@ -27,7 +27,8 @@ Q a and Kt at, are the sources' ``dot``: above 256 points Q a sums the
 support rows that the solve computed, and the other two are kernel
 expansions, 256 points at a time, so no n x n matrix is built.  The
 start z0 = (0, nC e_1) puts all b mass on the first b, which has no
-upper bound; its gradient is one row of H.  The model holds no Gram: it
+upper bound; its gradient is one row of H.  The model is a kernel
+expansion (``kernels._Expansion``) that the solve leaves no Gram: it
 keeps f0 = K(y o a) without the offset, read off Q a, and Kt at, all
 that decision_train and the KKT report read; both objectives are read
 off the same two products.
@@ -40,46 +41,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import KernelSpec, _KernelRows, expand, gram
+from .kernels import KernelSpec, _Expansion, _KernelRows
 from .qp import solve_qp
 from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
 __all__ = ["SvmPlusModel", "solve_svmplus"]
 
 
-@dataclass
-class SvmPlusModel:
-    data: Dataset
+@dataclass(kw_only=True)
+class SvmPlusModel(_Expansion):
     priv: PrivilegedSet
-    spec: KernelSpec
     priv_spec: KernelSpec
     C: float
     gamma: float
-    alpha: np.ndarray
     beta: np.ndarray
     alpha_tilde: np.ndarray
-    b: float
     b_tilde: float
     xi: np.ndarray
     h: np.ndarray
     objective_primal: float
     objective_dual: float
-    f0: np.ndarray      # K(y o alpha), the decision values without b
     kt_at: np.ndarray   # Kt alpha_tilde
-    n_iter: int = 0
-
-    @property
-    def gram_train(self) -> np.ndarray:
-        """The training Gram K, built anew on every call."""
-        return gram(self.spec, self.data)
-
-    @property
-    def decision_train(self) -> np.ndarray:
-        return self.f0 + self.b
-
-    def predict(self, points) -> np.ndarray:
-        return (expand(self.spec, self.data, self.data.y * self.alpha,
-                       points) + self.b)
 
 
 def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,

@@ -19,16 +19,13 @@ hands it the one it built for the kernel candidate (``_Q``): a whole Q
 is then shared by the candidate's fits, and above 256 points each fit
 still computes its own rows, so every fit has the bits of a fit alone.
 
-The fitted model holds no Gram, only n-vectors: besides a, b and the
-slacks it keeps the decision values f0 = K(y o a) without the offset,
-which decision_train and the KKT report read.  f0 is y o Q a, summed
-above 256 points over the support vectors' rows, which the solve
-computed; the labels are +-1, so it has the bits of the same sum over K.
-``predict`` evaluates the kernel at the support vectors only, but sums
-over all n training points with zeros elsewhere (``kernels.expand``): a
-zero classifier's decision values are all rounding, and a sum over S
-alone changes their signs.  It takes the points 256 at a time, so it
-holds one n x 256 matrix however many points it scores.
+The fitted model is a kernel expansion with coefficients y o a
+(``kernels._Expansion``).  The solve leaves it no Gram, only n-vectors:
+besides a, b and the slacks it keeps the decision values f0 = K(y o a)
+without the offset, which decision_train and the KKT report read.  f0 is
+y o Q a, summed above 256 points over the support vectors' rows, which
+the solve computed; the labels are +-1, so it has the bits of the same
+sum over K.  ``predict(model, points)`` is ``model.predict(points)``.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.
@@ -41,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import KernelSpec, _KernelRows, expand, gram
+from .kernels import KernelSpec, _Expansion, _KernelRows
 from .qp import ConvergenceError, solve_qp
 
 __all__ = [
@@ -67,30 +64,14 @@ def check_weights(c, n: int, allow_all_zero: bool = False) -> np.ndarray:
     return c
 
 
-@dataclass
-class WsvmModel:
-    data: Dataset
-    spec: KernelSpec
+@dataclass(kw_only=True)
+class WsvmModel(_Expansion):
     c: np.ndarray
-    alpha: np.ndarray
     beta: np.ndarray
-    b: float
     b_interval: tuple[float, float]
     xi: np.ndarray
     objective_primal: float
     objective_dual: float
-    f0: np.ndarray  # K(y o alpha), the decision values without b
-    n_iter: int = 0
-
-    @property
-    def decision_train(self) -> np.ndarray:
-        """Decision values f(x_i) on the training instances."""
-        return self.f0 + self.b
-
-    @property
-    def gram_train(self) -> np.ndarray:
-        """The training Gram K, built anew on every call."""
-        return gram(self.spec, self.data)
 
 
 def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
@@ -185,6 +166,5 @@ def _model(data, spec, c, alpha, f0, b, n_iter) -> WsvmModel:
 
 
 def predict(model: WsvmModel, points) -> np.ndarray:
-    """Decision values f(x) = sum_i a_i y_i k(x_i, x) + b; class is sign(f)."""
-    return (expand(model.spec, model.data, model.data.y * model.alpha,
-                   points) + model.b)
+    """``model.predict(points)``, as a function."""
+    return model.predict(points)

@@ -108,3 +108,19 @@ def test_every_export_has_a_caller():
         exported = {name for name, _ in _imported_names(ast.parse(fh.read()))}
     uncalled = sorted(exported - loaded)
     assert uncalled == [], f"exported but never called: {uncalled}"
+
+
+def test_model_contract_defined_once():
+    # the three fitted models share one kernel expansion: each member of
+    # its contract is defined in exactly one class of the package
+    package = os.path.dirname(privsvm.__file__)
+    owners = {"predict": [], "decision_train": [], "gram_train": []}
+    for info in pkgutil.iter_modules(privsvm.__path__):
+        with open(os.path.join(package, f"{info.name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if getattr(node, "name", None) in owners:
+                        owners[node.name].append(f"{info.name}.{cls.name}")
+    assert all(len(classes) == 1 for classes in owners.values()), owners

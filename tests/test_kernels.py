@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privsvm import (Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, gram,
-                     kernels, predict, solve_primal, solve_svmplus,
+from privsvm import (Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, PrimalModel,
+                     gram, kernels, predict, solve_primal, solve_svmplus,
                      solve_wsvm)
 from privsvm.kernels import _KernelRows, _sq_dists, expand
 
-from conftest import random_dataset, random_privileged
+from conftest import random_dataset, random_kernel, random_privileged
 
 
 def test_linear_gram_is_outer_product():
@@ -178,6 +178,57 @@ def test_expand_has_the_bits_of_the_full_sum(n, m, spec):
         if m <= 256:
             np.testing.assert_array_equal(f, K.T @ weights + model.b)
         _assert_blockwise_sum(f, spec, data, points, weights, model.b)
+
+
+def _two_point_wsvm(rng):
+    return solve_wsvm(Dataset([[0.0], [1.0]], [-1.0, 1.0]),
+                      KernelSpec(LINEAR), [10.0, 10.0])
+
+
+def _random_svmplus(rng):
+    n = int(rng.integers(3, 12))
+    data = random_dataset(rng, n)
+    priv = random_privileged(rng, n)
+    C = float(2.0 ** rng.uniform(-2, 2))
+    gamma = float(2.0 ** rng.uniform(-1, 3))
+    return solve_svmplus(data, priv, random_kernel(rng), random_kernel(rng),
+                         C, gamma, tol=1e-9)
+
+
+def _random_primal(rng):
+    data = random_dataset(rng, 6)
+    return solve_primal(data, random_kernel(rng), np.ones(6), 1.0)
+
+
+@pytest.mark.parametrize("fit, atol", [(_two_point_wsvm, 1e-12),
+                                       (_random_svmplus, 1e-10),
+                                       (_random_primal, 1e-10)],
+                         ids=["wsvm", "svmplus", "primal"])
+def test_predict_matches_decision_train(fit, atol, rng):
+    # predict sums the expansion over the support by blocks of points, the
+    # solve summed K coef over its own rows: equal up to rounding
+    model = fit(rng)
+    np.testing.assert_allclose(model.predict(model.data.X),
+                               model.decision_train, atol=atol)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
+                                  KernelSpec(GAUSSIAN_RBF, 1.0)],
+                         ids=["linear", "rbf"])
+def test_hand_built_primal_model_has_the_solved_bits(spec, rng):
+    # built from a solved model's keywords, without f0, a PrimalModel
+    # computes f0 = K alpha as the solve's objective did
+    data = random_dataset(rng, 30)
+    points = random_dataset(rng, 20)
+    for delta in (0.01, 0.1, 1.0):
+        solved = solve_primal(data, spec, rng.uniform(0.5, 2.0, 30), delta)
+        copy = PrimalModel(data=data, spec=spec, c=solved.c, delta=delta,
+                           alpha=solved.alpha, b=solved.b,
+                           objective=solved.objective)
+        np.testing.assert_array_equal(copy.decision_train,
+                                      solved.decision_train)
+        np.testing.assert_array_equal(copy.predict(points),
+                                      solved.predict(points))
 
 
 def _row_source(n, signed):

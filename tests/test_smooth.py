@@ -133,13 +133,6 @@ def test_all_zero_weights_allowed(rng):
     assert model.objective == pytest.approx(0.0, abs=1e-12)
 
 
-def test_predict_matches_training_decision(rng):
-    data = random_dataset(rng, 6)
-    model = solve_primal(data, random_kernel(rng), np.ones(6), 1.0)
-    np.testing.assert_allclose(model.predict(data.X), model.decision_train,
-                               atol=1e-10)
-
-
 def _full_newton_step(K, v, r1, r2):
     n = v.size
     J = np.empty((n + 1, n + 1))

@@ -122,12 +122,6 @@ def test_input_validation(rng):
         solve_svmplus(data, random_privileged(rng, 3), lin, lin, 1.0, 1.0)
 
 
-def test_predict_matches_decision_train(rng):
-    model = _random_plus(rng)
-    np.testing.assert_allclose(model.predict(model.data.X),
-                               model.decision_train, atol=1e-10)
-
-
 @pytest.mark.parametrize("n", [40, 260])
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 1.0)],

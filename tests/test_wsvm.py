@@ -8,7 +8,6 @@ from privsvm import (
     LINEAR,
     check_wsvm_kkt,
     gram,
-    predict,
     solve_wsvm,
 )
 from privsvm.experiments import generate_w_mixture
@@ -189,12 +188,6 @@ def test_offset_interval_minimizes_weighted_hinge(rng):
         inside = loss(np.clip(model.b, lo, hi))
         for probe in np.linspace(-5, 5, 41):
             assert loss(probe) >= inside - 1e-9
-
-
-def test_predict_matches_decision_train():
-    model = solve_wsvm(TWO_POINTS, KernelSpec(LINEAR), [10.0, 10.0])
-    np.testing.assert_allclose(predict(model, TWO_POINTS.X),
-                               model.decision_train, atol=1e-12)
 
 
 def test_input_validation():

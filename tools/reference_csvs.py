@@ -122,7 +122,7 @@ def digests() -> dict[str, dict]:
                        ("wsvm-rbf2", privsvm.KernelSpec(
                            privsvm.GAUSSIAN_RBF, 2.0))):
         model = privsvm.solve_wsvm(train, spec, c)
-        out[name] = _fit_digest(model, privsvm.predict(model, test))
+        out[name] = _fit_digest(model, model.predict(test))
     sample = privsvm.generate_w_mixture(600, seed=28)
     model = privsvm.solve_svmplus(
         sample.data, privsvm.PrivilegedSet(sample.eta[:, None]),
