@@ -15,11 +15,10 @@ from .experiments import (BlobsSample, ExperimentConfig, ResultRow,
                           generate_w_mixture,
                           parse_results, run_experiment, wshape_study)
 from .kernels import GAUSSIAN_RBF, LINEAR, KernelSpec, gram
-from .kkt import (BUniquenessResult, IndexSets, KktReport, b_uniqueness,
-                  check_svmplus_kkt, check_wsvm_kkt,
-                  dual_uniqueness_condition)
+from .kkt import (BUniquenessResult, KktReport, b_uniqueness,
+                  check_svmplus_kkt, check_wsvm_kkt, dual_uniqueness_condition)
 from .serialize import model_to_text
-from .schemes import ConfidenceScores, nadaraya_watson, probability_weights
+from .schemes import nadaraya_watson, probability_weights
 from .smooth import PrimalModel, smooth_hinge, solve_primal
 from .svmplus import SvmPlusModel, solve_svmplus
 from .weightlearn import (GradientWorkspace, WeightLearningConfig,

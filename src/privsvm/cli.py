@@ -14,8 +14,9 @@ turns a switch on (any other value leaves it off), and keys that no flag
 of the chosen subcommand takes are ignored.
 
 All tabular output is CSV and deterministic for a fixed seed.  A solve
-that does not converge, an input a solver rejects or a file that cannot be
-read ends the command with one ``error:`` line on stderr and exit status 1.
+that does not converge, an input that a solver or a config rejects, or a
+file that cannot be read or parsed (a --config file included) ends the
+command with one ``error:`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -340,21 +341,12 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     try:
-        # a malformed file raises its ValueError from here
         defaults = _read_config_file(path) if path else None
-    except OSError as exc:
-        return _error(exc)
-    args = build_parser(defaults).parse_args(argv)
-    try:
+        args = build_parser(defaults).parse_args(argv)
         return COMMANDS[args.command](args)
     except (ConvergenceError, ValueError, OSError) as exc:
-        return _error(exc)
-
-
-def _error(exc: Exception) -> int:
-    """Report a failed command in one line; its exit status."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

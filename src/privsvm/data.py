@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -55,9 +55,8 @@ class Dataset(_Points):
 
     X: np.ndarray
     y: np.ndarray
-    ids: np.ndarray
 
-    def __init__(self, X, y, ids=None):
+    def __init__(self, X, y):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
@@ -68,18 +67,12 @@ class Dataset(_Points):
             raise ValueError("non-finite feature values")
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be exactly -1 or +1")
-        if ids is None:
-            ids = np.arange(X.shape[0])
-        ids = np.asarray(ids)
-        if ids.shape[0] != X.shape[0]:
-            raise ValueError("ids must align with instances")
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "y", _frozen_array(y))
-        object.__setattr__(self, "ids", _frozen_array(ids, dtype=ids.dtype))
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
-        return Dataset(self.X[indices], self.y[indices], self.ids[indices])
+        return Dataset(self.X[indices], self.y[indices])
 
 
 @dataclass(frozen=True)
@@ -94,9 +87,6 @@ class PrivilegedSet(_Points):
             raise ValueError("non-finite privileged feature values")
         object.__setattr__(self, "X", _frozen_array(X))
 
-    def subset(self, indices) -> "PrivilegedSet":
-        return PrivilegedSet(self.X[np.asarray(indices)])
-
     def check_aligned(self, data: Dataset) -> None:
         if self.n != data.n:
             raise ValueError(
@@ -107,7 +97,8 @@ class PrivilegedSet(_Points):
 def _read_sparse(path, labeled: bool):
     """Parse ``label index:value ...`` lines (1-based indices) into the
     labels and a dense matrix.  Unlabeled companion files may still carry
-    a placeholder label, which is skipped."""
+    a placeholder label, which is skipped.  A line that does not parse
+    raises a ValueError naming ``path:line``."""
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     max_idx = 1
@@ -116,22 +107,24 @@ def _read_sparse(path, labeled: bool):
             parts = line.split()
             if not parts:
                 continue
-            if labeled:
-                label = float(parts[0])
-                if label not in (-1.0, 1.0):
-                    raise ValueError(
-                        f"{path}:{lineno}: label {parts[0]!r} is not +-1")
-                labels.append(label)
-            if labeled or ":" not in parts[0]:
-                parts = parts[1:]
-            entries: dict[int, float] = {}
-            for item in parts:
-                idx_s, _, val_s = item.partition(":")
-                idx = int(idx_s)
-                if idx < 1:
-                    raise ValueError(f"{path}:{lineno}: indices are 1-based")
-                entries[idx] = float(val_s)
-                max_idx = max(max_idx, idx)
+            try:
+                if labeled:
+                    label = float(parts[0])
+                    if label not in (-1.0, 1.0):
+                        raise ValueError(f"label {parts[0]!r} is not +-1")
+                    labels.append(label)
+                if labeled or ":" not in parts[0]:
+                    parts = parts[1:]
+                entries: dict[int, float] = {}
+                for item in parts:
+                    idx_s, _, val_s = item.partition(":")
+                    idx = int(idx_s)
+                    if idx < 1:
+                        raise ValueError("indices are 1-based")
+                    entries[idx] = float(val_s)
+                    max_idx = max(max_idx, idx)
+            except ValueError as exc:  # a bad number, label or index
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             rows.append(entries)
     X = np.zeros((len(rows), max_idx))
     for i, entries in enumerate(rows):

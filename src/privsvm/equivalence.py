@@ -147,9 +147,12 @@ def family_membership(candidate, model: WsvmModel) -> bool:
 class EquivalenceReport:
     rho_unnormalized: float
     rho_normalized: float | None
-    necessary_condition_holds: bool
-    constructed: ConstructedPrivileged | None = None
+    constructed: ConstructedPrivileged | None  # built iff rho >= 0 holds
     family_membership: bool | None = None
+
+    @property
+    def necessary_condition_holds(self) -> bool:
+        return self.constructed is not None
 
     def to_text(self) -> str:
         norm = ("nan" if self.rho_normalized is None
@@ -182,21 +185,20 @@ def equivalence_report(model: WsvmModel,
     whether it is in the equivalent-weight family."""
     c, xi = model.c, model.xi
     unnorm, norm = rho(c, xi)
-    holds = unnorm >= -_rho_tol(c, xi)
-    report = EquivalenceReport(
-        rho_unnormalized=unnorm,
-        rho_normalized=norm,
-        necessary_condition_holds=holds,
-    )
-    if holds:
+    constructed = None
+    if unnorm >= -_rho_tol(c, xi):
         b_tilde = float(c @ xi / np.sum(c))
-        report.constructed = ConstructedPrivileged(
+        constructed = ConstructedPrivileged(
             C=float(np.mean(c)),
             gamma=max(unnorm, 0.0),
             priv=PrivilegedSet((xi - b_tilde)[:, None]),
             w_tilde=1.0,
             b_tilde=b_tilde,
         )
-    if candidate is not None:
-        report.family_membership = family_membership(candidate, model)
-    return report
+    return EquivalenceReport(
+        rho_unnormalized=unnorm,
+        rho_normalized=norm,
+        constructed=constructed,
+        family_membership=(None if candidate is None
+                           else family_membership(candidate, model)),
+    )

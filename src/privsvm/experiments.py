@@ -212,6 +212,10 @@ class ExperimentConfig:
                 f"subset sizes must be >= {least} in {self.split!r} mode")
         if any(s > self.n_pool for s in self.subset_sizes):
             raise ValueError("subset sizes must not exceed the pool")
+        for name in ("C_grid", "gamma_grid"):
+            grid = np.asarray(getattr(self, name), dtype=float)
+            if grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
+                raise ValueError(f"{name} must be nonempty, finite and > 0")
 
 
 @dataclass(frozen=True)

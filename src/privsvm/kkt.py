@@ -10,7 +10,7 @@ MARGIN_TOL, ``dual_uniqueness_condition`` at RANK_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .wsvm import DEFAULT_TOL, WsvmModel
 
 __all__ = [
     "KktReport",
-    "IndexSets",
     "check_wsvm_kkt",
     "check_svmplus_kkt",
     "b_uniqueness",
@@ -47,26 +46,6 @@ class KktReport:
         lines.append(f"tol {self.tol:.6e}")
         lines.append(f"pass {int(self.passed)}")
         return "\n".join(lines)
-
-
-@dataclass
-class IndexSets:
-    """I+/I- by label; I0 (margin violated) and I1 (margin active or violated)."""
-
-    i_plus: np.ndarray
-    i_minus: np.ndarray
-    i_0: np.ndarray
-    i_1: np.ndarray
-
-    @staticmethod
-    def from_decision(y: np.ndarray, f: np.ndarray) -> "IndexSets":
-        margin = y * f
-        return IndexSets(
-            i_plus=np.flatnonzero(y > 0),
-            i_minus=np.flatnonzero(y < 0),
-            i_0=np.flatnonzero(margin < 1.0 - MARGIN_TOL),
-            i_1=np.flatnonzero(margin <= 1.0 + MARGIN_TOL),
-        )
 
 
 def _report(model: WsvmModel | SvmPlusModel, stationarity: dict,
@@ -119,11 +98,12 @@ def check_svmplus_kkt(model: SvmPlusModel,
 
 @dataclass
 class BUniquenessResult:
-    unique: bool
     interval: tuple[float, float]
     condition: int | None  # which balance condition triggered (1 or 2)
-    balance_sums: tuple[float, float, float, float] = field(
-        default=(0.0, 0.0, 0.0, 0.0))
+
+    @property
+    def unique(self) -> bool:
+        return self.condition is None
 
     def to_text(self) -> str:
         lo, hi = self.interval
@@ -134,32 +114,26 @@ class BUniquenessResult:
 
 def b_uniqueness(model: WsvmModel) -> BUniquenessResult:
     """Evaluate both weight-balance conditions for offset non-uniqueness;
-    the interval reported is the model's stored ``b_interval``."""
+    the interval reported is the model's stored ``b_interval``.  Each
+    condition balances the weight of one label's margin-violated points
+    against that of the other label's margin-active or violated points."""
     y = model.data.y
-    f = model.decision_train
-    sets = IndexSets.from_decision(y, f)
+    margin = y * model.decision_train
+    i_0 = margin < 1.0 - MARGIN_TOL  # margin violated
+    i_1 = margin <= 1.0 + MARGIN_TOL  # margin active or violated
+    plus, minus = y > 0, y < 0
     c = model.c
 
-    def mass(label_set, margin_set):  # sum of c over the intersection
-        return float(np.sum(c[np.intersect1d(label_set, margin_set,
-                                             assume_unique=True)]))
+    def mass(mask):
+        return float(np.sum(c[mask]))
 
-    s1_left = mass(sets.i_minus, sets.i_0)
-    s1_right = mass(sets.i_plus, sets.i_1)
-    s2_left = mass(sets.i_plus, sets.i_0)
-    s2_right = mass(sets.i_minus, sets.i_1)
-    scale = 1.0 + float(np.sum(c))
+    tol = MARGIN_TOL * (1.0 + float(np.sum(c)))
     cond: int | None = None
-    if abs(s1_left - s1_right) <= MARGIN_TOL * scale:
+    if abs(mass(minus & i_0) - mass(plus & i_1)) <= tol:
         cond = 1
-    elif abs(s2_left - s2_right) <= MARGIN_TOL * scale:
+    elif abs(mass(plus & i_0) - mass(minus & i_1)) <= tol:
         cond = 2
-    return BUniquenessResult(
-        unique=cond is None,
-        interval=model.b_interval,
-        condition=cond,
-        balance_sums=(s1_left, s1_right, s2_left, s2_right),
-    )
+    return BUniquenessResult(interval=model.b_interval, condition=cond)
 
 
 def dual_uniqueness_condition(K: np.ndarray, y) -> bool:

@@ -10,55 +10,36 @@ c_i = w_i^tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
 from .kernels import _BLOCK_ROWS, _sq_dists
 
 __all__ = [
-    "ConfidenceScores",
     "nadaraya_watson",
     "probability_weights",
 ]
 
 
-@dataclass
-class ConfidenceScores:
-    """Estimated eta(x_i) in [-1, 1], plus an underflow indicator."""
-
-    eta: np.ndarray
-    underflow: bool = False
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float).ravel()
-        if np.any(np.abs(eta) > 1.0 + 1e-12) or not np.all(np.isfinite(eta)):
-            raise ValueError("confidence scores must lie in [-1, 1]")
-        self.eta = np.clip(eta, -1.0, 1.0)
-
-
-def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
-                    ) -> ConfidenceScores:
+def nadaraya_watson(train: Dataset, queries=None,
+                    bandwidth: float = 1.0) -> np.ndarray:
     """Kernel-regression estimate of E[y | x] with the Gaussian kernel
-    exp(-||x - x'||^2 / (2 h^2)).
+    exp(-||x - x'||^2 / (2 h^2)), clipped to [-1, 1].
 
     ``queries`` defaults to the training inputs themselves.  Where every
-    kernel weight underflows to zero the underflow flag is set, and the
-    estimate is still a weighted label average: each row's distances are
-    shifted by their minimum, so the nearest point keeps weight 1 (far
-    from the data, the estimate is its label).  The queries stream
-    through ``kernels._BLOCK_ROWS`` rows at a time, each block's weights
-    built in one block x train buffer of squared distances from the
-    training set's cached norms; every block reuses that buffer and the
-    one of its outer sum.
+    kernel weight would underflow to zero the estimate is still a weighted
+    label average: each row's distances are shifted by their minimum, so
+    the nearest point keeps weight 1 (far from the data, the estimate is
+    its label).  The queries stream through ``kernels._BLOCK_ROWS`` rows
+    at a time, each block's weights built in one block x train buffer of
+    squared distances from the training set's cached norms; every block
+    reuses that buffer and the one of its outer sum.
     """
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     E = train.X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
     eta = np.empty(E.shape[0])
-    underflow = False
     # every block reuses one buffer for its squared distances and one for
     # their outer sum of norms
     sq = np.empty((min(E.shape[0], _BLOCK_ROWS), train.n))
@@ -66,25 +47,14 @@ def nadaraya_watson(train: Dataset, queries=None, bandwidth: float = 1.0,
     for start in range(0, E.shape[0], _BLOCK_ROWS):
         blk = slice(start, start + _BLOCK_ROWS)
         rows = len(E[blk])
-        eta[blk], under = _nadaraya_watson_block(
-            train, E[blk], bandwidth, sq[:rows], work[:rows])
-        underflow |= under
-    return ConfidenceScores(np.clip(eta, -1.0, 1.0), underflow=underflow)
-
-
-def _nadaraya_watson_block(train: Dataset, E: np.ndarray, bandwidth: float,
-                           sq: np.ndarray, work: np.ndarray):
-    """The estimates at one block of queries, and its underflow flag; the
-    squared distances are written into ``sq``."""
-    sq = _sq_dists(E, train, sq, work)
-    # subtract the row minimum before exponentiating so at least one
-    # weight per row survives in double precision; the ratio is unchanged
-    row_min = sq.min(axis=1)
-    underflow = bool(np.any(np.exp(-row_min / (2.0 * bandwidth**2)) == 0.0))
-    sq -= row_min[:, None]
-    np.divide(sq, -(2.0 * bandwidth**2), out=sq)
-    W = np.exp(sq, out=sq)
-    return (W @ train.y) / W.sum(axis=1), underflow
+        d2 = _sq_dists(E[blk], train, sq[:rows], work[:rows])
+        # subtract the row minimum before exponentiating so at least one
+        # weight per row survives in double precision; the ratio is unchanged
+        d2 -= d2.min(axis=1)[:, None]
+        np.divide(d2, -(2.0 * bandwidth**2), out=d2)
+        W = np.exp(d2, out=d2)
+        eta[blk] = (W @ train.y) / W.sum(axis=1)
+    return np.clip(eta, -1.0, 1.0)
 
 
 def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:
@@ -92,12 +62,13 @@ def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:
 
     tau = 0 gives uniform weights (0^0 = 1 by convention), tau = 1 the
     plain label probabilities; larger tau suppresses doubtful labels
-    harder.
+    harder.  Each eta_i must be finite with |eta_i| <= 1 + 1e-12; it is
+    used as given, not clipped.
     """
-    if isinstance(eta, ConfidenceScores):
-        eta = eta.eta
     eta = np.asarray(eta, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
+    if np.any(np.abs(eta) > 1.0 + 1e-12) or not np.all(np.isfinite(eta)):
+        raise ValueError("confidence scores must lie in [-1, 1]")
     if eta.shape != y.shape:
         raise ValueError("eta/label length mismatch")
     if tau < 0:

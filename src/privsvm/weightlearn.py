@@ -71,7 +71,6 @@ class GradientWorkspace:
     """Sensitivity of the inner solution: d alpha*/dc and d b*/dc."""
 
     u: np.ndarray        # u_i = y_i l'(y_i f_i)
-    v: np.ndarray        # v_i = c_i l''(y_i f_i)
     d_alpha: np.ndarray  # (n, n)
     d_b: np.ndarray      # (n,)
     kink_free: bool
@@ -90,12 +89,11 @@ def implicit_gradient(model: PrimalModel) -> GradientWorkspace:
     n = model.data.n
     u, v = _slopes(model)
     if v.max() <= 0:
-        return GradientWorkspace(u, v, np.diag(u), np.zeros(n),
-                                 kink_free=True)
+        return GradientWorkspace(u, np.diag(u), np.zeros(n), kink_free=True)
     rhs = np.zeros((n + 1, n))
     rhs[:n, :] = -np.diag(u)
     sol = np.linalg.solve(_bordered(model.gram_train, v, 1.0, 0.0), rhs)
-    return GradientWorkspace(u, v, sol[:n, :], sol[n, :], kink_free=False)
+    return GradientWorkspace(u, sol[:n, :], sol[n, :], kink_free=False)
 
 
 def _slopes(model: PrimalModel):

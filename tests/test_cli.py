@@ -216,11 +216,14 @@ def test_config_file_ignores_unknown_keys(three_point_files, tmp_path,
     assert "objective_primal 10" in capsys.readouterr().out
 
 
-def test_config_file_rejects_bad_lines(tmp_path):
+def test_config_file_rejects_bad_lines(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("just-a-token\n")
-    with pytest.raises(ValueError, match="key=value"):
-        main(["--config", str(config), "counterexample"])
+    assert main(["--config", str(config), "counterexample"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {config}: expected key=value, got 'just-a-token'\n")
 
 
 def test_figure3_and_wshape_csv(tmp_path):
@@ -307,13 +310,13 @@ def test_check_prints_each_key_once(command, three_point_files, tmp_path,
 
 
 @pytest.mark.parametrize("case",
-                         ["rejected-input", "rejected-config", "missing-file",
-                          "missing-config"])
+                         ["rejected-input", "rejected-config", "rejected-grid",
+                          "missing-file", "missing-config"])
 def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
                                          capsys):
-    # like a ConvergenceError, an input the solver rejects or a file that
-    # cannot be read ends the command with one error line, no traceback;
-    # so does a --config file that cannot be read
+    # like a ConvergenceError, an input that a solver or a config rejects
+    # or a file that cannot be read ends the command with one error line,
+    # no traceback; so does a --config file that cannot be read
     data_path, _ = three_point_files
     if case == "rejected-input":
         argv = ["train-wsvm", "--data", data_path, "--b-override", "nan"]
@@ -322,6 +325,9 @@ def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
         argv = ["learn-weights", "--train", data_path, "--val", data_path,
                 "--max-iter", "-1"]
         err = "error: max_outer_iter must be nonnegative\n"
+    elif case == "rejected-grid":
+        argv = ["experiment", "--c-grid", "1,0"]
+        err = "error: C_grid must be nonempty, finite and > 0\n"
     else:
         missing = str(tmp_path / "missing.data")
         argv = (["train-wsvm", "--data", missing] if case == "missing-file"

@@ -28,11 +28,11 @@ def test_dataset_validation():
         data.X[0, 0] = 5.0  # frozen
 
 
-def test_dataset_subset_keeps_ids():
+def test_dataset_subset_takes_rows():
     data = Dataset(np.arange(8.0).reshape(4, 2), [1, -1, 1, -1])
     sub = data.subset([2, 0])
-    np.testing.assert_array_equal(sub.ids, [2, 0])
     np.testing.assert_array_equal(sub.X, [[4.0, 5.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(sub.y, [1.0, 1.0])
 
 
 def test_dataset_caches_read_only_sq_norms():
@@ -77,6 +77,11 @@ def test_sparse_rejects_bad_labels_and_indices(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_sparse(p)
+    # a value, label or index that is not a number names its file and line
+    for line in ("+1 1:abc", "x 1:1", "+1 q:1", "+1 1"):
+        p.write_text(f"-1 1:0.5\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: ")):
+            load_sparse(p)
 
 
 def test_load_privileged_companion(tmp_path):

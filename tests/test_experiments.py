@@ -135,6 +135,12 @@ def test_config_validation():
     ExperimentConfig(subset_sizes=(2,), split="fixed-validation")
     with pytest.raises(ValueError, match="pool"):
         ExperimentConfig(subset_sizes=(400,), n_pool=200)
+    # an empty or non-positive grid fails here, not in the first fit
+    for bad in ((), (0.0,), (1.0, -2.0), (np.inf,), (np.nan,)):
+        with pytest.raises(ValueError, match="C_grid"):
+            ExperimentConfig(C_grid=bad)
+        with pytest.raises(ValueError, match="gamma_grid"):
+            ExperimentConfig(gamma_grid=bad)
 
 
 def test_emit_parse_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privsvm import (
+    GAUSSIAN_RBF,
     Dataset,
     KernelSpec,
     LINEAR,
@@ -16,7 +17,6 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm.experiments import counterexample_dataset
-from privsvm.kkt import IndexSets
 
 
 def test_report_text_and_pass_flag():
@@ -46,16 +46,6 @@ def test_nan_offset_reports_fail():
         assert report.to_text().endswith("pass 0")
 
 
-def test_index_sets_from_decision():
-    y = np.array([1.0, -1.0, 1.0, -1.0])
-    f = np.array([2.0, -1.0, 0.5, 0.5])  # margins 2, 1, 0.5, -0.5
-    sets = IndexSets.from_decision(y, f)
-    np.testing.assert_array_equal(sets.i_plus, [0, 2])
-    np.testing.assert_array_equal(sets.i_minus, [1, 3])
-    np.testing.assert_array_equal(sets.i_0, [2, 3])
-    np.testing.assert_array_equal(sets.i_1, [1, 2, 3])
-
-
 def test_b_unique_on_three_point_instance():
     data, c = counterexample_dataset()
     model = solve_wsvm(data, KernelSpec(LINEAR), c)
@@ -83,13 +73,53 @@ def test_b_non_unique_second_balance_condition():
     result = b_uniqueness(model)
     assert not result.unique
     assert result.condition == 2
-    assert result.balance_sums == pytest.approx((0.0, 0.3, 0.3, 0.3))
     assert result.interval == pytest.approx((-1.0, 0.7), abs=1e-10)
     assert "condition 2" in result.to_text()
     # the interval is the one each fit stored, with or without the override
     assert result.interval == model.b_interval
     fitted = solve_wsvm(data, KernelSpec(LINEAR), [0.3, 0.3])
     assert b_uniqueness(fitted).interval == fitted.b_interval
+
+
+def test_b_uniqueness_agrees_with_stored_interval():
+    # the balance conditions, read off the fit's margins, against the exact
+    # argmin interval of the offset that the solve stored; small weights
+    # bound most points, so about a quarter of the offsets are non-unique.
+    # Each fit has at most 7 points: from 8 points of a label up, the
+    # stored interval can miss an exactly flat stretch (see the next test)
+    rng = np.random.default_rng(0)
+    non_unique = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 8))
+        X = rng.normal(size=(n, int(rng.integers(1, 3))))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        y[:2] = 1.0, -1.0
+        C = 10.0 ** rng.uniform(-2.5, 0.5)
+        c = C * (1.0 if rng.random() < 0.5 else rng.uniform(0.2, 1.0, n))
+        spec = (KernelSpec(LINEAR) if rng.random() < 0.5
+                else KernelSpec(GAUSSIAN_RBF, 1.0))
+        model = solve_wsvm(Dataset(X, y), spec, np.broadcast_to(c, n))
+        lo, hi = model.b_interval
+        point = hi - lo <= 1e-8 * (1.0 + abs(lo))
+        assert b_uniqueness(model).unique == point, (lo, hi)
+        non_unique += not point
+    assert non_unique >= 50
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "wsvm._optimal_offset_interval judges its slopes' signs exactly, and "
+    "its pairwise sum and cumulative sums round differently"))
+def test_stored_interval_keeps_an_exactly_flat_stretch():
+    # eleven equal weights; the hinge objective is exactly flat on
+    # [0.98, 1.005] (checked in rational arithmetic), and b_uniqueness
+    # finds the balance, but the stored interval is the point 1.005
+    X = [[0.1], [0.9], [0.2], [-0.5], [-1.4], [-0.5], [-0.5], [-1.6], [0.3],
+         [0.7], [-0.6]]
+    y = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+    model = solve_wsvm(Dataset(X, y), KernelSpec(LINEAR), np.full(11, 0.1))
+    assert not b_uniqueness(model).unique
+    lo, hi = model.b_interval
+    assert lo <= 0.98 and hi >= 1.005
 
 
 def test_dual_uniqueness_positive_definite():

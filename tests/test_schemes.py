@@ -2,47 +2,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privsvm import (
-    ConfidenceScores,
-    Dataset,
-    nadaraya_watson,
-    probability_weights,
-)
+from privsvm import Dataset, nadaraya_watson, probability_weights
 from privsvm.kernels import _BLOCK_ROWS
 
 
 def test_confidence_scores_validation():
-    scores = ConfidenceScores(np.array([1.0 + 5e-13, -1.0]))
-    np.testing.assert_array_equal(scores.eta, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        ConfidenceScores(np.array([1.5]))
-    with pytest.raises(ValueError):
-        ConfidenceScores(np.array([np.nan]))
+    # probability_weights takes eta within 1e-12 of [-1, 1] as given, and
+    # rejects anything farther out or non-finite
+    y = np.array([1.0, -1.0])
+    w = probability_weights(np.array([1.0 + 5e-13, -1.0]), y, tau=1.0)
+    np.testing.assert_array_equal(w, 0.5 * (1.0 + y * [1.0 + 5e-13, -1.0]))
+    for bad in (1.5, -1.0 - 1e-11, np.nan, np.inf):
+        with pytest.raises(ValueError, match="confidence"):
+            probability_weights(np.array([bad]), np.array([1.0]))
 
 
 def test_nadaraya_watson_closed_form():
     train = Dataset([[0.0], [1.0], [2.0]], [1.0, 1.0, -1.0])
-    scores = nadaraya_watson(train, queries=[[0.0]], bandwidth=1.0)
+    eta = nadaraya_watson(train, queries=[[0.0]], bandwidth=1.0)
     e1, e2 = np.exp(-0.5), np.exp(-2.0)
     expected = (1.0 + e1 - e2) / (1.0 + e1 + e2)
-    assert scores.eta[0] == pytest.approx(expected, abs=1e-15)
-    assert not scores.underflow
+    assert eta[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_nadaraya_watson_defaults_to_training_inputs():
     train = Dataset([[0.0], [1.0]], [1.0, -1.0])
-    scores = nadaraya_watson(train, bandwidth=0.5)
-    assert scores.eta.shape == (2,)
-    assert np.all(np.abs(scores.eta) <= 1.0)
+    eta = nadaraya_watson(train, bandwidth=0.5)
+    assert eta.shape == (2,)
+    assert np.all(np.abs(eta) <= 1.0)
 
 
 def test_nadaraya_watson_underflow_guard():
     train = Dataset([[0.0], [1.0]], [1.0, -1.0])
-    scores = nadaraya_watson(train, queries=[[1e6]], bandwidth=1.0)
-    assert scores.underflow
-    assert np.all(np.isfinite(scores.eta))
+    # every kernel weight exp(-(1e6)^2 / 2) underflows to zero
+    eta = nadaraya_watson(train, queries=[[1e6]], bandwidth=1.0)
+    assert np.all(np.isfinite(eta))
     # the nearest neighbour dominates after the shift
-    assert scores.eta[0] == pytest.approx(-1.0, abs=1e-12)
+    assert eta[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def _nadaraya_watson_textbook(X, y, E, bandwidth):
@@ -77,9 +73,10 @@ def test_nadaraya_watson_bitwise_textbook_formula(case):
     else:
         eta, underflow = _nadaraya_watson_textbook(X, y, E, bandwidth)
     queries = None if case == "square" else E
-    scores = nadaraya_watson(Dataset(X, y), queries, bandwidth=bandwidth)
-    np.testing.assert_array_equal(scores.eta, eta)
-    assert scores.underflow == underflow == (case == "underflow")
+    np.testing.assert_array_equal(
+        nadaraya_watson(Dataset(X, y), queries, bandwidth=bandwidth), eta)
+    # the case's name says whether some row's weights all underflow
+    assert underflow == (case == "underflow")
 
 
 def test_nadaraya_watson_validation():
@@ -100,12 +97,6 @@ def test_probability_weights_tau_grid():
         probability_weights(eta, y, tau=-1.0)
     with pytest.raises(ValueError, match="length"):
         probability_weights(eta[:2], y)
-
-
-def test_probability_weights_accept_scores_object():
-    scores = ConfidenceScores(np.array([0.5]))
-    w = probability_weights(scores, np.array([1.0]), tau=1.0)
-    assert w[0] == pytest.approx(0.75)
 
 
 @settings(max_examples=40, deadline=None)
