@@ -23,7 +23,13 @@ same inputs and kernel (``warm``): Newton then begins at that model's
 sequence of nearby weight vectors, as weight learning does.  The model
 (``kernels._Expansion``, coefficients a) keeps the Gram of its solve and
 the f0 = K a of its last iterate's objective, so decision_train = f0 + b
-has the bits of K a + b with no further product.
+has the bits of K a + b with no further product.  A solved model also
+keeps the rest of that objective's work that does not depend on c: 1/2
+a' K a, the loss values, the clipped s and the linear mask.  A warm solve
+at the same delta on the same labels starts from them and forms only
+c' l(y o f) for its own weights, with the bits a whole objective would
+give; a model built by hand, or one fitted at another delta or on other
+labels, starts from a whole objective.
 
 Each quantity is computed once.  A line-search trial evaluates only the
 loss values and the objective; the slopes u = y o l' and v = c o l'' are
@@ -102,6 +108,9 @@ class PrimalModel(_Expansion):
     # (u, v) at the solution, as the solve's last residual read them
     _uv: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                       repr=False)
+    # the c-free part of the last objective (see ``_objective``), which a
+    # warm solve at the same delta and labels starts from
+    _state: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.f0 is None:
@@ -113,12 +122,17 @@ class PrimalModel(_Expansion):
 
 
 def _objective(alpha, b, K, y, c, delta):
-    """The objective at (a, b), f0 = K a, and the clipped s and linear
-    mask of ``_loss`` at y o (f0 + b)."""
+    """The objective at (a, b), f0 = K a, and the state that does not
+    depend on c: 1/2 a' K a and ``_loss`` (values, clipped s, linear mask)
+    at y o (f0 + b)."""
     f0 = K @ alpha
-    value, q, linear = _loss(y * (f0 + b), delta)
-    obj = 0.5 * float(alpha @ K @ alpha) + float(c @ value)
-    return obj, f0, q, linear
+    state = (0.5 * float(alpha @ K @ alpha), *_loss(y * (f0 + b), delta))
+    return _weighted(state, c), f0, state
+
+
+def _weighted(state, c):
+    """The objective at weights c, from the state of ``_objective``."""
+    return state[0] + float(c @ state[1])
 
 
 def _bordered(K, v, last_row, corner):
@@ -205,12 +219,15 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     same inputs X) Newton starts from its (a, b) and uses its
     ``gram_train`` instead of building K again; the stop test and the
     ways to raise are those of a cold start.  A warm model with another
-    spec or other inputs raises ValueError.
+    spec or other inputs raises ValueError.  A solved warm model at the
+    same delta on the same labels also hands over the c-free state of its
+    last objective, so the first objective costs one dot product.
     """
     _check_delta(delta)
     c = check_weights(c, data.n, allow_all_zero=True)
     y = data.y
     n = data.n
+    start = None  # the c-free state of the warm model's last objective
     if warm is None:
         K = gram(spec, data)
         alpha = np.zeros(n)
@@ -218,17 +235,23 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
     else:
         if warm.spec != spec:
             raise ValueError("warm model has a different kernel spec")
-        if not np.array_equal(warm.data.X, data.X):
+        same = warm.data is data
+        if not (same or np.array_equal(warm.data.X, data.X)):
             raise ValueError("warm model was fitted on different inputs")
         K = warm.gram_train
         alpha = np.array(warm.alpha, dtype=float)
         b = float(warm.b)
+        if warm.delta == delta and (same or np.array_equal(warm.data.y, y)):
+            start = warm._state
     stop = PRIMAL_TOL * (1.0 + float(c.max()))
-    obj, f0, q, linear = _objective(alpha, b, K, y, c, delta)
+    if start is None:
+        obj, f0, state = _objective(alpha, b, K, y, c, delta)
+    else:
+        obj, f0, state = _weighted(start, c), warm.f0, start
     for it in range(PRIMAL_MAX_ITER + 1):
         # the slopes of the accepted iterate; line-search trials need
         # only the objective
-        u, v = _margin_slopes(y, c, q, linear, delta)
+        u, v = _margin_slopes(y, c, *state[2:], delta)
         r1 = alpha + u * c
         r2 = float(u @ c)
         r1_max = float(np.abs(r1).max())
@@ -237,7 +260,7 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
             return PrimalModel(
                 data=data, spec=spec, c=c, delta=float(delta), alpha=alpha,
                 b=float(b), objective=obj, f0=f0, n_iter=it, _gram=K,
-                _uv=(u, v),
+                _uv=(u, v), _state=state,
             )
         if it == PRIMAL_MAX_ITER:
             raise ConvergenceError("primal Newton did not converge", resid)
@@ -261,6 +284,6 @@ def solve_primal(data: Dataset, spec: KernelSpec, c, delta: float,
             trial = _objective(a_new, b_new, K, y, c, delta)
             if trial[0] <= obj + 1e-12 * (1.0 + abs(obj)):
                 alpha, b = a_new, b_new
-                obj, f0, q, linear = trial
+                obj, f0, state = trial
                 break
             t *= 0.5

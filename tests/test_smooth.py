@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from hypothesis import example, given, settings, strategies as st
 
 from privsvm import (
@@ -280,6 +282,67 @@ def test_warm_start_certifies_and_matches_cold_solve():
         assert np.max(np.abs(f - f_cold)) <= 1e-6 * scale
         compared += 1
     assert certified >= 80 and compared >= 80
+
+
+def _certifies(model):
+    # the stop test of solve_primal, at the model's own weights
+    _, d1, _ = smooth_hinge(model.data.y * model.decision_train, model.delta)
+    g = model.c * model.data.y * d1
+    resid = max(float(np.max(np.abs(model.alpha + g))),
+                abs(float(np.sum(g))))
+    return resid <= 1e-10 * (1.0 + np.max(model.c))
+
+
+def test_warm_start_state_keeps_every_bit():
+    # a warm solve that starts from the state its warm model kept, and the
+    # same solve from a copy without it, agree bit for bit; at the warm
+    # model's own weights the objective is the start's
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for _ in range(100):
+        data, spec, c, delta = _hard_instance(rng)
+        c_new = c * rng.uniform(0.5, 2.0, data.n)
+        try:
+            start = solve_primal(data, spec, c, delta)
+            assert start._state is not None
+            cleared = replace(start, _state=None)
+            pairs = [(solve_primal(data, spec, w, delta, warm=start),
+                      solve_primal(data, spec, w, delta, warm=cleared))
+                     for w in (c_new, c)]
+        except ConvergenceError:
+            continue
+        for kept, fresh in pairs:
+            assert np.array_equal(kept.alpha, fresh.alpha)
+            assert np.array_equal(kept.f0, fresh.f0)
+            assert kept.b == fresh.b
+            assert kept.objective == fresh.objective
+            assert kept.n_iter == fresh.n_iter
+        assert pairs[1][0].n_iter == 0
+        compared += 1
+    assert compared >= 80
+
+
+class _Unreadable(tuple):
+    def __getitem__(self, key):
+        raise AssertionError("the warm model's state was read")
+
+
+def test_warm_start_state_needs_same_delta_and_labels(rng):
+    data = random_dataset(rng, 30)
+    spec = random_kernel(rng)
+    c = rng.uniform(0.5, 2.0, 30)
+    start = solve_primal(data, spec, c, 0.1)
+    warm = replace(start, _state=_Unreadable())
+    # at the same delta on the same labels the state is read
+    with pytest.raises(AssertionError, match="read"):
+        solve_primal(data, spec, c * 1.5, 0.1, warm=warm)
+    # at another delta, or on the same inputs with flipped labels, it is
+    # not, and the solve certifies as a cold one would
+    flipped = Dataset(data.X, -data.y)
+    for target, delta in ((data, 1.0), (flipped, 0.1)):
+        model = solve_primal(target, spec, c * 1.5, delta, warm=warm)
+        assert model.data is target and model.delta == delta
+        assert _certifies(model)
 
 
 def test_warm_model_must_match_spec_and_inputs(rng):
