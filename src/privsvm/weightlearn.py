@@ -13,6 +13,14 @@ C_INIT, every weight's start, so weight ratios are at most WEIGHT_SPREAD**2
 and every inner solve can be certified) or by projected gradient in c.
 An inner solve that cannot be certified raises ConvergenceError.
 
+The projected loop accepts a trial only when it lowers V by at least
+1e-12, and then grows the step by 1.5.  A rejected trial retries at the
+minimiser of the quadratic through V, its slope g'(c_new - c) along the
+projected move and the trial's V, clamped to 0.1-0.5 of the step; where
+that quadratic has no positive curvature the step halves (safeguarded
+quadratic interpolation, Nocedal & Wright, *Numerical Optimization*,
+section 3.5).
+
 The outer loop needs only the gradient g' d(a*, b*)/dc of the validation
 loss, not the whole sensitivity, so it takes it from one adjoint solve
 (Pedregosa 2016, *Hyperparameter optimization with approximate gradient*)
@@ -185,6 +193,17 @@ def _val_grad(model, K_val, slopes):
     return _adjoint_gradient(model, K_val @ slopes, float(slopes.sum()))
 
 
+def _backtrack(loss, slope, loss_new):
+    """The factor of a rejected projected step: the minimiser of the
+    quadratic q(t) with q(0) = loss, q'(0) = slope and q(1) = loss_new,
+    clamped to [0.1, 0.5], or 0.5 where q has no positive curvature
+    (Nocedal & Wright, *Numerical Optimization*, section 3.5)."""
+    curvature = loss_new - loss - slope
+    if not curvature > 0.0:
+        return 0.5
+    return min(max(-slope / (2.0 * curvature), 0.1), 0.5)
+
+
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                      delta: float, config: WeightLearningConfig, K_val):
     n = train.n
@@ -241,7 +260,11 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                     step *= 1.5
                     moved = True
                     break
-                step *= 0.5
+                # retry at the minimiser of the quadratic through the
+                # loss, its slope along the projected move and the trial's
+                # loss, kept within 0.1-0.5 of the step; halve where that
+                # quadratic has no positive curvature
+                step *= _backtrack(loss, float(grad @ (c_new - c)), loss_new)
             if not moved:
                 break
 

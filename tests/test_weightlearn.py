@@ -194,6 +194,100 @@ def test_projected_mode_decreases_validation_loss():
     assert np.all(result.weights >= 0.0)
 
 
+def _stub_projected_run(monkeypatch, loss_of, grad_of, max_outer_iter=1):
+    """Run the projected loop on two weights whose validation loss and
+    gradient at c are loss_of(c) and grad_of(c), with no inner solve;
+    return the weights it tried, in order."""
+    tried = []
+
+    def val_loss(c, train, val, spec, delta, K_val, warm):
+        assert len(tried) < 100, "the step never ran out"
+        tried.append(c.copy())
+        return loss_of(c), 0.0, c, None  # c stands in for the model
+
+    monkeypatch.setattr(weightlearn, "_val_loss", val_loss)
+    monkeypatch.setattr(weightlearn, "_val_grad",
+                        lambda model, K_val, slopes: grad_of(model))
+    data = Dataset([[0.0], [1.0]], [1.0, -1.0])
+    config = WeightLearningConfig(mode="projected",
+                                  max_outer_iter=max_outer_iter)
+    weightlearn._learn_one_delta(data, data, KernelSpec(LINEAR), 1.0,
+                                 config, None)
+    return tried
+
+
+# the loss along the first step, as a function of its length s, and the
+# length of the retried step: the minimiser 1 / (2 kappa) of 1 - s +
+# kappa s^2 inside [0.1, 0.5], then either clamp; a trial loss a hair
+# below the start is still rejected and puts the minimiser just past 0.5
+@pytest.mark.parametrize("phi, retried", [
+    (lambda s: 1.0 - s + 1.25 * s * s, 0.4),
+    (lambda s: 1.0 - s + 20.0 * s * s, 0.1),
+    (lambda s: 1.0 if s == 0.0 else 1.0 - 5e-13, 0.5),
+])
+def test_rejected_step_retries_at_clamped_quadratic_minimiser(
+        monkeypatch, phi, retried):
+    assert weightlearn.C_INIT == 1.0 and weightlearn.STEP_INIT == 1.0
+    g = np.array([0.6, 0.8])
+
+    def length(c):  # the step from the start along -g
+        return float(g @ (1.0 - c) / (g @ g))
+
+    tried = _stub_projected_run(monkeypatch, lambda c: phi(length(c)),
+                                lambda c: g)
+    assert length(tried[0]) == 0.0 and length(tried[1]) == pytest.approx(1.0)
+    assert phi(length(tried[1])) > phi(0.0) - 1e-12  # the first is rejected
+    assert length(tried[2]) == pytest.approx(retried, rel=1e-12)
+
+
+def test_step_halves_where_quadratic_has_no_curvature(monkeypatch):
+    # the first step puts c_0 on the floor; the next gradient points out of
+    # the box, so every trial repeats c with the same loss and zero slope,
+    # and the step halves from 1.5 until it is spent
+    floor = weightlearn.WEIGHT_FLOOR
+
+    def loss_of(c):
+        return 1.0 if c[0] == 1.0 else 0.5
+
+    def grad_of(c):
+        return np.array([2.0 if c[0] == 1.0 else 1.0, 0.0])
+
+    tried = _stub_projected_run(monkeypatch, loss_of, grad_of,
+                                max_outer_iter=3)
+    halvings, step = 0, 1.5
+    while step > 1e-12:
+        halvings, step = halvings + 1, step * 0.5
+    assert len(tried) == 2 + halvings
+    for c in tried[1:]:
+        assert np.array_equal(c, [floor, 1.0])
+
+
+def test_projected_steps_each_lower_the_loss(monkeypatch):
+    # every recorded iterate after the start was accepted at a loss at
+    # least 1e-12 below the one before; the rejected trials between them
+    # retried at 0.1-0.5 of their step
+    factors = []
+    backtrack = weightlearn._backtrack
+
+    def recording_backtrack(*args):
+        factors.append(backtrack(*args))
+        return factors[-1]
+
+    monkeypatch.setattr(weightlearn, "_backtrack", recording_backtrack)
+    train = generate_w_mixture(60, seed=31).data
+    val = generate_w_mixture(300, seed=32).data
+    spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
+        bandwidth_grid(train.X, (0.5,)))))
+    config = WeightLearningConfig(deltas=(1.0,), mode="projected",
+                                  max_outer_iter=40)
+    result = learn_weights(train, val, spec, config)
+    losses = [loss for loss, _ in result.history]
+    assert len(losses) > 10
+    for before, after in zip(losses, losses[1:]):
+        assert after <= before - 1e-12
+    assert factors and all(0.1 <= f <= 0.5 for f in factors)
+
+
 def test_log_mode_weights_stay_bounded(monkeypatch):
     # unbounded log-weights run off to 2e-36 and 8e9 on this instance
     sample, val = _outlier_setup(seed=21)
