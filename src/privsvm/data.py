@@ -149,9 +149,18 @@ def load_privileged(path, data: Dataset) -> PrivilegedSet:
 
 
 def load_weights(path, n: int | None = None) -> np.ndarray:
-    """One finite nonnegative decimal per line."""
+    """One finite nonnegative decimal per line.  A line that does not
+    parse raises a ValueError naming ``path:line``."""
+    values = []
     with open(path) as fh:
-        values = [float(line.strip()) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     values = np.asarray(values, dtype=float)
     if not np.all((values >= 0) & (values < np.inf)):  # NaN fails both
         raise ValueError(f"{path}: weights must be finite and nonnegative")

@@ -59,8 +59,10 @@ class KernelSpec:
         if self.kind not in (LINEAR, GAUSSIAN_RBF):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == GAUSSIAN_RBF:
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ValueError("gaussian-rbf requires bandwidth > 0")
+            # an infinite bandwidth would make a constant kernel
+            if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
+                raise ValueError(
+                    "gaussian-rbf requires a finite bandwidth > 0")
 
     def describe(self) -> str:
         if self.kind == LINEAR:

@@ -33,6 +33,7 @@ Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10**6
+_EPS = float(np.finfo(float).eps)
 
 
 def check_weights(c, n: int, allow_all_zero: bool = False) -> np.ndarray:
@@ -98,7 +100,19 @@ def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
     # cumulative sum over all events at or below it
     step = beta[1:] != beta[:-1]
     uniq = beta[np.concatenate(([True], step))]
-    d_right = cum[np.concatenate((step, [True]))]
+    last = np.concatenate((step, [True]))
+    d_right = cum[last]
+    # the sum and the cumulative sums round differently, so an exactly flat
+    # stretch can read as +-1e-17: judge the sign of a right-derivative
+    # within its rounding bound of 0 on the correctly rounded sum.  d_right
+    # is nondecreasing in floating point too, so those are one run
+    bound = cp.size * _EPS * (cum[-1] - 2.0 * slope)
+    start, stop = np.searchsorted(d_right, (-bound, bound))
+    if start < stop:
+        terms = (-cp[yp > 0]).tolist()
+        ends = np.flatnonzero(last)
+        for k in range(start, stop):
+            d_right[k] = math.fsum(terms + w[:ends[k] + 1].tolist())
     if slope >= 0:
         lo = -np.inf
     else:

@@ -1,111 +1,85 @@
 """Independent brute-force reference solvers used as test oracles.
 
 Both duals are solved by accelerated projected gradient descent with exact
-projections onto their feasible sets.  The projections are computed by
-root-finding on the constraint multipliers (semismooth Newton with a
-bisection fallback).  Deliberately slow and simple, and entirely separate
-from the library's own solvers.
+projections onto their feasible sets.  Each projection is a breakpoint
+search on a monotone piecewise-linear function of one multiplier (Kiwiel
+2008, *Breakpoint searching algorithms for the continuous quadratic
+knapsack problem*): evaluate it at its knots, find the bracketing segment
+and interpolate.  There is no tolerance and no iteration.
+``tests/test_reference.py`` checks both projections against bisection.
+Deliberately slow and simple, and entirely separate from the library's own
+solvers: this module imports nothing but numpy.
 """
 
 import numpy as np
 
 
+def _root(values, *columns):
+    """Each column at the first zero of a nondecreasing function that is
+    linear between its knots, given the function and the columns at the
+    sorted knots (the columns linear there too); at the first knot if the
+    function is positive there, at the last if it is negative everywhere.
+    """
+    if values[-1] < 0.0:
+        return [col[-1] for col in columns]
+    j = int(np.argmax(values >= 0.0))
+    if j == 0:
+        return [col[0] for col in columns]
+    t = values[j - 1] / (values[j - 1] - values[j])
+    return [col[j - 1] + t * (col[j] - col[j - 1]) for col in columns]
+
+
 def project_box_hyperplane(z, y, c):
-    """Project z onto {0 <= a <= c, y'a = 0} (Euclidean)."""
+    """Project z onto {0 <= a <= c, y'a = 0} (Euclidean).
 
-    def value(lam):
-        return float(np.clip(z + lam * y, 0.0, c) @ y)
-
-    span = float(np.max(c)) + float(np.max(np.abs(z))) + 1.0
-    lo, hi = -span, span
-    # y'a is nondecreasing in lam; expand until bracketed
-    while value(lo) > 0:
-        lo *= 2.0
-    while value(hi) < 0:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if value(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return np.clip(z + 0.5 * (lo + hi) * y, 0.0, c)
+    a = clip(z + lam*y, 0, c) for the multiplier lam of y'a = 0, and
+    y'clip(z + lam*y, 0, c) is nondecreasing in lam, linear between its
+    knots -y*z and y*(c - z).
+    """
+    knots = np.sort(np.concatenate((-y * z, y * (c - z))))
+    values = np.clip(z + knots[:, None] * y, 0.0, c) @ y
+    lam, = _root(values, knots)
+    return np.clip(z + lam * y, 0.0, c)
 
 
-def _svmplus_point(za, zb, y, lam, mu):
-    a = np.maximum(za + lam * y + mu, 0.0)
-    b = np.maximum(zb + mu, 0.0)
-    return a, b
+def _top_sums(u):
+    """S_k, the sum of the k largest entries of u, for k = 1, 2, ...; k;
+    and the knots S_k - k u_k.
+
+    The s with sum(max(u + s, 0)) = m >= 0 is min_k (m - S_k)/k (at m = 0
+    the largest such s, -max(u)), linear in m between those knots: the
+    k-th largest entry turns positive at mass S_k - k u_k.
+    """
+    u = np.sort(u)[::-1]
+    k = np.arange(1.0, u.size + 1.0)
+    S = np.cumsum(u)
+    return S, k, S - k * u
 
 
 def project_svmplus(za, zb, y, total):
     """Project (za, zb) onto {a >= 0, b >= 0, y'a = 0, 1'(a+b) = total}.
 
-    The optimality system in the two multipliers (lam for y'a = 0, mu for
-    the sum constraint) is piecewise linear; semismooth Newton solves it in
-    a handful of steps, with nested bisection as a safety net.
+    With multipliers lam for y'a = 0 and mu for the sum, a = max(za + lam*y
+    + mu, 0) and b = max(zb + mu, 0).  Let m be the mass of a on either
+    label.  Then a on y = +1, a on y = -1 and b are simplex-type
+    projections of mass m, m and total - 2m, with shifts s = lam + mu,
+    t = mu - lam and mu, and the KKT conditions ask that
+    F(m) = (s + t)/2 - mu be 0.  F is increasing and piecewise linear in
+    m on [0, total/2]; at its ends, a = 0 (m = 0) or b = 0 (m = total/2).
+    Both labels must be present.
     """
-    lam, mu = 0.0, 0.0
-    for _ in range(60):
-        a, b = _svmplus_point(za, zb, y, lam, mu)
-        f1 = float(a @ y)
-        f2 = float(np.sum(a) + np.sum(b)) - total
-        if abs(f1) <= 1e-13 * (1.0 + abs(total)) and \
-                abs(f2) <= 1e-13 * (1.0 + abs(total)):
-            return a, b
-        act_a = a > 0
-        act_b = b > 0
-        na = float(np.sum(act_a))
-        sy = float(np.sum(y[act_a]))
-        nb = float(np.sum(act_b))
-        # Jacobian [[d f1/d lam, d f1/d mu], [d f2/d lam, d f2/d mu]]
-        J = np.array([[na, sy], [sy, na + nb]])
-        J += 1e-12 * np.eye(2)
-        try:
-            step = np.linalg.solve(J, -np.array([f1, f2]))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        lam += float(step[0])
-        mu += float(step[1])
-    return _project_svmplus_bisect(za, zb, y, total)
-
-
-def _project_svmplus_bisect(za, zb, y, total):
-    def inner(mu):
-        def avalue(lam):
-            return float(np.maximum(za + lam * y + mu, 0.0) @ y)
-
-        span = float(np.max(np.abs(za))) + abs(mu) + 1.0
-        lo, hi = -span, span
-        while avalue(lo) > 0:
-            lo *= 2.0
-        while avalue(hi) < 0:
-            hi *= 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if avalue(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid
-        return _svmplus_point(za, zb, y, 0.5 * (lo + hi), mu)
-
-    span = (float(np.max(np.abs(za))) + float(np.max(np.abs(zb)))
-            + abs(total) + 1.0)
-    lo, hi = -span, span
-    while float(np.sum(np.concatenate(inner(lo)))) > total:
-        lo *= 2.0
-    while float(np.sum(np.concatenate(inner(hi)))) < total:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        a, b = inner(mid)
-        if float(np.sum(a) + np.sum(b)) >= total:
-            hi = mid
-        else:
-            lo = mid
-    return inner(0.5 * (lo + hi))
+    pos = y > 0
+    M = 0.5 * total
+    (Sp, kp, mp), (Sn, kn, mn), (Sb, kb, mb) = (
+        _top_sums(za[pos]), _top_sums(za[~pos]), _top_sums(zb))
+    m = np.clip(np.concatenate((mp, mn, M - 0.5 * mb, [0.0, M])), 0.0, M)
+    m = np.sort(m)[:, None]
+    s = ((m - Sp) / kp).min(axis=1)
+    t = ((m - Sn) / kn).min(axis=1)
+    mu = ((total - 2.0 * m - Sb) / kb).min(axis=1)
+    s, t, mu = _root(0.5 * (s + t) - mu, s, t, mu)
+    a = np.maximum(za + np.where(pos, s, t), 0.0)
+    return a, np.maximum(zb + mu, 0.0)
 
 
 def _spectral_norm(H):

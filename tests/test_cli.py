@@ -311,6 +311,7 @@ def test_check_prints_each_key_once(command, three_point_files, tmp_path,
 
 @pytest.mark.parametrize("case",
                          ["rejected-input", "rejected-config", "rejected-grid",
+                          "rejected-bandwidth", "bad-weight-line",
                           "missing-file", "missing-config"])
 def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
                                          capsys):
@@ -328,6 +329,16 @@ def test_input_error_exits_with_one_line(case, three_point_files, tmp_path,
     elif case == "rejected-grid":
         argv = ["experiment", "--c-grid", "1,0"]
         err = "error: C_grid must be nonempty, finite and > 0\n"
+    elif case == "rejected-bandwidth":
+        argv = ["train-wsvm", "--data", data_path, "--kernel",
+                "gaussian-rbf", "--bandwidth", "inf"]
+        err = "error: gaussian-rbf requires a finite bandwidth > 0\n"
+    elif case == "bad-weight-line":
+        weights = tmp_path / "bad.w"
+        weights.write_text("1\nabc\n1\n")
+        argv = ["train-wsvm", "--data", data_path, "--weights", str(weights)]
+        err = (f"error: {weights}:2: could not convert string to float: "
+               "'abc'\n")
     else:
         missing = str(tmp_path / "missing.data")
         argv = (["train-wsvm", "--data", missing] if case == "missing-file"

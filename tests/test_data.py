@@ -84,6 +84,16 @@ def test_sparse_rejects_bad_labels_and_indices(tmp_path):
             load_sparse(p)
 
 
+def test_weight_files_name_the_bad_line(tmp_path):
+    # as in a sparse file, a weight that is not a number names its file
+    # and line; blank lines count
+    p = tmp_path / "w"
+    for line in ("abc", "1 2", "0.5,"):
+        p.write_text(f"0.5\n\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:3: ")):
+            load_weights(p)
+
+
 def test_load_privileged_companion(tmp_path):
     data_path = tmp_path / "d.data"
     save_sparse(data_path, [[1.0], [2.0]], [1.0, -1.0])

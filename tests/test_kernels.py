@@ -59,6 +59,10 @@ def test_spec_validation():
         KernelSpec(GAUSSIAN_RBF)
     with pytest.raises(ValueError):
         KernelSpec(GAUSSIAN_RBF, -1.0)
+    # an infinite bandwidth would make a constant kernel
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite bandwidth"):
+            KernelSpec(GAUSSIAN_RBF, bad)
 
 
 def test_spec_describe():

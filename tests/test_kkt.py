@@ -84,13 +84,11 @@ def test_b_non_unique_second_balance_condition():
 def test_b_uniqueness_agrees_with_stored_interval():
     # the balance conditions, read off the fit's margins, against the exact
     # argmin interval of the offset that the solve stored; small weights
-    # bound most points, so about a quarter of the offsets are non-unique.
-    # Each fit has at most 7 points: from 8 points of a label up, the
-    # stored interval can miss an exactly flat stretch (see the next test)
+    # bound most points, so about a quarter of the offsets are non-unique
     rng = np.random.default_rng(0)
     non_unique = 0
     for _ in range(400):
-        n = int(rng.integers(2, 8))
+        n = int(rng.integers(2, 13))
         X = rng.normal(size=(n, int(rng.integers(1, 3))))
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         y[:2] = 1.0, -1.0
@@ -106,9 +104,6 @@ def test_b_uniqueness_agrees_with_stored_interval():
     assert non_unique >= 50
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "wsvm._optimal_offset_interval judges its slopes' signs exactly, and "
-    "its pairwise sum and cumulative sums round differently"))
 def test_stored_interval_keeps_an_exactly_flat_stretch():
     # eleven equal weights; the hinge objective is exactly flat on
     # [0.98, 1.005] (checked in rational arithmetic), and b_uniqueness
