@@ -13,6 +13,11 @@ the first one wins a tie.  Only each method's winner is evaluated on the
 test sample.  Each grid is fitted once per split: svm's is the tau = 0
 row of wsvm-prob's, and wsvm-from-svmplus is the WSVM built from the SVM+
 winner (``equivalence.wsvm_from_svmplus``), with no solve of its own.
+Within wsvm-prob's grid a tau row whose weights repeat an earlier row's
+bit for bit is not fitted: its fits would repeat that row's bit for bit
+under a larger extra rank, so none of them could win.  On the blobs
+source, whose confidences are 0 or 1, every tau > 0 row equals the
+tau = 0.5 row, and without a planted point all rows are ones.
 The kernel matrices are built once per split, not once per fit: one
 Q = YKY row source per decision kernel, which the weighted and the SVM+
 grids share, and one per privileged kernel (above 256 training points
@@ -335,7 +340,11 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     the larger bandwidth (candidate enumeration order encodes the rest).
     Only the winners see the test sample.  svm and wsvm-prob share one
     WSVM grid, fitted once: svm's candidates are its tau = 0 row (extra
-    rank 0), whose weights are 1 exactly.  The SVM+ grid is
+    rank 0), whose weights are 1 exactly.  A tau row whose weights have
+    the bytes of an earlier row's is dropped before fitting: each of its
+    fits would tie the earlier row's fit of the same kernel and C on
+    validation error and lose on extra rank.  The tau = 0 row comes first,
+    so it is always kept.  The SVM+ grid is
     searched once for both svmplus and wsvm-from-svmplus; the latter
     evaluates the WSVM built from the winner (``wsvm_from_svmplus``).
     Every fit of both grids solves on the row sources built here, one
@@ -372,10 +381,15 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
         # the tau grid starts at 0, whose weights are 1 exactly: svm's
         # grid is that row, extra rank 0
         taus = DEFAULT_TAU_GRID if "wsvm-prob" in methods else (0.0,)
-        weights = [(ti, probability_weights(eta_train, train.y, tau))
-                   for ti, tau in enumerate(taus)]
-        grid = list(wsvm_grid([(ti, w) for ti, w in weights
-                               if np.any(w > 0)]))
+        weights, seen = [], set()
+        for ti, tau in enumerate(taus):
+            w = probability_weights(eta_train, train.y, tau)
+            # a row with an earlier row's bytes would refit that row's
+            # models bit for bit under a larger extra rank: it cannot win
+            if np.any(w > 0) and w.tobytes() not in seen:
+                seen.add(w.tobytes())
+                weights.append((ti, w))
+        grid = list(wsvm_grid(weights))
         if "svm" in methods:
             model = _winner(pair for pair in grid if pair[0][3] == 0)
             f_test["svm"] = model.predict(test)

@@ -35,8 +35,8 @@ def nadaraya_watson(train: Dataset, queries=None,
     squared distances from the training set's cached norms; every block
     reuses that buffer and the one of its outer sum.
     """
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     E = train.X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
     eta = np.empty(E.shape[0])
@@ -62,8 +62,8 @@ def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:
 
     tau = 0 gives uniform weights (0^0 = 1 by convention), tau = 1 the
     plain label probabilities; larger tau suppresses doubtful labels
-    harder.  Each eta_i must be finite with |eta_i| <= 1 + 1e-12; it is
-    used as given, not clipped.
+    harder; tau must be finite.  Each eta_i must be finite with
+    |eta_i| <= 1 + 1e-12; it is used as given, not clipped.
     """
     eta = np.asarray(eta, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -71,8 +71,8 @@ def probability_weights(eta, y, tau: float = 1.0) -> np.ndarray:
         raise ValueError("confidence scores must lie in [-1, 1]")
     if eta.shape != y.shape:
         raise ValueError("eta/label length mismatch")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and nonnegative")
     w = 0.5 * (1.0 + y * eta)
     return w**tau
 

@@ -8,6 +8,7 @@ from privsvm import (
     KernelSpec,
     LINEAR,
     NotRepresentableError,
+    check_svmplus_kkt,
     check_wsvm_kkt,
     construct_privileged,
     dual_uniqueness_condition,
@@ -138,6 +139,29 @@ def test_wsvm_built_from_svmplus_is_certified(seed, n, duplicates, kinds,
     np.testing.assert_array_equal(built.c, plus.alpha + plus.beta)
     probe = rng.normal(size=(50, data.d))
     np.testing.assert_array_equal(predict(built, probe), plus.predict(probe))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: complementarity "
+                   "in absolute units grows with beta up to 10.8")
+def test_svmplus_fit_and_its_replay_certified_seed81():
+    # the example of test_wsvm_built_from_svmplus_is_certified at seed 81,
+    # n = 4 with duplicates, RBF bandwidths 1 and 0.5, C = 4, gamma = 0.25:
+    # the SVM+ fit stops after 16 iterations and fails its own report at
+    # 1.74e-8 on complementarity_slack; the WSVM built from it at 3.48e-8
+    rng = np.random.default_rng(81)
+    n = 4
+    data = random_dataset(rng, n)
+    priv = random_privileged(rng, n)
+    src = rng.integers(0, n, size=n)
+    take = np.where(rng.random(n) < 1 / 3, src, np.arange(n))
+    assert not np.all(data.y[take] == data.y[take][0])
+    data = Dataset(data.X[take], data.y[take])
+    priv = PrivilegedSet(priv.X[take])
+    plus = solve_svmplus(data, priv, _kernel(GAUSSIAN_RBF, 0),
+                         _kernel(GAUSSIAN_RBF, -1), 4.0, 0.25)
+    own = check_svmplus_kkt(plus, tol=1e-8)
+    replay = check_wsvm_kkt(wsvm_from_svmplus(plus), tol=1e-8)
+    assert own.passed and replay.passed, (own, replay)
 
 
 def test_family_membership_three_point_instance():

@@ -245,27 +245,63 @@ def test_svmplus_grid_fitted_once_and_winner_replayed(monkeypatch, wsvm_q):
     assert replay == ResultRow("wsvm-from-svmplus", *astuple(plus)[1:])
 
 
-def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
-    # tau = 0 gives svm's weights 1 exactly, so with both methods the 45
-    # fits of wsvm-prob's grid (3 bandwidths x 5 tau x 3 C) hold svm's 9,
-    # and each split makes 45 weighted fits, not 54: the SVM+ replay is
-    # built, not solved
-    calls = []
+def _weighted_fits_per_split(monkeypatch, config):
+    """run_experiment's rows, and per split the weighted fits it made
+    beside the number its tau rows call for: the rows that are not a
+    bitwise repeat of an earlier row, times the bandwidths, times C."""
+    calls, splits = [], []
 
     def counting_wsvm(*args, **kwargs):
         calls.append(1)
         return solve_wsvm(*args, **kwargs)
 
+    fit_methods = experiments._fit_methods
+
+    def recording(train, val, test, config, priv_X, eta_train):
+        start = len(calls)
+        out = fit_methods(train, val, test, config, priv_X, eta_train)
+        # blobs confidences are 0 or 1: every tau > 0 row is the 0.5 row,
+        # and it differs from tau = 0's ones only at a planted point
+        rows = 5 if config.source == "wmixture" else 1 + bool(priv_X.any())
+        want = rows * len(bandwidth_grid(train.X)) * len(config.C_grid)
+        splits.append((len(calls) - start, want))
+        return out
+
     monkeypatch.setattr(experiments, "solve_wsvm", counting_wsvm)
+    monkeypatch.setattr(experiments, "_fit_methods", recording)
+    return run_experiment(config).rows, splits
+
+
+def test_svm_reads_its_fits_off_the_wsvm_prob_grid(monkeypatch):
+    # tau = 0 gives svm's weights 1 exactly, so with both methods wsvm-prob's
+    # grid holds svm's 9 fits (3 bandwidths x 3 C), and the SVM+ replay is
+    # built, not solved.  Neither split holds a planted point, so all five
+    # tau rows are ones and only the first is fitted: 9 fits, not 45
     base = dict(source="blobs", kernel="gaussian-rbf", seed=5,
                 subset_sizes=(12,), **PROTOCOL)
     config = ExperimentConfig(methods=("svm", "wsvm-prob", "svmplus",
                                        "wsvm-from-svmplus"), **base)
-    rows = run_experiment(config).rows
-    assert len(calls) == 45 * config.repetitions
+    rows, splits = _weighted_fits_per_split(monkeypatch, config)
+    assert splits == [(9, 9), (9, 9)]
     alone = [run_experiment(ExperimentConfig(methods=(m,), **base)).rows[0]
              for m in ("svm", "wsvm-prob")]
     assert rows[:2] == alone
+
+
+@pytest.mark.parametrize("source, seed, counts", [
+    ("blobs", 2, [9, 18]),
+    ("wmixture", 6, [45, 45]),
+], ids=["blobs-planted", "wmixture"])
+def test_weighted_grid_fits_each_distinct_tau_row_once(monkeypatch, source,
+                                                        seed, counts):
+    # a planted point in the training side (seed 2's second split) makes
+    # the tau > 0 rows differ from the ones of tau = 0: two rows, 18 fits.
+    # W-mixture confidences are continuous, so all five rows are fitted
+    config = ExperimentConfig(methods=("wsvm-prob",), source=source,
+                              kernel="gaussian-rbf", seed=seed,
+                              subset_sizes=(12,), **PROTOCOL)
+    _, splits = _weighted_fits_per_split(monkeypatch, config)
+    assert splits == [(c, c) for c in counts]
 
 
 @pytest.mark.parametrize("n, kernel, C_grid, gamma_grid", [

@@ -80,8 +80,12 @@ def test_nadaraya_watson_bitwise_textbook_formula(case):
 
 
 def test_nadaraya_watson_validation():
-    with pytest.raises(ValueError, match="bandwidth"):
-        nadaraya_watson(Dataset([[0.0]], [1.0]), bandwidth=0.0)
+    # an infinite bandwidth would give every kernel weight 1, so the
+    # estimate would be the label mean, 0.5, at every point
+    train = Dataset([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.0, -1.0, 1.0])
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth"):
+            nadaraya_watson(train, bandwidth=bad)
 
 
 def test_probability_weights_tau_grid():
@@ -93,8 +97,9 @@ def test_probability_weights_tau_grid():
     np.testing.assert_allclose(w1, [0.9, 0.1, 0.0], atol=1e-15)
     w2 = probability_weights(eta, y, tau=2.0)
     np.testing.assert_allclose(w2, [0.81, 0.01, 0.0], atol=1e-15)
-    with pytest.raises(ValueError, match="tau"):
-        probability_weights(eta, y, tau=-1.0)
+    for bad in (-1.0, np.nan, np.inf):  # NaN would give NaN weights
+        with pytest.raises(ValueError, match="tau"):
+            probability_weights(eta, y, tau=bad)
     with pytest.raises(ValueError, match="length"):
         probability_weights(eta[:2], y)
 
