@@ -175,6 +175,9 @@ def test_family_membership_three_point_instance():
     assert not family_membership(np.array([4.0, -1.0, 2.0]), model)
     with pytest.raises(ValueError, match="length"):
         family_membership(np.ones(4), model)
+    for bad in ([np.nan, 6.0, 2.0], [4.0, np.inf, 2.0], [4.0, 6.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            family_membership(np.array(bad), model)
 
 
 def test_family_membership_unique_dual_fast_path(rng):
@@ -189,9 +192,9 @@ def test_family_membership_unique_dual_fast_path(rng):
     assert family_membership(bumped, model)
 
 
-def test_family_membership_lp_path():
-    # a 1-D linear Gram has rank 1, so the dual is not unique and the
-    # decision goes through the linear program
+def test_family_membership_rank_deficient_gram():
+    # a 1-D linear Gram has rank 1, so the dual is not unique: a member's
+    # dual may move on the margin points, an outsider's cannot reach w*
     data = Dataset([[-2.0], [-1.0], [-0.2], [1.0], [2.0], [0.3], [-0.6],
                     [0.7]], [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     spec = KernelSpec(LINEAR)
@@ -212,6 +215,76 @@ def test_family_membership_lp_path():
     again = solve_wsvm(data, spec, outsider)
     assert np.max(np.abs((again.decision_train - again.b)
                          - (model.decision_train - model.b))) > 1e-3
+
+
+def test_family_membership_false_member_beyond_the_margin():
+    # w* = -4/3, b* = -31/15: point 0 lies strictly beyond the margin
+    # (y f = 2.6), so every dual of (w*, b*) is 0 there.  Raising the
+    # weight of the margin-violated point 2 would then need more than c_1
+    # on point 1, and the optimum moves: a refit has w = -20/27 and
+    # objective 3.8299, against 4.0889 at the model's solution
+    data = Dataset([[0.4], [-0.8], [-0.7], [-2.3]], [-1.0, -1.0, 1.0, 1.0])
+    spec = KernelSpec(LINEAR)
+    model = solve_wsvm(data, spec, np.array([1.0, 2.0, 1.0, 2.0]))
+    np.testing.assert_allclose(model.coef @ data.X, [-4.0 / 3.0])
+    assert model.b == pytest.approx(-31.0 / 15.0)
+    candidate = np.array([1.0, 2.0, 1.5, 2.0])
+    assert not family_membership(candidate, model)
+    again = solve_wsvm(data, spec, candidate, tol=1e-12)
+    np.testing.assert_allclose(again.coef @ data.X, [-20.0 / 27.0])
+    at_model = 0.5 * float(model.coef @ model.f0) + candidate @ model.xi
+    assert again.objective_primal == pytest.approx(3.8299, abs=1e-4)
+    assert at_model == pytest.approx(4.0889, abs=1e-4)
+
+
+def test_family_membership_false_outsider_off_the_margin():
+    # w* = -1.25, b* = 0.75, xi* = (0, 1.375, 0): raising the weight of
+    # the margin-violated point changes 1'mu but not the optimum, which a
+    # refit finds again
+    data = Dataset([[-0.2], [0.9], [1.4]], [1.0, 1.0, -1.0])
+    spec = KernelSpec(LINEAR)
+    model = solve_wsvm(data, spec, np.array([2.0, 1.0, 2.0]))
+    np.testing.assert_allclose(model.coef @ data.X, [-1.25])
+    assert model.b == pytest.approx(0.75)
+    np.testing.assert_allclose(model.xi, [0.0, 1.375, 0.0], atol=1e-12)
+    candidate = np.array([2.0, 1.5, 2.0])
+    assert family_membership(candidate, model)
+    again = solve_wsvm(data, spec, candidate, tol=1e-12)
+    np.testing.assert_allclose(again.coef @ data.X, [-1.25])
+    assert again.b == pytest.approx(0.75)
+
+
+def test_family_membership_matches_a_refit():
+    # a candidate is a member exactly when the model's primal objective
+    # under it is the refit's optimum.  On these 1-D linear fits with ties
+    # (531 members of 630 candidates), members agree within 1.2e-15
+    # relative and outsiders differ by 1.7e-6 or more
+    rng = np.random.default_rng(2024)
+    spec = KernelSpec(LINEAR)
+    decisions = []
+    for _ in range(70):
+        n = int(rng.integers(5, 25))
+        data = random_dataset(rng, n, d=1)
+        data = Dataset(np.round(data.X, 1), data.y)
+        c = rng.choice([0.5, 1.0, 2.0], n)
+        model = solve_wsvm(data, spec, c, tol=1e-10)
+        zero_slack = model.xi <= 1e-6
+        candidates = [c, c + 0.5 * zero_slack,
+                      c + rng.uniform(0.0, 1.0, n) * zero_slack]
+        for i in rng.choice(n, 3, replace=False):
+            candidates.append(c + 0.5 * (np.arange(n) == i))
+        for i in rng.choice(n, 3, replace=False):
+            candidates.append(c * np.where(np.arange(n) == i, 0.5, 1.0))
+        quad = float(model.coef @ model.f0)
+        for candidate in candidates:
+            optimum = solve_wsvm(data, spec, candidate,
+                                 tol=1e-12).objective_primal
+            at_model = 0.5 * quad + float(candidate @ model.xi)
+            truth = abs(at_model - optimum) <= 1e-9 * abs(optimum)
+            decisions.append((family_membership(candidate, model), truth))
+    got, truth = np.array(decisions).T
+    assert truth.any() and not truth.all()
+    np.testing.assert_array_equal(got, truth)
 
 
 def test_rho_zero_soft_margin_branch(rng):

@@ -11,8 +11,8 @@ import privsvm
 
 
 def test_import_loads_no_scipy_optimize():
-    # scipy.optimize is most of a fresh import's time, and only the LP path
-    # of family_membership and log-mode weight learning call it
+    # scipy.optimize is most of a fresh import's time, and only log-mode
+    # weight learning calls it
     src = os.path.dirname(os.path.dirname(privsvm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -23,6 +23,28 @@ def test_import_loads_no_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_weightlearn_imports_scipy():
+    # every import of the package, in a function body too: the QP core
+    # decides family membership, and scipy is left to the L-BFGS-B outer
+    # loop of weight learning
+    found = []
+    for info in pkgutil.iter_modules(privsvm.__path__):
+        path = os.path.join(os.path.dirname(privsvm.__file__),
+                            f"{info.name}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found += [(info.name, module, name) for module, name in names
+                      if module.split(".")[0] == "scipy"]
+    assert found == [("weightlearn", "scipy.optimize", "minimize")]
 
 
 def test_every_export_resolves():
