@@ -133,7 +133,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     add(p, "--max-iter", wl.max_outer_iter, type=int)
     add(p, "--weights-out")
     add(p, "--log-out",
-        help="per-iteration CSV (iteration,objective,val_error)")
+        help="CSV of each accepted iterate (iteration,objective,val_error)")
 
     p = sub.add_parser("equiv",
                        help="equivalence diagnostics for a weighted solution")

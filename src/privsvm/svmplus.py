@@ -58,10 +58,14 @@ class SvmPlusModel(_Expansion):
     alpha_tilde: np.ndarray
     b_tilde: float
     xi: np.ndarray
-    h: np.ndarray
     objective_primal: float
     objective_dual: float
     kt_at: np.ndarray   # Kt alpha_tilde
+
+    @property
+    def h(self) -> np.ndarray:
+        """The hinge of the decision values, max(0, 1 - y f)."""
+        return np.maximum(0.0, 1.0 - self.data.y * self.decision_train)
 
 
 def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
@@ -171,7 +175,6 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
         hi = np.min(xi[y < 0] - 1.0) if np.any(y < 0) else np.inf
         b = _pick_offset((lo, hi))
 
-    h = np.maximum(0.0, 1.0 - y * (f0 + b))
     quad = float(alpha @ q_alpha)
     quad_t = float(at @ kt_at)
     primal = 0.5 * quad + 0.5 * quad_t / gamma + C * float(np.sum(xi))
@@ -179,7 +182,7 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
     return SvmPlusModel(
         data=data, priv=priv, spec=spec, priv_spec=priv_spec, C=C,
         gamma=gamma, alpha=alpha, beta=beta, alpha_tilde=at, b=b,
-        b_tilde=b_tilde, xi=xi, h=h, objective_primal=primal,
+        b_tilde=b_tilde, xi=xi, objective_primal=primal,
         objective_dual=dual, f0=f0, kt_at=kt_at, n_iter=n_iter,
     )
 
@@ -205,7 +208,7 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol, max_iter,
     return SvmPlusModel(
         data=data, priv=priv, spec=spec, priv_spec=priv_spec, C=C,
         gamma=0.0, alpha=wsvm.alpha, beta=wsvm.beta, alpha_tilde=at,
-        b=wsvm.b, b_tilde=b_tilde, xi=wsvm.xi.copy(), h=wsvm.xi,
+        b=wsvm.b, b_tilde=b_tilde, xi=wsvm.xi.copy(),
         objective_primal=wsvm.objective_primal,
         objective_dual=wsvm.objective_dual, f0=wsvm.f0,
         kt_at=np.zeros(data.n), n_iter=wsvm.n_iter,

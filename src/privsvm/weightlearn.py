@@ -7,19 +7,22 @@ differentiation of the stationarity system.  The outer objective
 
     V(c) = sum_j l_delta(y'_j f_c(x'_j))
 
-over a validation set is then minimized by bounded L-BFGS-B in
-log-weights (which keeps c positive and within a factor WEIGHT_SPREAD of
-C_INIT, every weight's start, so weight ratios are at most WEIGHT_SPREAD**2
-and every inner solve can be certified) or by projected gradient in c.
-An inner solve that cannot be certified raises ConvergenceError.
+over a validation set is then minimized by one projected-gradient loop
+in a coordinate theta that the mode picks.  Log mode steps theta = log c
+along c o g, for g the gradient in c, within log C_INIT +- log
+WEIGHT_SPREAD (C_INIT is every weight's start), so weight ratios are at
+most WEIGHT_SPREAD**2 and every inner solve can be certified.  Projected
+mode steps theta = c along g, kept at or above WEIGHT_FLOOR.  An inner
+solve that cannot be certified raises ConvergenceError.
 
-The projected loop accepts a trial only when it lowers V by at least
-1e-12, and then grows the step by 1.5.  A rejected trial retries at the
-minimiser of the quadratic through V, its slope g'(c_new - c) along the
-projected move and the trial's V, clamped to 0.1-0.5 of the step; where
-that quadratic has no positive curvature the step halves (safeguarded
-quadratic interpolation, Nocedal & Wright, *Numerical Optimization*,
-section 3.5).
+The loop accepts a trial only when it lowers V by at least 1e-12, and
+then grows the step by 1.5.  A rejected trial retries at the minimiser
+of the quadratic through V, its slope along the projected move in theta
+and the trial's V, clamped to 0.1-0.5 of the step; where that quadratic
+has no positive curvature the step halves (safeguarded quadratic
+interpolation, Nocedal & Wright, *Numerical Optimization*, section 3.5).
+A result's ``history`` holds the (V, error) of each accepted iterate and
+``n_outer_iter`` the loop's steps.
 
 The outer loop needs only the gradient g' d(a*, b*)/dc of the validation
 loss, not the whole sensitivity, so it takes it from one adjoint solve
@@ -33,15 +36,14 @@ stopped on and keeps in its model; a model built by hand computes them on
 first use.
 
 The outer loop moves c a little at a time, so each inner solve after the
-first of a delta warm-starts from the model of the previous outer step
-(projected mode: the accepted iterate; log mode: the previous L-BFGS-B
-evaluation) and reuses its training Gram matrix, which is then built once
-per delta.  The validation Gram is built once per call, for every delta.
+first of a delta warm-starts from the model of the accepted iterate and
+reuses its training Gram matrix, which is then built once per delta.
+The validation Gram is built once per call, for every delta.
 
 ``WeightLearningConfig`` holds what callers vary (deltas, mode,
-max_outer_iter).  The start weight C_INIT, the outer stop GTOL and the
-projected mode's first step STEP_INIT and weight floor WEIGHT_FLOOR are
-module constants.
+max_outer_iter).  The start weight C_INIT, the outer stop GTOL, the
+first step STEP_INIT and the two boxes' WEIGHT_SPREAD and WEIGHT_FLOOR
+are module constants.
 """
 
 from __future__ import annotations
@@ -65,12 +67,12 @@ __all__ = [
 
 DEFAULT_DELTAS = (0.01, 0.1, 1.0)
 C_INIT = 1.0  # every weight's start value
-# outer stop: L-BFGS-B's gtol, and the projected loop's bound on max |grad|
+# outer stop: the bound on max |gradient in theta|
 GTOL = 1e-6
 # log mode: each weight stays within this factor of C_INIT
 WEIGHT_SPREAD = 1e4
-# projected mode: first step length, and the floor that keeps c positive
-STEP_INIT = 1.0
+STEP_INIT = 1.0  # first step length, in theta
+# projected mode: the floor that keeps c positive
 WEIGHT_FLOOR = 1e-8
 
 
@@ -145,7 +147,7 @@ def _adjoint_gradient(model: PrimalModel, g_alpha, g_b: float):
 @dataclass(frozen=True)
 class WeightLearningConfig:
     deltas: tuple[float, ...] = DEFAULT_DELTAS
-    mode: str = "log"          # "log" (L-BFGS-B in log-weights) or "projected"
+    mode: str = "log"  # the loop's coordinate: "log" (log c) or "projected"
     max_outer_iter: int = 200
 
     def __post_init__(self):
@@ -206,7 +208,6 @@ def _backtrack(loss, slope, loss_new):
 
 def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
                      delta: float, config: WeightLearningConfig, K_val):
-    n = train.n
     history = []
     best = WeightLearningResult(None, np.inf, np.inf, history)
 
@@ -215,58 +216,54 @@ def _learn_one_delta(train: Dataset, val: Dataset, spec: KernelSpec,
         if (err, loss) < (best.val_error, best.val_loss):
             best.model, best.val_error, best.val_loss = model, err, loss
 
-    if config.mode == "log":
-        from scipy.optimize import minimize  # slow to import; only used here
-        last = None  # the previous evaluation's model, the next start
-
-        def fun(theta):
-            nonlocal last
-            c = np.exp(theta)
-            loss, err, last, slopes = _val_loss(
-                c, train, val, spec, delta, K_val, last)
-            record(loss, err, last)
-            # chain rule through c = exp(theta)
-            return loss, _val_grad(last, K_val, slopes) * c
-
-        t0 = np.log(C_INIT)
-        spread = np.log(WEIGHT_SPREAD)
-        res = minimize(fun, np.full(n, t0), jac=True, method="L-BFGS-B",
-                       bounds=[(t0 - spread, t0 + spread)] * n,
-                       options={"gtol": GTOL,
-                                "maxiter": config.max_outer_iter})
-        n_iter = int(res.nit)
+    # the loop's coordinate theta and its box: c itself, at or above the
+    # floor, or log c, within log WEIGHT_SPREAD of log C_INIT
+    log = config.mode == "log"
+    if log:
+        mid, spread = np.log(C_INIT), np.log(WEIGHT_SPREAD)
+        lo, hi, weights = mid - spread, mid + spread, np.exp
     else:
-        c = np.full(n, C_INIT)
-        step = STEP_INIT
-        loss, err, model, slopes = _val_loss(
-            c, train, val, spec, delta, K_val, None)
+        mid, lo, hi, weights = C_INIT, WEIGHT_FLOOR, np.inf, np.asarray
+
+    def gradient(model, slopes, c):
         grad = _val_grad(model, K_val, slopes)
-        record(loss, err, model)
-        n_iter = 0
-        for n_iter in range(1, config.max_outer_iter + 1):
-            if np.abs(grad).max() <= GTOL:
+        return grad * c if log else grad  # chain rule through c = exp(theta)
+
+    theta = np.full(train.n, mid)
+    c = weights(theta)
+    step = STEP_INIT
+    loss, err, model, slopes = _val_loss(
+        c, train, val, spec, delta, K_val, None)
+    grad = gradient(model, slopes, c)
+    record(loss, err, model)
+    n_iter = 0
+    for n_iter in range(1, config.max_outer_iter + 1):
+        if np.abs(grad).max() <= GTOL:
+            break
+        moved = False
+        while step > 1e-12:
+            theta_new = np.minimum(hi, np.maximum(lo, theta - step * grad))
+            c_new = weights(theta_new)
+            # a rejected trial leaves the accepted iterate's model as the
+            # start point of the next one, and needs no gradient
+            loss_new, err_new, model_new, slopes = _val_loss(
+                c_new, train, val, spec, delta, K_val, model)
+            if loss_new <= loss - 1e-12:
+                theta, loss, err = theta_new, loss_new, err_new
+                model = model_new
+                grad = gradient(model, slopes, c_new)
+                record(loss, err, model)
+                step *= 1.5
+                moved = True
                 break
-            moved = False
-            while step > 1e-12:
-                c_new = np.maximum(WEIGHT_FLOOR, c - step * grad)
-                # a rejected trial leaves the accepted iterate's model as
-                # the start point of the next one, and needs no gradient
-                loss_new, err_new, model_new, slopes = _val_loss(
-                    c_new, train, val, spec, delta, K_val, model)
-                if loss_new <= loss - 1e-12:
-                    c, loss, err, model = c_new, loss_new, err_new, model_new
-                    grad = _val_grad(model, K_val, slopes)
-                    record(loss, err, model)
-                    step *= 1.5
-                    moved = True
-                    break
-                # retry at the minimiser of the quadratic through the
-                # loss, its slope along the projected move and the trial's
-                # loss, kept within 0.1-0.5 of the step; halve where that
-                # quadratic has no positive curvature
-                step *= _backtrack(loss, float(grad @ (c_new - c)), loss_new)
-            if not moved:
-                break
+            # retry at the minimiser of the quadratic through the loss, its
+            # slope along the projected move and the trial's loss, kept
+            # within 0.1-0.5 of the step; halve where that quadratic has no
+            # positive curvature
+            step *= _backtrack(loss, float(grad @ (theta_new - theta)),
+                               loss_new)
+        if not moved:
+            break
 
     best.n_outer_iter = n_iter
     return best

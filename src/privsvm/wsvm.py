@@ -69,11 +69,15 @@ def check_weights(c, n: int, allow_all_zero: bool = False) -> np.ndarray:
 @dataclass(kw_only=True)
 class WsvmModel(_Expansion):
     c: np.ndarray
-    beta: np.ndarray
     b_interval: tuple[float, float]
     xi: np.ndarray
     objective_primal: float
     objective_dual: float
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The duals of xi >= 0, c - alpha."""
+        return self.c - self.alpha
 
 
 def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
@@ -173,7 +177,7 @@ def _model(data, spec, c, alpha, f0, b, n_iter) -> WsvmModel:
     primal = 0.5 * quad + float(c @ xi)
     dual = float(np.sum(alpha)) - 0.5 * quad
     return WsvmModel(
-        data=data, spec=spec, c=c, alpha=alpha, beta=c - alpha, b=b,
+        data=data, spec=spec, c=c, alpha=alpha, b=b,
         b_interval=interval, xi=xi,
         objective_primal=primal, objective_dual=dual, f0=f0, n_iter=n_iter,
     )

@@ -211,12 +211,12 @@ ALL_METHODS = ("svm", "wsvm-prob", "wsvm-learned", "svmplus",
      "method,subset,split,mean_error,std,reps\n"
      "svm,12,1-to-2,0.105,0.065,2\n"
      "wsvm-prob,12,1-to-2,0.105,0.065,2\n"
-     "wsvm-learned,12,1-to-2,0.04,0.01,2\n"
+     "wsvm-learned,12,1-to-2,0.065,0.025,2\n"
      "svmplus,12,1-to-2,0.085,0.035,2\n"
      "wsvm-from-svmplus,12,1-to-2,0.085,0.035,2\n"
      "svm,15,1-to-2,0.12,0.03,2\n"
      "wsvm-prob,15,1-to-2,0.12,0.03,2\n"
-     "wsvm-learned,15,1-to-2,0.045,0.015,2\n"
+     "wsvm-learned,15,1-to-2,0.055,0.025,2\n"
      "svmplus,15,1-to-2,0.09,0,2\n"
      "wsvm-from-svmplus,15,1-to-2,0.09,0,2\n"),
 ], ids=["blobs-rbf", "wmixture-linear"])

@@ -10,25 +10,23 @@ import sys
 import privsvm
 
 
-def test_import_loads_no_scipy_optimize():
-    # scipy.optimize is most of a fresh import's time, and only log-mode
-    # weight learning calls it
+def test_import_loads_no_scipy():
+    # numpy is the package's only runtime dependency
     src = os.path.dirname(os.path.dirname(privsvm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, privsvm; "
              "print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.optimize')))")
+             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_only_weightlearn_imports_scipy():
+def test_no_module_imports_scipy():
     # every import of the package, in a function body too: the QP core
-    # decides family membership, and scipy is left to the L-BFGS-B outer
-    # loop of weight learning
+    # decides family membership, and weight learning runs its own loop
     found = []
     for info in pkgutil.iter_modules(privsvm.__path__):
         path = os.path.join(os.path.dirname(privsvm.__file__),
@@ -44,7 +42,7 @@ def test_only_weightlearn_imports_scipy():
                 continue
             found += [(info.name, module, name) for module, name in names
                       if module.split(".")[0] == "scipy"]
-    assert found == [("weightlearn", "scipy.optimize", "minimize")]
+    assert found == []
 
 
 def test_every_export_resolves():

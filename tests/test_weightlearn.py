@@ -262,10 +262,11 @@ def test_step_halves_where_quadratic_has_no_curvature(monkeypatch):
         assert np.array_equal(c, [floor, 1.0])
 
 
-def test_projected_steps_each_lower_the_loss(monkeypatch):
+@pytest.mark.parametrize("mode", ["projected", "log"])
+def test_projected_steps_each_lower_the_loss(monkeypatch, mode):
     # every recorded iterate after the start was accepted at a loss at
     # least 1e-12 below the one before; the rejected trials between them
-    # retried at 0.1-0.5 of their step
+    # retried at 0.1-0.5 of their step, in c and in log c alike
     factors = []
     backtrack = weightlearn._backtrack
 
@@ -278,7 +279,7 @@ def test_projected_steps_each_lower_the_loss(monkeypatch):
     val = generate_w_mixture(300, seed=32).data
     spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
         bandwidth_grid(train.X, (0.5,)))))
-    config = WeightLearningConfig(deltas=(1.0,), mode="projected",
+    config = WeightLearningConfig(deltas=(1.0,), mode=mode,
                                   max_outer_iter=40)
     result = learn_weights(train, val, spec, config)
     losses = [loss for loss, _ in result.history]
@@ -298,6 +299,24 @@ def test_log_mode_weights_stay_bounded(monkeypatch):
     slack = 1.0 + 1e-12  # exp(log c) rounds by an ulp or two
     assert np.all(result.weights >= c_init / WEIGHT_SPREAD / slack)
     assert np.all(result.weights <= c_init * WEIGHT_SPREAD * slack)
+
+
+def test_log_mode_weights_hold_under_a_tighter_inner_solve(monkeypatch):
+    # the inner solves move within their own tolerance when PRIMAL_TOL
+    # goes from 1e-10 to 1e-11; the learned weights move far less than
+    # 1e-3 with them (on this draw L-BFGS-B moved one by a factor of 5e3)
+    train = generate_w_mixture(60, seed=313407450).data
+    val = generate_w_mixture(600, seed=2721192765).data
+    spec = KernelSpec(GAUSSIAN_RBF, float(np.median(
+        bandwidth_grid(train.X, (0.5,)))))
+    config = WeightLearningConfig(deltas=(0.1, 1.0), mode="log",
+                                  max_outer_iter=40)
+    weights = []
+    for tol in (1e-10, 1e-11):
+        monkeypatch.setattr(smooth, "PRIMAL_TOL", tol)
+        weights.append(learn_weights(train, val, spec, config).weights)
+    coarse, fine = weights
+    assert np.max(np.abs(fine - coarse) / coarse) <= 1e-3
 
 
 def test_dimension_mismatch_rejected(rng):
