@@ -21,7 +21,10 @@ tau = 0.5 row, and without a planted point all rows are ones.
 The kernel matrices are built once per split, not once per fit: one
 Q = YKY row source per decision kernel, which the weighted and the SVM+
 grids share, and one per privileged kernel (above 256 training points
-each fit still computes its own rows).  The test sample and the
+each fit still computes its own rows).  Along the gamma grid each SVM+
+fit starts from the one before it at the same kernels and C (alpha
+seeding), since gamma does not enter the constraints; every other fit
+starts cold.  The test sample and the
 fixed-validation pool are draws of the source without planted points.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
@@ -348,7 +351,9 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     searched once for both svmplus and wsvm-from-svmplus; the latter
     evaluates the WSVM built from the winner (``wsvm_from_svmplus``).
     Every fit of both grids solves on the row sources built here, one
-    per kernel candidate.
+    per kernel candidate.  Within a (kernel pair, C) cell each SVM+ fit
+    after the first gamma starts from the fit at the gamma before it: the
+    constraints do not involve gamma, so that fit is feasible.
     """
     methods = set(config.methods)
     specs = _kernel_candidates(config, train.X)
@@ -370,9 +375,10 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
         for si, (spec, Q) in enumerate(zip(specs, qs)):
             for pi, (pspec, Kt) in enumerate(zip(priv_specs, kts)):
                 for C in config.C_grid:
+                    plus = None  # the first gamma of a cell starts cold
                     for gi, gam in enumerate(config.gamma_grid):
                         plus = solve_svmplus(train, priv, spec, pspec, C, gam,
-                                             _Q=Q, _Kt=Kt)
+                                             _Q=Q, _Kt=Kt, _start=plus)
                         val_err = _error(val.y, plus.predict(val))
                         yield (val_err, C, si, pi * 1000 + gi), plus
 

@@ -27,7 +27,11 @@ Q a and Kt at, are the sources' ``dot``: above 256 points Q a sums the
 support rows that the solve computed, and the other two are kernel
 expansions, 256 points at a time, so no n x n matrix is built.  The
 start z0 = (0, nC e_1) puts all b mass on the first b, which has no
-upper bound; its gradient is one row of H.  The model is a kernel
+upper bound; its gradient is one row of H.  The constraints do not
+involve gamma, so a grid search starts each fit after the first gamma of
+a (kernel pair, C) cell from the previous gamma's z = (a, b) (``_start``;
+alpha seeding, DeCoste & Wagstaff 2000), whose gradient sums the rows of
+its support.  The model is a kernel
 expansion (``kernels._Expansion``) that the solve leaves no Gram: it
 keeps f0 = K(y o a) without the offset, read off Q a, and Kt at, all
 that decision_train and the KKT report read; both objectives are read
@@ -73,12 +77,16 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
                   tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, *,
                   _Q: _KernelRows | None = None,
-                  _Kt: _KernelRows | None = None) -> SvmPlusModel:
+                  _Kt: _KernelRows | None = None,
+                  _start: SvmPlusModel | None = None) -> SvmPlusModel:
     """Solve the SVM+ problem for finite hyperparameters C > 0, gamma >= 0.
 
-    ``_Q`` and ``_Kt``, private to the package's grid searches, are row
-    sources of this data's Q = YKY under ``spec`` and of the privileged
-    Gram under ``priv_spec``, read through ``fresh``.
+    ``_Q``, ``_Kt`` and ``_start`` are private to the package's grid
+    searches.  ``_Q`` and ``_Kt`` are row sources of this data's Q = YKY
+    under ``spec`` and of the privileged Gram under ``priv_spec``, read
+    through ``fresh``.  ``_start`` is a fit on the same data at the same C,
+    whose (alpha, beta) is the QP core's start in place of (0, nC e_1);
+    the gamma = 0 reduction solves a weighted SVM and does not read it.
     """
     # an integer C would make b an integer array and truncate every step
     C, gamma = float(C), float(gamma)
@@ -89,6 +97,11 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     priv.check_aligned(data)
+    if _start is not None and (_start.data is not data or _start.C != C):
+        # 1'(a + b) = nC is fixed by the start: another C's fit would
+        # solve another problem
+        raise ValueError("a start must be a fit on the same data at the "
+                         "same C")
     if gamma == 0.0:
         return _solve_gamma_zero(data, priv, spec, priv_spec, C, tol,
                                  max_iter, _Q)
@@ -102,8 +115,11 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     A = np.zeros((2, 2 * n))
     A[0, :n] = y
     A[1] = 1.0
-    z0 = np.zeros(2 * n)
-    z0[n] = n * C
+    if _start is None:
+        z0 = np.zeros(2 * n)
+        z0[n] = n * C
+    else:
+        z0 = np.concatenate((_start.alpha, _start.beta))
     z, n_iter = solve_qp(_hessian(Q, Kt, gamma),
                          np.concatenate((-1.0 - shift, -shift)), A,
                          np.full(2 * n, np.inf), z0, tol, max_iter)

@@ -164,6 +164,29 @@ def test_svmplus_fit_and_its_replay_certified_seed81():
     assert own.passed and replay.passed, (own, replay)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: complementarity "
+                   "in absolute units grows with c up to 8")
+def test_wsvm_built_from_svmplus_certified_seed524287():
+    # the example of test_wsvm_built_from_svmplus_is_certified at seed
+    # 524287, n = 3 with duplicates, linear kernels, C = 4, gamma = 1: the
+    # SVM+ fit certifies at 5.5e-9, and the WSVM built from it fails
+    # complementarity_slack at 1.1e-8
+    rng = np.random.default_rng(524287)
+    n = 3
+    data = random_dataset(rng, n)
+    priv = random_privileged(rng, n)
+    src = rng.integers(0, n, size=n)
+    take = np.where(rng.random(n) < 1 / 3, src, np.arange(n))
+    assert not np.all(data.y[take] == data.y[take][0])
+    data = Dataset(data.X[take], data.y[take])
+    priv = PrivilegedSet(priv.X[take])
+    lin = KernelSpec(LINEAR)
+    plus = solve_svmplus(data, priv, lin, lin, 4.0, 1.0)
+    assert check_svmplus_kkt(plus, tol=1e-8).passed
+    report = check_wsvm_kkt(wsvm_from_svmplus(plus), tol=1e-8)
+    assert report.passed, report
+
+
 def test_family_membership_three_point_instance():
     model, c = three_point_model()
     # alpha* = (4, 6, 2), xi* = (0, 0, 4): members must match the dual on

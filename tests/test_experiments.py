@@ -316,7 +316,8 @@ def test_grids_share_row_sources_and_keep_every_fit_bitwise(
     # and every fit has the bits of a fit that builds its own.  Up to 256
     # points the weighted fits of a kernel read one whole Q; above, each
     # reads its own rows, since a row computed by another fit's fill may
-    # differ in its last bits
+    # differ in its last bits.  A seeded SVM+ fit has the bits of a fit
+    # that builds its own sources from the same start
     monkeypatch.setattr(experiments, "DEFAULT_TAU_GRID", (0.0, 1.0))
     fits, solved_on = [], []
 
@@ -353,8 +354,16 @@ def test_grids_share_row_sources_and_keep_every_fit_bitwise(
     assert len({id(f[2]["_Kt"]) for f in plus}) == len(plus) // per_kt
     assert len({id(H) for H in solved_on}) == (
         n_specs if n <= 256 else len(weighted))
+    # each (kernel pair, C) cell runs its gammas in a row: the first starts
+    # cold, and every later one from the fit just before it
+    for i, (_, _, kwargs, _) in enumerate(plus):
+        if i % len(gamma_grid) == 0:
+            assert kwargs["_start"] is None
+        else:
+            assert kwargs["_start"] is plus[i - 1][-1]
     for solve, args, kwargs, model in fits:
-        alone = solve(*args)
+        start = {"_start": kwargs["_start"]} if solve is solve_svmplus else {}
+        alone = solve(*args, **start)
         np.testing.assert_array_equal(model.alpha, alone.alpha)
         np.testing.assert_array_equal(model.beta, alone.beta)
         np.testing.assert_array_equal(model.f0, alone.f0)

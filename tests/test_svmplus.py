@@ -260,3 +260,65 @@ def test_rbf_fit_at_n_1000_is_certified():
                           KernelSpec(GAUSSIAN_RBF, 0.5), 1.0, 1.0)
     report = check_svmplus_kkt(model, tol=1e-8)
     assert report.passed, report.to_text()
+
+
+def test_grid_start_is_guarded_and_reproducible(monkeypatch):
+    # a start fixes 1'(a + b) = nC, so one from another C or other data
+    # would solve another problem; a standalone call handed the grid's
+    # start has the grid fit's bits
+    from privsvm import experiments
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append((args, kwargs, solve_svmplus(*args, **kwargs)))
+        return fits[-1][-1]
+
+    monkeypatch.setattr(experiments, "solve_svmplus", recording)
+    mix = generate_w_mixture(60, seed=3)
+    train, val = mix.data.subset(np.arange(30)), mix.data.subset(
+        np.arange(30, 60))
+    config = experiments.ExperimentConfig(
+        source="wmixture", methods=("svmplus",), kernel=GAUSSIAN_RBF,
+        C_grid=(0.25, 4.0), gamma_grid=(0.25, 1.0, 4.0))
+    experiments._fit_methods(train, val, val, config, mix.eta[:30, None],
+                             mix.eta[:30])
+    # the seeded fit that moves furthest from its start
+    args, kwargs, model = max(
+        (f for f in fits if f[1]["_start"] is not None),
+        key=lambda f: f[2].n_iter)
+    assert model.n_iter > 0
+    alone = solve_svmplus(*args, _start=kwargs["_start"])
+    np.testing.assert_array_equal(model.alpha, alone.alpha)
+    np.testing.assert_array_equal(model.beta, alone.beta)
+    np.testing.assert_array_equal(model.f0, alone.f0)
+    np.testing.assert_array_equal(model.kt_at, alone.kt_at)
+    assert model.b == alone.b and model.n_iter == alone.n_iter
+    data, priv, spec, pspec, C, gamma = args
+    with pytest.raises(ValueError, match="same C"):
+        solve_svmplus(data, priv, spec, pspec, 2.0 * C, gamma,
+                      _start=kwargs["_start"])
+    with pytest.raises(ValueError, match="same data"):
+        solve_svmplus(Dataset(data.X, data.y), priv, spec, pspec, C, gamma,
+                      _start=kwargs["_start"])
+
+
+@pytest.mark.parametrize("linear", [True, False], ids=["linear", "rbf"])
+def test_seeded_fit_reaches_the_cold_optimum(linear):
+    # along a gamma grid, each fit started from the previous gamma's has
+    # the dual objective of a fit from z0 = (0, nC e_1)
+    rng = np.random.default_rng(44 + linear)
+    for _ in range(6):
+        n = int(rng.integers(3, 61))
+        data = random_dataset(rng, n)
+        priv = random_privileged(rng, n)
+        spec, pspec = ((KernelSpec(LINEAR),) * 2 if linear else
+                       (KernelSpec(GAUSSIAN_RBF, float(rng.uniform(0.5, 2))),
+                        KernelSpec(GAUSSIAN_RBF, float(rng.uniform(0.5, 2)))))
+        C = float(2.0 ** rng.integers(-2, 5))
+        seeded = None
+        for gamma in (0.25, 1.0, 4.0, 16.0):
+            seeded = solve_svmplus(data, priv, spec, pspec, C, gamma,
+                                   _start=seeded)
+            cold = solve_svmplus(data, priv, spec, pspec, C, gamma)
+            obj = cold.objective_dual
+            assert abs(seeded.objective_dual - obj) <= 1e-8 * (1 + abs(obj))
