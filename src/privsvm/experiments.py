@@ -19,13 +19,13 @@ under a larger extra rank, so none of them could win.  On the blobs
 source, whose confidences are 0 or 1, every tau > 0 row equals the
 tau = 0.5 row, and without a planted point all rows are ones.
 The kernel matrices are built once per split, not once per fit: one
-Q = YKY row source per decision kernel, which the weighted and the SVM+
-grids share, and one per privileged kernel (above 256 training points
-each fit still computes its own rows).  Along the gamma grid each SVM+
-fit starts from the one before it at the same kernels and C (alpha
-seeding), since gamma does not enter the constraints; every other fit
-starts cold.  The test sample and the
-fixed-validation pool are draws of the source without planted points.
+Q = YKY per decision kernel, which the weighted and the SVM+ grids
+share, and one Gram per privileged kernel (above 256 training points
+there are none, and each fit computes its own rows).  Along the gamma
+grid each SVM+ fit starts from the one before it at the same kernels and
+C (alpha seeding), since gamma does not enter the constraints; every
+other fit starts cold.  The test sample and the fixed-validation pool
+are draws of the source without planted points.
 
 ``ExperimentConfig`` holds only what callers vary.  The C and gamma grid
 (DEFAULT_LOG_GRID), the wsvm-prob sharpness grid (DEFAULT_TAU_GRID), the
@@ -350,14 +350,15 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     so it is always kept.  The SVM+ grid is
     searched once for both svmplus and wsvm-from-svmplus; the latter
     evaluates the WSVM built from the winner (``wsvm_from_svmplus``).
-    Every fit of both grids solves on the row sources built here, one
-    per kernel candidate.  Within a (kernel pair, C) cell each SVM+ fit
-    after the first gamma starts from the fit at the gamma before it: the
-    constraints do not involve gamma, so that fit is feasible.
+    Every fit of both grids solves on the whole matrices built here, one
+    per kernel candidate (None above 256 points).  Within a (kernel
+    pair, C) cell each SVM+ fit after the first gamma starts from the fit
+    at the gamma before it: the constraints do not involve gamma, so that
+    fit is feasible.
     """
     methods = set(config.methods)
     specs = _kernel_candidates(config, train.X)
-    qs = ([_KernelRows(spec, train, train.y) for spec in specs]
+    qs = ([_KernelRows(spec, train, train.y).whole for spec in specs]
           if methods - {"wsvm-learned"} else [])
 
     def wsvm_grid(weights):  # (extra rank, weight vector) pairs, scaled by C
@@ -371,7 +372,7 @@ def _fit_methods(train: Dataset, val: Dataset, test: Dataset,
     def svmplus_grid():
         priv = PrivilegedSet(priv_X)
         priv_specs = _kernel_candidates(config, priv_X)
-        kts = [_KernelRows(pspec, priv) for pspec in priv_specs]
+        kts = [_KernelRows(pspec, priv).whole for pspec in priv_specs]
         for si, (spec, Q) in enumerate(zip(specs, qs)):
             for pi, (pspec, Kt) in enumerate(zip(priv_specs, kts)):
                 for C in config.C_grid:

@@ -19,9 +19,9 @@ Both duals read K, or Q = YKY, through one row source, ``_KernelRows``,
 the only code that switches on the problem's size: whole up to
 ``_BLOCK_ROWS`` points, where a fill of a few rows costs as much as the
 Gram, and above that each row computed on first use.  A grid search
-builds one source per kernel candidate and hands it to every fit, which
-reads it through ``fresh``: a whole matrix is shared, and above
-``_BLOCK_ROWS`` each fit computes its own rows.
+builds each kernel candidate's whole matrix once and hands it to every
+fit, which wraps it in a source of its own; above ``_BLOCK_ROWS`` there
+is none, and each fit computes its own rows.
 
 Every prediction, and a large row source's product over rows it has not
 computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
@@ -205,29 +205,21 @@ class _KernelRows:
 
     Up to ``_BLOCK_ROWS`` points the matrix is one gram(spec, data), which
     is exactly symmetric (a gemm over every row, gram(spec, X, data), is
-    not).  Above that ``take`` computes the rows it has not seen, one gram
-    call per fill, and keeps each fill's block as it is, never copied.
-    Nothing here writes to the whole matrix, so fits can share it.
+    not); ``whole``, if given, is that matrix, built before.  Above that
+    ``take`` computes the rows it has not seen, one gram call per fill,
+    and keeps each fill's block as it is, never copied.  Nothing here
+    writes to the whole matrix, so fits can share it.
     """
 
-    def __init__(self, spec: KernelSpec, data, y=None):
+    def __init__(self, spec: KernelSpec, data, y=None, whole=None):
         self.spec, self.data, self.y = spec, data, y
         self.rows = {}  # i -> row i, a view into the fill that computed it
-        self.whole = (self._signed(gram(spec, data), slice(None))
-                      if data.n <= _BLOCK_ROWS else None)
+        if whole is None and data.n <= _BLOCK_ROWS:
+            whole = self._signed(gram(spec, data), slice(None))
+        self.whole = whole
 
     def __len__(self):
         return self.data.n
-
-    def fresh(self) -> _KernelRows:
-        """This source for one more fit: itself when it holds the matrix
-        whole, else a new source with no row computed.  A computed row has
-        the bits of the fill that computed it (one row is a matrix-vector
-        product, more are a matrix product), so a fit that read rows
-        computed for another would not have the bits of a fit alone."""
-        if self.whole is not None:
-            return self
-        return _KernelRows(self.spec, self.data, self.y)
 
     def take(self, rows, axis=0):
         """The rows, as ``ndarray.take(rows, 0)`` gives them."""

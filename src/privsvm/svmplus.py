@@ -17,9 +17,9 @@ H z = [Qa + Kt s/g; Kt s/g] with s = a + b, so row i < n of H is
 [Q_i + Kt_i/g, Kt_i/g] and row n + i is [Kt_i/g, Kt_i/g].  Q = YKY and
 Kt are row sources (``kernels._KernelRows``), as the weighted SVM's Q
 is: whole up to 256 points, and above that each row computed on first
-use, of which a fit reads a few percent.  A fit builds its own, unless a
-grid search hands it the ones it built for the kernel candidates (``_Q``
-shared with the weighted SVM's grid, and ``_Kt``).  While both are whole
+use, of which a fit reads a few percent.  A grid search hands each fit
+the whole matrices it built once per kernel candidate (``_Q``, shared
+with the weighted SVM's grid, and ``_Kt``).  While both are whole
 the fit forms the dense H once; above 256 points the core reads H
 through a view that forms each row as it is read, with the bits of the
 dense H.  The three products a fit needs, the linear term Kt (C/g) 1,
@@ -76,17 +76,17 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
                   priv_spec: KernelSpec, C: float, gamma: float,
                   tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, *,
-                  _Q: _KernelRows | None = None,
-                  _Kt: _KernelRows | None = None,
+                  _Q: np.ndarray | None = None,
+                  _Kt: np.ndarray | None = None,
                   _start: SvmPlusModel | None = None) -> SvmPlusModel:
     """Solve the SVM+ problem for finite hyperparameters C > 0, gamma >= 0.
 
     ``_Q``, ``_Kt`` and ``_start`` are private to the package's grid
-    searches.  ``_Q`` and ``_Kt`` are row sources of this data's Q = YKY
-    under ``spec`` and of the privileged Gram under ``priv_spec``, read
-    through ``fresh``.  ``_start`` is a fit on the same data at the same C,
-    whose (alpha, beta) is the QP core's start in place of (0, nC e_1);
-    the gamma = 0 reduction solves a weighted SVM and does not read it.
+    searches.  ``_Q`` and ``_Kt`` are this data's whole Q = YKY under
+    ``spec`` and the whole privileged Gram under ``priv_spec``, or None.
+    ``_start`` is a fit on the same data at the same C, whose (alpha,
+    beta) is the QP core's start in place of (0, nC e_1); the gamma = 0
+    reduction solves a weighted SVM and does not read it.
     """
     # an integer C would make b an integer array and truncate every step
     C, gamma = float(C), float(gamma)
@@ -109,8 +109,8 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
     n = data.n
     y = data.y
     # (1/2g) at' Kt at is quadratic in a + b: Kt/g is in every block of H
-    Kt = _KernelRows(priv_spec, priv) if _Kt is None else _Kt.fresh()
-    Q = _KernelRows(spec, data, y) if _Q is None else _Q.fresh()
+    Kt = _KernelRows(priv_spec, priv, None, _Kt)
+    Q = _KernelRows(spec, data, y, _Q)
     shift = Kt.dot(np.full(n, C / gamma))
     A = np.zeros((2, 2 * n))
     A[0, :n] = y
@@ -207,7 +207,7 @@ def _solve_gamma_zero(data, priv, spec, priv_spec, C, tol, max_iter,
                       Q) -> SvmPlusModel:
     """gamma = 0 path: the soft-margin reduction, valid when the privileged
     design has full row rank n (any slack vector is then representable);
-    Q is the caller's row source of Q = YKY, or None."""
+    Q is the caller's whole Q = YKY, or None."""
     X = priv.X
     rank = np.linalg.matrix_rank(X) if X.size else 0
     if rank < data.n:

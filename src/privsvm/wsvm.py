@@ -14,10 +14,8 @@ The QP core reads H = Q only as rows (``privsvm.qp``), and a fit reads
 few of them: the rows of the pairs it moves and of the faces it steps
 on.  So Q is a row source, ``kernels._KernelRows``, as SVM+'s Q and Kt
 are: the whole matrix up to 256 points, and above that each row
-computed on first use.  A fit builds its own Q, unless a grid search
-hands it the one it built for the kernel candidate (``_Q``): a whole Q
-is then shared by the candidate's fits, and above 256 points each fit
-still computes its own rows, so every fit has the bits of a fit alone.
+computed on first use.  A grid search builds a kernel candidate's whole
+Q once and hands it to each of the candidate's fits (``_Q``).
 
 The fitted model is a kernel expansion with coefficients y o a
 (``kernels._Expansion``).  The solve leaves it no Gram, only n-vectors:
@@ -144,14 +142,14 @@ def _pick_offset(interval: tuple[float, float]) -> float:
 def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER,
                b_override: float | None = None, *,
-               _Q: _KernelRows | None = None) -> WsvmModel:
+               _Q: np.ndarray | None = None) -> WsvmModel:
     """Solve the weighted SVM for per-instance weights c.
 
     ``b_override`` replaces the midpoint offset convention with an external
     value; the stored b_interval is unaffected.  An SVM+ classifier's
     replay needs no solve: ``equivalence.wsvm_from_svmplus`` builds it.
-    ``_Q``, private to the package's grid searches, is a row source of
-    this data's Q = YKY under ``spec``, read through ``fresh``.
+    ``_Q``, private to the package's grid searches, is this data's whole
+    Q = YKY under ``spec``, or None.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -159,7 +157,7 @@ def solve_wsvm(data: Dataset, spec: KernelSpec, c, tol: float = DEFAULT_TOL,
         raise ValueError("b_override must be finite")
     c = check_weights(c, data.n)
     y = data.y
-    Q = _KernelRows(spec, data, y) if _Q is None else _Q.fresh()
+    Q = _KernelRows(spec, data, y, _Q)
     alpha, n_iter = solve_qp(Q, -np.ones(data.n), y[None, :], c,
                              np.zeros(data.n), tol, max_iter)
     return _model(data, spec, c, alpha, y * Q.dot(alpha), b_override, n_iter)

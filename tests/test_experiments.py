@@ -24,7 +24,7 @@ from privsvm.experiments import (
     parse_results,
     run_experiment,
 )
-from privsvm import experiments, wsvm
+from privsvm import experiments, svmplus, wsvm
 
 
 @pytest.fixture(autouse=True)
@@ -311,15 +311,14 @@ def test_weighted_grid_fits_each_distinct_tau_row_once(monkeypatch, source,
 ], ids=["rbf-40", "rbf-300", "linear-300"])
 def test_grids_share_row_sources_and_keep_every_fit_bitwise(
         monkeypatch, n, kernel, C_grid, gamma_grid):
-    # one split's weighted (tau, C) grid and SVM+ (C, gamma) grid solve on
-    # one Q = YKY per decision kernel and one Gram per privileged kernel,
-    # and every fit has the bits of a fit that builds its own.  Up to 256
-    # points the weighted fits of a kernel read one whole Q; above, each
-    # reads its own rows, since a row computed by another fit's fill may
-    # differ in its last bits.  A seeded SVM+ fit has the bits of a fit
-    # that builds its own sources from the same start
+    # up to 256 points one split's weighted (tau, C) grid and SVM+
+    # (C, gamma) grid solve on one Q = YKY array per decision kernel and
+    # one Gram array per privileged kernel; above, no matrix is handed
+    # over and each fit computes its own rows.  Either way every fit has
+    # the bits of a fit that builds its own, and a seeded SVM+ fit those
+    # of a fit alone from the same start
     monkeypatch.setattr(experiments, "DEFAULT_TAU_GRID", (0.0, 1.0))
-    fits, solved_on = [], []
+    fits, solved_on, plus_on = [], [], []
 
     def recording(solve):
         def call(*args, **kwargs):
@@ -333,6 +332,9 @@ def test_grids_share_row_sources_and_keep_every_fit_bitwise(
     solve_qp = wsvm.solve_qp
     monkeypatch.setattr(wsvm, "solve_qp",
                         lambda H, *a: solved_on.append(H) or solve_qp(H, *a))
+    hessian = svmplus._hessian
+    monkeypatch.setattr(svmplus, "_hessian", lambda Q, Kt, g: (
+        plus_on.append((Q, Kt)), hessian(Q, Kt, g))[1])
     mix = generate_w_mixture(n + 40, seed=n)
     train = mix.data.subset(np.arange(n))
     val = mix.data.subset(np.arange(n, n + 40))
@@ -347,13 +349,24 @@ def test_grids_share_row_sources_and_keep_every_fit_bitwise(
     n_specs = 1 if kernel == LINEAR else 3
     assert len(weighted) == n_specs * 2 * len(C_grid)
     assert len(plus) > len(weighted) // 2
-    qs = {id(f[2]["_Q"]) for f in weighted}
-    assert len(qs) == n_specs
-    assert {id(f[2]["_Q"]) for f in plus} == qs
-    per_kt = n_specs * len(C_grid) * len(gamma_grid)
-    assert len({id(f[2]["_Kt"]) for f in plus}) == len(plus) // per_kt
-    assert len({id(H) for H in solved_on}) == (
-        n_specs if n <= 256 else len(weighted))
+    if n <= 256:
+        qs = {id(f[2]["_Q"]) for f in weighted}
+        assert len(qs) == n_specs
+        assert {id(f[2]["_Q"]) for f in plus} == qs
+        per_kt = n_specs * len(C_grid) * len(gamma_grid)
+        assert len({id(f[2]["_Kt"]) for f in plus}) == len(plus) // per_kt
+        assert all(isinstance(f[2][key], np.ndarray)
+                   for f in plus for key in ("_Q", "_Kt"))
+    else:
+        assert all(f[2]["_Q"] is None for f in fits)
+        assert all(f[2]["_Kt"] is None for f in plus)
+    # the QP reads the handed matrix, through a source of the fit's own
+    assert len({id(H) for H in solved_on}) == len(solved_on) == len(weighted)
+    assert len(plus_on) == len(plus)
+    for f, H in zip(weighted, solved_on):
+        assert H.whole is f[2]["_Q"]
+    for f, (Q, Kt) in zip(plus, plus_on):
+        assert Q.whole is f[2]["_Q"] and Kt.whole is f[2]["_Kt"]
     # each (kernel pair, C) cell runs its gammas in a row: the first starts
     # cold, and every later one from the fit just before it
     for i, (_, _, kwargs, _) in enumerate(plus):

@@ -156,16 +156,16 @@ def test_decision_train_bitwise_gram_product(n, spec, wsvm_q, monkeypatch):
 
 
 def test_gamma_zero_solves_on_the_given_q(rng, wsvm_q):
-    # a grid search hands an SVM+ fit the Q = YKY it built once; at
+    # a grid search hands an SVM+ fit the whole Q = YKY it built once; at
     # gamma = 0 the fit is a weighted SVM on that Q, with the bits of the
     # fit that builds its own
     data = random_dataset(rng, 12)
     priv = PrivilegedSet(np.eye(12))
     spec = KernelSpec(GAUSSIAN_RBF, 1.0)
-    Q = _KernelRows(spec, data, data.y)
+    Q = _KernelRows(spec, data, data.y).whole
     shared = solve_svmplus(data, priv, spec, spec, 2.0, 0.0, _Q=Q)
     alone = solve_svmplus(data, priv, spec, spec, 2.0, 0.0)
-    assert wsvm_q[0] is Q and wsvm_q[1] is not Q
+    assert wsvm_q[0].whole is Q and wsvm_q[1].whole is not Q
     np.testing.assert_array_equal(shared.alpha, alone.alpha)
     np.testing.assert_array_equal(shared.f0, alone.f0)
     assert (shared.b, shared.n_iter) == (alone.b, alone.n_iter)
