@@ -24,7 +24,11 @@ and takes the most violating move among the same-class pairs, +v and -v
 built from those picks.  Each move is an exact line search clipped to the
 box; ties go to the first move in that order and to the lowest index.  The
 largest violation is the maximal-violating-pair gap of SMO, and the solver
-stops when it is <= tol.
+stops when it is <= tol.  That gap bounds each move's violation, not the
+complementarity errors z_i times a violation, which can reach the gap
+times max z; so when gap x max z > tol the solver first polishes once,
+with one face step (below) counted as an iteration, and stops at the next
+gap <= tol.
 
 Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, also
 for the start gradient, which sums the rows of z0's nonzero entries.  So
@@ -41,8 +45,9 @@ run left to right, the order of numpy's dot and matrix-vector products
 at these sizes, so each step has the bits that numpy would give.
 
 Face step.  Pairwise moves can zigzag with tiny steps on an
-ill-conditioned or rank-deficient face, so every 16 iterations an exact
-minimisation over the variables strictly inside the box replaces the move.
+ill-conditioned or rank-deficient face, so every 16 iterations, and at the
+polish, an exact minimisation over the variables strictly inside the box
+replaces the move.
 It reads the rows of H for those variables once and takes the face
 Hessian from their columns.  It works on one eigendecomposition of the
 face Hessian reduced to the null space of the face's equality rows: the
@@ -112,9 +117,11 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
 
     While g has a component in N, the direction -N N' g descends linearly
     and is ridden to the nearest bound; then Newton steps are clipped to
-    the box by a ratio test.  Either way the step pins a variable k, and
-    since H is PSD, the null space of the shrunken face is the old one
-    with coordinate k zero.  So no pin needs a new factorisation when k is
+    the box by a ratio test, until one is zero or does not descend
+    (g' step >= 0; there is no absolute floor, so a polish resolves face
+    gradients far below tol).  A ridden or clipped step pins a variable
+    k, and since H is PSD, the null space of the shrunken face is the old
+    one with coordinate k zero.  So no pin needs a new factorisation when k is
     well inside one basis: if N reaches k, one Householder reflection drops
     the null vector n through k (n_k = 1) from N, and W - n W[k] is zero at
     k and keeps W' H W = I; if N does not reach k, a reflection drops the
@@ -156,7 +163,7 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
             step = N @ -c
         else:
             step = W @ -(gf @ W)
-            if float(gf @ step) >= -1e-15 or np.max(np.abs(step)) <= 1e-16:
+            if float(gf @ step) >= 0 or not step.any():
                 break
         step -= AF.T @ np.linalg.lstsq(AF.T, step, rcond=None)[0]
         x, h = cur[face], top[face]
@@ -247,6 +254,7 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     up_pen = np.where(z < hi, outside, inf)
     dn_pen = np.where(z > 0, outside, inf)
     viol = inf
+    polished = False
     for it in range(max_iter):
         up_g = G + up_pen
         dn_g = G - dn_pen
@@ -268,12 +276,19 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
                 viol = -cross
                 idx = [a if u else b for u, a, b in zip(use_up, up, dn)]
                 cf = sv
-        if viol <= tol:
+        # a gap within tol can still hide a complementarity error of up to
+        # gap x max z: polish once, with a face step, if that can pass tol
+        # and an iteration is left (the gap is -inf when nothing can move)
+        polish = viol <= tol
+        if polish and (polished or it + 1 == max_iter
+                       or max(viol, 0.0) * z.max() <= tol):
             return z, it
-        if it % FACE_EVERY == FACE_EVERY - 1 and _face_step(z, G, H, A, hi):
-            up_pen = np.where(z < hi, outside, inf)
-            dn_pen = np.where(z > 0, outside, inf)
-            continue
+        if polish or it % FACE_EVERY == FACE_EVERY - 1:
+            polished |= polish
+            if _face_step(z, G, H, A, hi) or polish:
+                up_pen = np.where(z < hi, outside, inf)
+                dn_pen = np.where(z > 0, outside, inf)
+                continue
         cur = [z.item(i) for i in idx]
         top = [hi.item(i) for i in idx]
         room = [(h - c if f > 0 else c) / abs(f)

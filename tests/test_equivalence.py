@@ -141,15 +141,21 @@ def test_wsvm_built_from_svmplus_is_certified(seed, n, duplicates, kinds,
     np.testing.assert_array_equal(predict(built, probe), plus.predict(probe))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: complementarity "
-                   "in absolute units grows with beta up to 10.8")
-def test_svmplus_fit_and_its_replay_certified_seed81():
-    # the example of test_wsvm_built_from_svmplus_is_certified at seed 81,
-    # n = 4 with duplicates, RBF bandwidths 1 and 0.5, C = 4, gamma = 0.25:
-    # the SVM+ fit stops after 16 iterations and fails its own report at
-    # 1.74e-8 on complementarity_slack; the WSVM built from it at 3.48e-8
-    rng = np.random.default_rng(81)
-    n = 4
+@pytest.mark.parametrize("seed, n, kinds, log2_bandwidths, C, gamma", [
+    (81, 4, (GAUSSIAN_RBF, GAUSSIAN_RBF), (0, -1), 4.0, 0.25),
+    (524287, 3, (LINEAR, LINEAR), (0, 0), 4.0, 1.0),
+    (52, 195, (GAUSSIAN_RBF, LINEAR), (1, 0), 16.0, 4.0),
+], ids=["seed81", "seed524287", "seed52"])
+def test_svmplus_fit_and_its_replay_certified(seed, n, kinds,
+                                              log2_bandwidths, C, gamma):
+    # examples of test_wsvm_built_from_svmplus_is_certified with duplicates
+    # whose QP stopped at a gap within tol, but with complementarity errors
+    # of the gap times alpha + beta: seed 81's SVM+ fit failed its own
+    # report at 1.74e-8 and its replay at 3.48e-8 (alpha + beta up to 12),
+    # seed 524287's replay at 1.1e-8 (up to 8) and seed 52's SVM+ fit at
+    # 1.23e-6 on complementarity_margin (up to 551).  The core's polish at
+    # the stop certifies all three
+    rng = np.random.default_rng(seed)
     data = random_dataset(rng, n)
     priv = random_privileged(rng, n)
     src = rng.integers(0, n, size=n)
@@ -157,34 +163,11 @@ def test_svmplus_fit_and_its_replay_certified_seed81():
     assert not np.all(data.y[take] == data.y[take][0])
     data = Dataset(data.X[take], data.y[take])
     priv = PrivilegedSet(priv.X[take])
-    plus = solve_svmplus(data, priv, _kernel(GAUSSIAN_RBF, 0),
-                         _kernel(GAUSSIAN_RBF, -1), 4.0, 0.25)
+    spec, priv_spec = (_kernel(k, h) for k, h in zip(kinds, log2_bandwidths))
+    plus = solve_svmplus(data, priv, spec, priv_spec, C, gamma)
     own = check_svmplus_kkt(plus, tol=1e-8)
     replay = check_wsvm_kkt(wsvm_from_svmplus(plus), tol=1e-8)
     assert own.passed and replay.passed, (own, replay)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: complementarity "
-                   "in absolute units grows with c up to 8")
-def test_wsvm_built_from_svmplus_certified_seed524287():
-    # the example of test_wsvm_built_from_svmplus_is_certified at seed
-    # 524287, n = 3 with duplicates, linear kernels, C = 4, gamma = 1: the
-    # SVM+ fit certifies at 5.5e-9, and the WSVM built from it fails
-    # complementarity_slack at 1.1e-8
-    rng = np.random.default_rng(524287)
-    n = 3
-    data = random_dataset(rng, n)
-    priv = random_privileged(rng, n)
-    src = rng.integers(0, n, size=n)
-    take = np.where(rng.random(n) < 1 / 3, src, np.arange(n))
-    assert not np.all(data.y[take] == data.y[take][0])
-    data = Dataset(data.X[take], data.y[take])
-    priv = PrivilegedSet(priv.X[take])
-    lin = KernelSpec(LINEAR)
-    plus = solve_svmplus(data, priv, lin, lin, 4.0, 1.0)
-    assert check_svmplus_kkt(plus, tol=1e-8).passed
-    report = check_wsvm_kkt(wsvm_from_svmplus(plus), tol=1e-8)
-    assert report.passed, report
 
 
 def test_family_membership_three_point_instance():
