@@ -22,6 +22,7 @@ command with one ``error:`` line on stderr and exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from dataclasses import fields
@@ -335,14 +336,21 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without a --config file, built once and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # read --config first, so its values become the flags' defaults
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     try:
-        defaults = _read_config_file(path) if path else None
-        args = build_parser(defaults).parse_args(argv)
+        parser = (build_parser(_read_config_file(path)) if path
+                  else _default_parser())
+        args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
