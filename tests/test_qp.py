@@ -21,7 +21,7 @@ from scipy.linalg import null_space
 from privsvm import (GAUSSIAN_RBF, LINEAR, KernelSpec,
                      generate_blobs_with_outliers, gram, solve_svmplus,
                      solve_wsvm, svmplus, wsvm)
-from privsvm.qp import _classes, _face_step, solve_qp
+from privsvm.qp import ConvergenceError, _classes, _face_step, solve_qp
 
 from conftest import random_dataset, random_privileged
 
@@ -116,6 +116,22 @@ def test_iteration_counts_pinned():
     wsvm, plus = _fits()
     assert wsvm == WSVM_ITERS
     assert plus == SVMPLUS_ITERS
+
+
+def test_no_polish_on_the_last_iteration():
+    # this weighted SVM's gap (n = 5, c up to 935) first meets tol at
+    # iteration 13, where gap x max c is above tol, so a polish follows
+    # and the solve stops at 14.  Allowed 14 iterations, it has none left
+    # to polish with: it returns at 13, within tol, rather than raise a
+    # ConvergenceError at a residual within tol
+    rng = np.random.default_rng(23)
+    data = random_dataset(rng, int(rng.integers(5, 30)))
+    c = 10.0 ** rng.uniform(0.0, 4.0, data.n)
+    lin = KernelSpec(LINEAR)
+    assert solve_wsvm(data, lin, c).n_iter == 14
+    assert solve_wsvm(data, lin, c, max_iter=14).n_iter == 13
+    with pytest.raises(ConvergenceError):
+        solve_wsvm(data, lin, c, max_iter=13)
 
 
 def _wsvm_problem(rng, K, y):
