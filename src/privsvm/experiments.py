@@ -91,7 +91,10 @@ def bandwidth_grid(X, quantiles=(0.1, 0.5, 0.9)) -> tuple[float, ...]:
     n = X.shape[0]
     if n < 2:
         return (1.0,)
-    d = np.sqrt(_sq_dists(X, X)[np.triu_indices(n, k=1)])
+    # a boolean mask takes the upper triangle in row-major order, as
+    # np.triu_indices lists it, at one byte per entry of the n x n matrix
+    d = _sq_dists(X, X)[np.triu(np.ones((n, n), dtype=bool), 1)]
+    np.sqrt(d, out=d)
     vals = tuple(float(max(q, 1e-12)) for q in np.quantile(d, quantiles))
     out = []
     for v in vals:

@@ -10,9 +10,12 @@ Nadaraya-Watson estimator, and the CLI config format.
 The squared distances behind the RBF Gram, the Nadaraya-Watson weights
 and the bandwidth grid come from one helper, ``_sq_dists``.  It works in
 the buffer of the inner products, a block of rows at a time, so an n x m
-Gram costs one n x m buffer plus one block of rows.  An operand that is
-a Dataset or a PrivilegedSet brings its cached squared norms, so a Gram
-of a few rows against a training set does not recompute the norms of all
+Gram costs one n x m buffer plus one block of rows.  Nadaraya-Watson
+streams its queries through one such buffer and one outer-sum block of
+at most ``_BLOCK_ENTRIES`` = 2^17 entries each: ``_BLOCK_ROWS`` rows up
+to 512 training points, and fewer above that.  An operand that is a
+Dataset or a PrivilegedSet brings its cached squared norms, so a Gram of
+a few rows against a training set does not recompute the norms of all
 its points.
 
 Both duals read K, or Q = YKY, through one row source, ``_KernelRows``,
@@ -82,6 +85,9 @@ def _sq_norms(a, A: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_ROWS = 256  # rows (or points) per temporary block
+# entries per Nadaraya-Watson buffer (1 MiB of float64): its query blocks
+# are _BLOCK_ROWS rows up to 512 training points, and fewer above that
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _sq_dists(a, b, out=None, work=None) -> np.ndarray:

@@ -60,6 +60,8 @@ refactorises only for a variable that neither basis holds well.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ConvergenceError", "solve_qp"]
@@ -141,10 +143,10 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
     start = z[F]
     cur = start.copy()
     g = G[F]
-    on = np.ones(F.size, dtype=bool)  # still strictly inside the box
+    face = np.arange(F.size)  # the variables still strictly inside the box
     N = W = None  # null basis and scaled positive part, over the face
     ride = True
-    while (face := np.flatnonzero(on)).size:
+    while face.size:
         AF = A[:, F[face]]
         if N is None:
             Z = _null_basis(AF)
@@ -157,8 +159,9 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
         gf = g[face]
         if ride:
             c = gf @ N
-            ride = float(np.linalg.norm(c)) > 1e-10 * max(
-                1.0, float(np.linalg.norm(gf)))
+            # sqrt(v @ v) is what np.linalg.norm computes for a vector
+            ride = math.sqrt(float(c @ c)) > 1e-10 * max(
+                1.0, math.sqrt(float(gf @ gf)))
         if ride:
             step = N @ -c
         else:
@@ -167,9 +170,9 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
                 break
         step -= AF.T @ np.linalg.lstsq(AF.T, step, rcond=None)[0]
         x, h = cur[face], top[face]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lim = np.where(step < -1e-300, -x / step,
-                           np.where(step > 1e-300, (h - x) / step, np.inf))
+        lim = np.full(face.size, np.inf)
+        np.divide(-x, step, out=lim, where=step < -1e-300)
+        np.divide(h - x, step, out=lim, where=step > 1e-300)
         j = int(np.argmin(lim))
         tau = float(lim[j]) if ride else min(1.0, float(lim[j]))
         if not 0.0 < tau < np.inf:
@@ -181,9 +184,9 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
         cur[face] = new
         if tau == 1.0 and not ride:
             break
-        pinned = np.flatnonzero((new <= 0) | (new >= h))
-        on[face[pinned]] = False
-        for k in pinned[::-1]:
+        pinned = (new <= 0) | (new >= h)
+        face = face[~pinned]
+        for k in np.flatnonzero(pinned)[::-1].tolist():
             u, w = N[k], W[k]
             uu, ww = float(u @ u), float(w @ w)
             if uu > ABSORB:
@@ -196,7 +199,9 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
             else:  # refactorise the shrunken face
                 N = None
                 break
-            N, W = np.delete(N, k, 0), np.delete(W, k, 0)
+            keep = np.ones(len(N), dtype=bool)
+            keep[k] = False
+            N, W = N[keep], W[keep]
     moved = not np.array_equal(cur, start)
     if moved:
         G += (cur - start) @ R

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .kernels import _BLOCK_ROWS, _sq_dists
+from .kernels import _BLOCK_ENTRIES, _BLOCK_ROWS, _sq_dists
 
 __all__ = [
     "nadaraya_watson",
@@ -30,22 +30,26 @@ def nadaraya_watson(train: Dataset, queries=None,
     kernel weight would underflow to zero the estimate is still a weighted
     label average: each row's distances are shifted by their minimum, so
     the nearest point keeps weight 1 (far from the data, the estimate is
-    its label).  The queries stream through ``kernels._BLOCK_ROWS`` rows
-    at a time, each block's weights built in one block x train buffer of
-    squared distances from the training set's cached norms; every block
-    reuses that buffer and the one of its outer sum.
+    its label).  The queries stream through in blocks of at most
+    ``kernels._BLOCK_ENTRIES`` entries: ``_BLOCK_ROWS`` = 256 rows up to
+    512 training points, fewer above that, and never less than one.  Each
+    block's weights are built in one block x train buffer of squared
+    distances from the training set's cached norms; every block reuses
+    that buffer and the one of its outer sum, so the working memory grows
+    neither with the queries nor with the training set.
     """
     if not 0 < bandwidth < np.inf:
         raise ValueError("bandwidth must be positive and finite")
     E = train.X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
     eta = np.empty(E.shape[0])
+    block = min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // train.n))
     # every block reuses one buffer for its squared distances and one for
     # their outer sum of norms
-    sq = np.empty((min(E.shape[0], _BLOCK_ROWS), train.n))
+    sq = np.empty((min(E.shape[0], block), train.n))
     work = np.empty_like(sq)
-    for start in range(0, E.shape[0], _BLOCK_ROWS):
-        blk = slice(start, start + _BLOCK_ROWS)
+    for start in range(0, E.shape[0], block):
+        blk = slice(start, start + block)
         rows = len(E[blk])
         d2 = _sq_dists(E[blk], train, sq[:rows], work[:rows])
         # subtract the row minimum before exponentiating so at least one

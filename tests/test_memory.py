@@ -25,7 +25,7 @@ from privsvm import (
     solve_wsvm,
 )
 from privsvm import svmplus
-from privsvm.experiments import generate_w_mixture
+from privsvm.experiments import bandwidth_grid, generate_w_mixture
 
 from conftest import random_dataset, random_privileged
 
@@ -73,11 +73,24 @@ def test_rbf_gram_one_buffer(mixture):
 
 
 def test_nadaraya_watson_streams_query_blocks(mixture):
-    # one block of 256 queries against the 1000 training points, plus its
-    # outer-sum temporary, is 0.51 n^2; a block kept alive while the next
-    # is built, or a whole query x train buffer, breaks the bound
+    # one block of at most 2^17 entries (131 queries against the 1000
+    # training points), plus its outer-sum buffer of the same size, is
+    # 0.28 n^2; a block kept alive while the next is built, or a whole
+    # query x train buffer, breaks the bound
     assert _peak(lambda: nadaraya_watson(mixture, bandwidth=0.5),
-                 mixture.n) <= 0.6
+                 mixture.n) <= 0.35
+    # the two buffers hold 2 MiB at any n, 0.03 n^2 at n = 3000; blocks of
+    # 256 rows, as up to 512 training points, took 0.17 n^2
+    large = generate_w_mixture(3000, seed=1).data
+    assert _peak(lambda: nadaraya_watson(large, bandwidth=0.5),
+                 large.n) <= 0.05
+
+
+def test_bandwidth_grid_selects_the_triangle_by_mask(mixture):
+    # the squared distances (n^2), a boolean mask of the upper triangle
+    # (n^2 / 8) and the n^2 / 2 selected distances make 1.63 n^2; the two
+    # int64 index arrays of np.triu_indices took it to 2.5 n^2
+    assert _peak(lambda: bandwidth_grid(mixture.X), mixture.n) <= 1.75
 
 
 def test_solve_wsvm_peak_below_half_gram(mixture):

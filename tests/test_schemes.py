@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsvm import Dataset, nadaraya_watson, probability_weights
-from privsvm.kernels import _BLOCK_ROWS
+from privsvm.kernels import _BLOCK_ENTRIES, _BLOCK_ROWS
 
 
 def test_confidence_scores_validation():
@@ -52,27 +52,29 @@ def _nadaraya_watson_textbook(X, y, E, bandwidth):
     return np.clip((W @ y) / W.sum(axis=1), -1.0, 1.0), underflow
 
 
-@pytest.mark.parametrize("case", ["square", "cross", "underflow"])
+@pytest.mark.parametrize("case", ["square", "cross", "underflow", "large"])
 def test_nadaraya_watson_bitwise_textbook_formula(case):
+    n = 1000 if case == "large" else 300
     rng = np.random.default_rng(7)
-    X = rng.normal(size=(300, 2))
-    y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
-    E = X if case == "square" else rng.normal(size=(280, 2))
+    X = rng.normal(size=(n, 2))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    E = X if case in ("square", "large") else rng.normal(size=(280, 2))
     bandwidth = 0.4
     if case == "underflow":
         E = E * 50.0
         bandwidth = 0.05
-    if case == "square":
-        # the queries stream through _BLOCK_ROWS at a time, and a block's
-        # product with X is a general one, not the symmetric X @ X.T
-        blocks = [_nadaraya_watson_textbook(X, y, E[s:s + _BLOCK_ROWS],
-                                            bandwidth)
-                  for s in range(0, len(E), _BLOCK_ROWS)]
+    if case in ("square", "large"):
+        # the queries stream through blocks of _BLOCK_ROWS rows, fewer
+        # above 512 training points (131 at 1000), and a block's product
+        # with X is a general one, not the symmetric X @ X.T
+        rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // n)
+        blocks = [_nadaraya_watson_textbook(X, y, E[s:s + rows], bandwidth)
+                  for s in range(0, len(E), rows)]
         eta = np.concatenate([part for part, _ in blocks])
         underflow = any(under for _, under in blocks)
     else:
         eta, underflow = _nadaraya_watson_textbook(X, y, E, bandwidth)
-    queries = None if case == "square" else E
+    queries = None if case in ("square", "large") else E
     np.testing.assert_array_equal(
         nadaraya_watson(Dataset(X, y), queries, bandwidth=bandwidth), eta)
     # the case's name says whether some row's weights all underflow
