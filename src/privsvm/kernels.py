@@ -21,10 +21,14 @@ its points.
 Both duals read K, or Q = YKY, through one row source, ``_KernelRows``,
 the only code that switches on the problem's size: whole up to
 ``_BLOCK_ROWS`` points, where a fill of a few rows costs as much as the
-Gram, and above that each row computed on first use.  A grid search
-builds each kernel candidate's whole matrix once and hands it to every
-fit, which wraps it in a source of its own; above ``_BLOCK_ROWS`` there
-is none, and each fit computes its own rows.
+Gram, and above that each row computed on first use and kept.  A grid
+search builds each kernel candidate's whole matrix once and hands it to
+every fit, which wraps it in a source of its own; above ``_BLOCK_ROWS``
+there is none, and each fit computes its own rows.  Beside the rows such
+a source keeps, nothing n-wide grows with the number of rows read: a
+read of many of them (its ``dot``, and the QP core's start gradient and
+face steps) stacks at most one chunk of ``_ROW_CHUNK_ENTRIES`` = 2^15
+entries at a time, and sums them chunk by chunk (``_sum_rows``).
 
 Every prediction, and a large row source's product over rows it has not
 computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
@@ -32,7 +36,9 @@ computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
 the sum runs over every coefficient, zeros included, in the order of the
 full product (a zero classifier's decision values are all rounding, and a
 sum over the support alone changes their signs).  The points go through
-``_BLOCK_ROWS`` at a time, so a prediction holds one n x 256 matrix
+in blocks of at most ``_BLOCK_ENTRIES`` entries against the n training
+points, the rule of Nadaraya-Watson (256 points up to n = 512, fewer
+above that), so a prediction holds one n x block matrix of at most 1 MiB
 however many points it scores; each block has the bits of
 gram(a, block).T @ coef, and up to one block that is the full product.
 The three fitted models are such an expansion plus an offset, and share
@@ -85,9 +91,31 @@ def _sq_norms(a, A: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_ROWS = 256  # rows (or points) per temporary block
-# entries per Nadaraya-Watson buffer (1 MiB of float64): its query blocks
-# are _BLOCK_ROWS rows up to 512 training points, and fewer above that
+# entries per block of Nadaraya-Watson queries or of expansion points
+# against the training set (1 MiB of float64): _BLOCK_ROWS up to 512
+# training points, and fewer above that
 _BLOCK_ENTRIES = 1 << 17
+# entries per chunk of cached rows stacked at once (256 KiB of float64):
+# a source that computes its rows keeps them, so a stack is only a copy
+_ROW_CHUNK_ENTRIES = 1 << 15
+
+
+def _block_rows(n: int) -> int:
+    """Queries or points per block against n training points: at most
+    ``_BLOCK_ENTRIES`` entries, ``_BLOCK_ROWS`` up to 512 points, and
+    never fewer than one."""
+    return min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // n))
+
+
+def _sum_rows(coef, source, rows, step: int) -> np.ndarray:
+    """coef @ source.take(rows, 0), with at most ``step`` rows stacked at
+    once: each chunk's product, summed left to right.  With ``step`` at
+    least len(rows) it is that one product, bit for bit."""
+    out = coef[:step] @ source.take(rows[:step], 0)
+    for start in range(step, len(rows), step):
+        out += coef[start:start + step] @ source.take(
+            rows[start:start + step], 0)
+    return out
 
 
 def _sq_dists(a, b, out=None, work=None) -> np.ndarray:
@@ -144,11 +172,13 @@ def gram(spec: KernelSpec, a, b=None) -> np.ndarray:
 def expand(spec: KernelSpec, a, coef, points) -> np.ndarray:
     """The kernel expansion sum_j coef_j k(a_j, x) at every point x.
 
-    The points are taken ``_BLOCK_ROWS`` at a time.  For each block only
-    the rows of the a_j with coef_j != 0 are evaluated; the others stay
-    zero in an n x block matrix K, and K.T @ coef adds them as +-0.  So
-    each block of the result has the bits of gram(a, block).T @ coef, and
-    up to ``_BLOCK_ROWS`` points the whole result has the bits of
+    The points are taken ``_block_rows(n)`` at a time for n = len(coef):
+    256 up to 512 training points, and as many as keep an n x block
+    matrix within ``_BLOCK_ENTRIES`` entries above that.  For each block
+    only the rows of the a_j with coef_j != 0 are evaluated; the others
+    stay zero in an n x block matrix K, and K.T @ coef adds them as +-0.
+    So each block of the result has the bits of gram(a, block).T @ coef,
+    and up to one block of points the whole result has the bits of
     gram(a, points).T @ coef.  Above that it may differ from that full
     product in the last bits.  The cost is one Gram of the support
     against the points, and one n x block matrix at a time.
@@ -157,8 +187,9 @@ def expand(spec: KernelSpec, a, coef, points) -> np.ndarray:
     support = _features(a)[nz]
     P = _features(points)
     out = np.empty(len(P))
-    for start in range(0, len(P), _BLOCK_ROWS):
-        blk = slice(start, start + _BLOCK_ROWS)
+    block = _block_rows(len(coef))
+    for start in range(0, len(P), block):
+        blk = slice(start, start + block)
         out[blk] = _expand_block(spec, support, nz, coef, P[blk])
     return out
 
@@ -213,13 +244,19 @@ class _KernelRows:
     is exactly symmetric (a gemm over every row, gram(spec, X, data), is
     not); ``whole``, if given, is that matrix, built before.  Above that
     ``take`` computes the rows it has not seen, one gram call per fill,
-    and keeps each fill's block as it is, never copied.  Nothing here
-    writes to the whole matrix, so fits can share it.
+    and copies them into slabs of ``chunk`` rows (one chunk of
+    ``_ROW_CHUNK_ENTRIES`` entries each), filled in the order the rows
+    were computed, so what stays allocated is a run of equal slabs and
+    not one block per fill.  ``dot`` sums the kept rows one chunk at a
+    time.  Nothing here writes to the whole matrix, so fits can share it.
     """
 
     def __init__(self, spec: KernelSpec, data, y=None, whole=None):
         self.spec, self.data, self.y = spec, data, y
-        self.rows = {}  # i -> row i, a view into the fill that computed it
+        self.rows = {}  # i -> row i, a view into a slab
+        self.chunk = max(1, _ROW_CHUNK_ENTRIES // data.n)  # rows per slab
+        self._slab = None  # the slab being filled
+        self._stored = 0  # rows copied into slabs, repeats included
         if whole is None and data.n <= _BLOCK_ROWS:
             whole = self._signed(gram(spec, data), slice(None))
         self.whole = whole
@@ -245,18 +282,25 @@ class _KernelRows:
     def dot(self, coef) -> np.ndarray:
         """K coef, or Q coef: a product with the whole matrix, or the sum of
         the computed rows when they include the row of every nonzero
-        coefficient, or else a kernel expansion, which keeps no row."""
+        coefficient, ``chunk`` rows at a time (``_sum_rows``), or else a
+        kernel expansion, which keeps no row."""
         if self.whole is not None:
             return self.whole @ coef
         nz = np.flatnonzero(coef)
         if all(i in self.rows for i in nz.tolist()):
-            return coef[nz] @ self.take(nz)
+            return _sum_rows(coef[nz], self, nz, self.chunk)
         y = 1.0 if self.y is None else self.y
         return y * expand(self.spec, self.data, y * coef, self.data)
 
     def _fill(self, rows: np.ndarray):
         block = gram(self.spec, self.data.X[rows], self.data)
-        self.rows.update(zip(rows.tolist(), self._signed(block, rows)))
+        for i, row in zip(rows.tolist(), self._signed(block, rows)):
+            k = self._stored % self.chunk
+            if k == 0:
+                self._slab = np.empty((self.chunk, self.data.n))
+            self._slab[k] = row
+            self.rows[i] = self._slab[k]
+            self._stored += 1
 
     def _signed(self, K: np.ndarray, rows) -> np.ndarray:
         """K's block of ``rows`` flipped into Q's in place, exactly (+-1)."""

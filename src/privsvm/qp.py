@@ -34,7 +34,11 @@ Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, also
 for the start gradient, which sums the rows of z0's nonzero entries.  So
 H may be a dense array or any object with that ``take``: the weighted
 SVM passes one that computes each row of its Q on first use, and SVM+
-one that forms each row from Q and Kt.  The candidate search and the
+one that forms each row from Q and Kt.  Such a source keeps its rows,
+so where a read spans many rows (the start gradient and the face steps)
+it stacks at most one chunk of ``kernels._ROW_CHUNK_ENTRIES`` entries
+at a time; a dense H, or a source that holds its matrix whole (its
+``whole``), is read in one ``take``.  The candidate search and the
 gradient update G += (new - cur) H[idx] run in numpy over all n
 variables.  Everything else in a step involves the two or three moved
 variables only and runs on Python floats: the gaps, the +-v violations,
@@ -48,8 +52,9 @@ Face step.  Pairwise moves can zigzag with tiny steps on an
 ill-conditioned or rank-deficient face, so every 16 iterations, and at the
 polish, an exact minimisation over the variables strictly inside the box
 replaces the move.
-It reads the rows of H for those variables once and takes the face
-Hessian from their columns.  It works on one eigendecomposition of the
+It reads the rows of H for those variables, a chunk at a time from a
+source that computes its rows, and takes the face Hessian from their
+columns.  It works on one eigendecomposition of the
 face Hessian reduced to the null space of the face's equality rows: the
 zero eigenvalues give the null directions, which are ridden to the box
 while they descend, and the positive part gives the Newton step.  Each
@@ -63,6 +68,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .kernels import _ROW_CHUNK_ENTRIES, _sum_rows
 
 __all__ = ["ConvergenceError", "solve_qp"]
 
@@ -95,6 +102,16 @@ def _null_basis(AF: np.ndarray) -> np.ndarray:
         if np.array_equal(a * b[j], b * a[j]):
             rows = rows[:1]
     return np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):]
+
+
+def _stacked_rows(H, width: int) -> int:
+    """How many rows of H a read stacks at once: all of them from a dense
+    H or a source that holds its matrix whole, and one chunk of
+    ``kernels._ROW_CHUNK_ENTRIES`` entries from a source that computes
+    its rows, which keeps them, so that a stack is only a copy."""
+    if isinstance(H, np.ndarray) or getattr(H, "whole", None) is not None:
+        return width
+    return max(1, _ROW_CHUNK_ENTRIES // width)
 
 
 def _drop(B: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -131,14 +148,24 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
     rounding that N has at k.  Every step is projected onto null(A_F)
     again, since the rounding of the bases grows with each update.
 
-    H is read once, as the rows R = H[F]: the face gradient moves by the
-    m x m block H_FF = R[:, F] between pins, and G (= H z + p) and z are
-    updated in place once, at the end, through R.  Returns True if
-    anything moved.
+    The face gradient moves by the m x m block H_FF between pins, and G
+    (= H z + p) and z are updated in place once, at the end, by
+    (cur - start) H[F].  H is read once, as the rows R = H[F], when they
+    fit in one read (``_stacked_rows``): always from a dense H or a whole
+    source.  A larger face of a source that computes its rows is read a
+    chunk at a time, twice: for H_FF, and for the update, whose chunks'
+    products are summed before G adds them.  Returns True if anything
+    moved.
     """
     F = np.flatnonzero((z > 0) & (z < hi))
-    R = H.take(F, 0)
-    HF = R[:, F]
+    chunk = _stacked_rows(H, z.size)
+    R = H.take(F, 0) if F.size <= chunk else None
+    if R is None:
+        HF = np.empty((F.size, F.size))
+        for s in range(0, F.size, chunk):
+            HF[s:s + chunk] = H.take(F[s:s + chunk], 0)[:, F]
+    else:
+        HF = R[:, F]
     top = hi[F]
     start = z[F]
     cur = start.copy()
@@ -204,7 +231,8 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
             N, W = N[keep], W[keep]
     moved = not np.array_equal(cur, start)
     if moved:
-        G += (cur - start) @ R
+        G += (cur - start) @ R if R is not None else _sum_rows(
+            cur - start, H, F, chunk)
         z[F] = cur
     return moved
 
@@ -253,7 +281,7 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     outside = np.where(cls == np.arange(n_cls)[:, None], 0.0, inf)
     z = np.array(z0, dtype=float)
     nz = np.flatnonzero(z)
-    G = z[nz] @ H.take(nz, 0) + p
+    G = _sum_rows(z[nz], H, nz, _stacked_rows(H, z.size)) + p
     # outside, or +inf where a variable cannot move up (down); kept in step
     # with z, so G + up_pen and G - dn_pen are the candidates of each class
     up_pen = np.where(z < hi, outside, inf)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .kernels import _BLOCK_ENTRIES, _BLOCK_ROWS, _sq_dists
+from .kernels import _block_rows, _sq_dists
 
 __all__ = [
     "nadaraya_watson",
@@ -43,7 +43,7 @@ def nadaraya_watson(train: Dataset, queries=None,
     E = train.X if queries is None else np.atleast_2d(
         np.asarray(queries, dtype=float))
     eta = np.empty(E.shape[0])
-    block = min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // train.n))
+    block = _block_rows(train.n)
     # every block reuses one buffer for its squared distances and one for
     # their outer sum of norms
     sq = np.empty((min(E.shape[0], block), train.n))

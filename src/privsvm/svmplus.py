@@ -22,10 +22,13 @@ the whole matrices it built once per kernel candidate (``_Q``, shared
 with the weighted SVM's grid, and ``_Kt``).  While both are whole
 the fit forms the dense H once; above 256 points the core reads H
 through a view that forms each row as it is read, with the bits of the
-dense H.  The three products a fit needs, the linear term Kt (C/g) 1,
+dense H, and its face steps read that view a chunk of 2^15 entries at a
+time.  The three products a fit needs, the linear term Kt (C/g) 1,
 Q a and Kt at, are the sources' ``dot``: above 256 points Q a sums the
-support rows that the solve computed, and the other two are kernel
-expansions, 256 points at a time, so no n x n matrix is built.  The
+support rows that the solve computed, one chunk at a time, and the
+other two are kernel expansions, in blocks of 256 points up to 512
+points and of 2^17 entries above that, so no n x n matrix is built and
+no rows are stacked beyond one chunk.  The
 start z0 = (0, nC e_1) puts all b mass on the first b, which has no
 upper bound; its gradient is one row of H.  The constraints do not
 involve gamma, so a grid search starts each fit after the first gamma of

@@ -22,8 +22,9 @@ The fitted model is a kernel expansion with coefficients y o a
 besides a, b and the slacks it keeps the decision values f0 = K(y o a)
 without the offset, which decision_train and the KKT report read.  f0 is
 y o Q a, summed above 256 points over the support vectors' rows, which
-the solve computed; the labels are +-1, so it has the bits of the same
-sum over K.  ``predict(model, points)`` is ``model.predict(points)``.
+the solve computed, one chunk of 2^15 entries at a time
+(``_KernelRows.dot``); the labels are +-1, so it has the bits of the
+same sum over K.  ``predict(model, points)`` is ``model.predict(points)``.
 
 Slacks are reported under the lower-bound convention xi_i = [1 - y_i f_i]_+
 (the hinge loss), which keeps xi well defined even where c_i = 0.

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from privsvm import (Dataset, KernelSpec, LINEAR, GAUSSIAN_RBF, PrimalModel,
                      gram, kernels, predict, solve_primal, solve_svmplus,
                      solve_wsvm)
-from privsvm.kernels import _KernelRows, _sq_dists, expand
+from privsvm.kernels import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ROW_CHUNK_ENTRIES,
+                             _KernelRows, _sq_dists, expand)
 
 from conftest import random_dataset, random_kernel, random_privileged
 
@@ -133,11 +134,14 @@ def test_blocked_sq_dists_bitwise_textbook_formula(n, square):
 
 
 def _assert_blockwise_sum(f, spec, data, points, weights, offset):
-    # each block of 256 points has the bits of its own product, and the
-    # whole agrees with the full product to 1e-12 of the sum of magnitudes
+    # each block of points has the bits of its own product, and the whole
+    # agrees with the full product to 1e-12 of the sum of magnitudes; a
+    # block is 256 points up to 512 training points, and 2^17 entries
+    # against them above that (218 points at 600)
     P = points.X
-    for start in range(0, len(P), 256):
-        blk = slice(start, start + 256)
+    rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // data.n)
+    for start in range(0, len(P), rows):
+        blk = slice(start, start + rows)
         np.testing.assert_array_equal(
             f[blk], gram(spec, data, P[blk]).T @ weights + offset)
     K = gram(spec, data, points)
@@ -146,9 +150,10 @@ def _assert_blockwise_sum(f, spec, data, points, weights, offset):
 
 
 @pytest.mark.parametrize("n, m", [(200, 150), (300, 150), (200, 700),
-                                  (300, 700), (200, 1000), (300, 1000)],
+                                  (300, 700), (200, 1000), (300, 1000),
+                                  (600, 700)],
                          ids=["200", "300", "200-700", "300-700", "200-1000",
-                              "300-1000"])
+                              "300-1000", "600-700"])
 @pytest.mark.parametrize("spec", [KernelSpec(LINEAR),
                                   KernelSpec(GAUSSIAN_RBF, 0.8)],
                          ids=["linear", "rbf"])
@@ -158,7 +163,7 @@ def test_expand_has_the_bits_of_the_full_sum(n, m, spec):
     # +-0 (a linear kernel has negative entries, so the full product's
     # terms there are -0 too).  Up to 256 points that is the full product
     # bit for bit; above, the points go through in blocks of 256, the last
-    # one partial at m = 700 and 1000
+    # one partial at m = 700 and 1000, and of 218 at n = 600
     rng = np.random.default_rng(n)
     data, points = random_dataset(rng, n), random_dataset(rng, m)
     # labels with a margin, so that each fit leaves points outside it
@@ -273,6 +278,13 @@ def test_row_source_gram_calls(n, signed, monkeypatch):
         for r, got in zip(requests, taken):
             np.testing.assert_array_equal(got,
                                           signs[r] * [fills[i] for i in r])
+        # one fill of more rows than a slab holds (109 of 300), one of them
+        # listed twice, keeps the bits of its gram call in every row
+        big = np.r_[10, 11, 10, 12:250]
+        got = rows.take(big, 0)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(got,
+                                      signs[big] * full(spec, data.X[big], data))
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["K", "Q"])
@@ -296,6 +308,22 @@ def test_row_source_products(n, signed):
     np.testing.assert_array_equal(
         rows.dot(coef), y * expand(rows.spec, data, y * coef, data))
     assert sorted(rows.rows) == [3, 5, 8]
+    # a support of 250 computed rows spans three chunks of 109 rows (2^15
+    # entries of 300): their products are summed chunk by chunk, which
+    # stays within n eps sum_i |coef_i row_i| of one product over them all
+    rng = np.random.default_rng(1)
+    nz = np.sort(rng.choice(n, 250, replace=False))
+    coef = np.zeros(n)
+    coef[nz] = rng.normal(size=nz.size)
+    stacked = rows.take(nz, 0)
+    step = _ROW_CHUNK_ENTRIES // n
+    want = coef[nz[:step]] @ stacked[:step]
+    for start in range(step, nz.size, step):
+        want += coef[nz[start:start + step]] @ stacked[start:start + step]
+    got = rows.dot(coef)
+    np.testing.assert_array_equal(got, want)
+    bound = n * np.finfo(float).eps * (np.abs(coef[nz]) @ np.abs(stacked))
+    assert np.all(np.abs(got - coef[nz] @ stacked) <= bound)
 
 
 @pytest.mark.parametrize("container", ["dataset", "privileged"])

@@ -99,17 +99,25 @@ def test_solve_wsvm_peak_below_half_gram(mixture):
     spec = KernelSpec(GAUSSIAN_RBF, 1.0)
     c = np.ones(mixture.n)
     assert _peak(lambda: solve_wsvm(mixture, spec, c), mixture.n) <= 0.5
+    # at n = 3000 the cached rows and one chunk of them stacked at a time
+    # make 0.081 n^2; f0 as one product over the stacked support rows took
+    # 0.135 n^2
+    large = generate_w_mixture(3000, seed=1).data
+    c = np.ones(large.n)
+    assert _peak(lambda: solve_wsvm(large, spec, c), large.n) <= 0.1
 
 
 def test_predict_peak_does_not_grow_with_points(mixture):
-    # the points go through 256 at a time, each block in one n x 256
-    # matrix with the support's rows filled in: 0.32 n^2 for 1000 or 4000
-    # points, where one n x m matrix took 1.21 and 4.76 n^2
+    # the points go through 131 at a time (2^17 entries against 1000
+    # training points), each block in one n x 131 matrix with the
+    # support's rows filled in: 0.18 n^2 for 1000 or 4000 points, where
+    # blocks of 256 points took 0.32 n^2 and one n x m matrix 1.21 and
+    # 4.76 n^2
     spec = KernelSpec(GAUSSIAN_RBF, 1.0)
     model = solve_wsvm(mixture, spec, np.ones(mixture.n))
     for m in (1000, 4000):
         points = generate_w_mixture(m, seed=2).data
-        assert _peak(lambda: predict(model, points), mixture.n) <= 0.6
+        assert _peak(lambda: predict(model, points), mixture.n) <= 0.25
 
 
 class _Stop(Exception):
@@ -145,16 +153,18 @@ def test_svmplus_setup_streams_the_linear_term(monkeypatch):
 
 def test_svmplus_fit_peak():
     # a whole fit: the rows of Q and Kt that the core read (about 400 of
-    # 502 each here) plus the largest face step, its |F| x 2n rows of H
-    # and a few |F| x |F| blocks (|F| = 218 of the 1004 variables); 3.84
-    # n^2 in all, 4.12 n^2 with dense Q and Kt and 14.8 n^2 with a dense
-    # 2n x 2n H
+    # 502 each here, 1.9 n^2 in their slabs) plus the closing product
+    # Kt at, a kernel expansion over one n x 256 block of points (1.35
+    # n^2); 3.28 n^2 in all.  A face step reads its rows of H 32 at a
+    # time (|F| up to 222 of the 1004 variables), so it adds no |F| x 2n
+    # copy of rows that Q and Kt hold; with one it took 3.69 to 3.84 n^2,
+    # 4.12 n^2 with dense Q and Kt and 14.8 n^2 with a dense 2n x 2n H
     data, priv, spec = _svmplus_inputs()
 
     def fit():
         solve_svmplus(data, priv, spec, spec, 1.0, 1.0)
 
-    assert _peak(fit, data.n) <= 4.0
+    assert _peak(fit, data.n) <= 3.5
 
 
 def test_fitted_wsvm_holds_no_gram(mixture):
