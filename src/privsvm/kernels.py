@@ -28,7 +28,8 @@ there is none, and each fit computes its own rows.  Beside the rows such
 a source keeps, nothing n-wide grows with the number of rows read: a
 read of many of them (its ``dot``, and the QP core's start gradient and
 face steps) stacks at most one chunk of ``_ROW_CHUNK_ENTRIES`` = 2^15
-entries at a time, and sums them chunk by chunk (``_sum_rows``).
+entries at a time (the source's ``chunk``, ``_row_chunk``), and sums
+them chunk by chunk (``_sum_rows``).
 
 Every prediction, and a large row source's product over rows it has not
 computed, is a kernel expansion sum_j coef_j k(a_j, x), computed by
@@ -105,6 +106,13 @@ def _block_rows(n: int) -> int:
     ``_BLOCK_ENTRIES`` entries, ``_BLOCK_ROWS`` up to 512 points, and
     never fewer than one."""
     return min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // n))
+
+
+def _row_chunk(width: int) -> int:
+    """Rows of ``width`` entries that a read of many kept rows stacks at
+    once: one chunk of ``_ROW_CHUNK_ENTRIES`` entries, and never fewer
+    than one row."""
+    return max(1, _ROW_CHUNK_ENTRIES // width)
 
 
 def _sum_rows(coef, source, rows, step: int) -> np.ndarray:
@@ -244,22 +252,20 @@ class _KernelRows:
     is exactly symmetric (a gemm over every row, gram(spec, X, data), is
     not); ``whole``, if given, is that matrix, built before.  Above that
     ``take`` computes the rows it has not seen, one gram call per fill,
-    and copies them into slabs of ``chunk`` rows (one chunk of
-    ``_ROW_CHUNK_ENTRIES`` entries each), filled in the order the rows
-    were computed, so what stays allocated is a run of equal slabs and
-    not one block per fill.  ``dot`` sums the kept rows one chunk at a
-    time.  Nothing here writes to the whole matrix, so fits can share it.
+    and keeps each fill's block as it is, never copied.  ``chunk`` is how
+    many rows a read of many of them (``dot``, the QP core's start
+    gradient and face steps) stacks at once: every row of a whole matrix,
+    and ``_row_chunk(n)`` of rows that are kept, so that a stack is only a
+    copy.  Nothing here writes to the whole matrix, so fits can share it.
     """
 
     def __init__(self, spec: KernelSpec, data, y=None, whole=None):
         self.spec, self.data, self.y = spec, data, y
-        self.rows = {}  # i -> row i, a view into a slab
-        self.chunk = max(1, _ROW_CHUNK_ENTRIES // data.n)  # rows per slab
-        self._slab = None  # the slab being filled
-        self._stored = 0  # rows copied into slabs, repeats included
+        self.rows = {}  # i -> row i, a view into the fill that computed it
         if whole is None and data.n <= _BLOCK_ROWS:
             whole = self._signed(gram(spec, data), slice(None))
         self.whole = whole
+        self.chunk = data.n if whole is not None else _row_chunk(data.n)
 
     def __len__(self):
         return self.data.n
@@ -294,13 +300,7 @@ class _KernelRows:
 
     def _fill(self, rows: np.ndarray):
         block = gram(self.spec, self.data.X[rows], self.data)
-        for i, row in zip(rows.tolist(), self._signed(block, rows)):
-            k = self._stored % self.chunk
-            if k == 0:
-                self._slab = np.empty((self.chunk, self.data.n))
-            self._slab[k] = row
-            self.rows[i] = self._slab[k]
-            self._stored += 1
+        self.rows.update(zip(rows.tolist(), self._signed(block, rows)))
 
     def _signed(self, K: np.ndarray, rows) -> np.ndarray:
         """K's block of ``rows`` flipped into Q's in place, exactly (+-1)."""

@@ -34,19 +34,20 @@ Arithmetic.  H is read only as rows, through ``H.take(rows, 0)``, also
 for the start gradient, which sums the rows of z0's nonzero entries.  So
 H may be a dense array or any object with that ``take``: the weighted
 SVM passes one that computes each row of its Q on first use, and SVM+
-one that forms each row from Q and Kt.  Such a source keeps its rows,
-so where a read spans many rows (the start gradient and the face steps)
-it stacks at most one chunk of ``kernels._ROW_CHUNK_ENTRIES`` entries
-at a time; a dense H, or a source that holds its matrix whole (its
-``whole``), is read in one ``take``.  The candidate search and the
-gradient update G += (new - cur) H[idx] run in numpy over all n
-variables.  Everything else in a step involves the two or three moved
-variables only and runs on Python floats: the gaps, the +-v violations,
-the room to the bounds, the curvature, the step length and the blocking
-variable.  The move coefficients are +-1 or +-2, so every product in
-those sums is exact and only the order of summation can matter; the sums
-run left to right, the order of numpy's dot and matrix-vector products
-at these sizes, so each step has the bits that numpy would give.
+one that forms each row from Q and Kt.  Where a read spans many rows
+(the start gradient and the face steps) it stacks at most H.chunk of
+them at a time and sums their products chunk by chunk: a source that
+keeps its rows sets ``chunk`` to one chunk of 2^15 entries, and an H
+without one, such as a dense array, is read in one ``take``.  The
+candidate search and the gradient update G += (new - cur) H[idx] run
+in numpy over all n variables.  Everything else in a step involves the
+two or three moved variables only and runs on Python floats: the gaps,
+the +-v violations, the room to the bounds, the curvature, the step
+length and the blocking variable.  The move coefficients are +-1 or
++-2, so every product in those sums is exact and only the order of
+summation can matter; the sums run left to right, the order of numpy's
+dot and matrix-vector products at these sizes, so each step has the
+bits that numpy would give.
 
 Face step.  Pairwise moves can zigzag with tiny steps on an
 ill-conditioned or rank-deficient face, so every 16 iterations, and at the
@@ -69,7 +70,7 @@ import math
 
 import numpy as np
 
-from .kernels import _ROW_CHUNK_ENTRIES, _sum_rows
+from .kernels import _sum_rows
 
 __all__ = ["ConvergenceError", "solve_qp"]
 
@@ -102,16 +103,6 @@ def _null_basis(AF: np.ndarray) -> np.ndarray:
         if np.array_equal(a * b[j], b * a[j]):
             rows = rows[:1]
     return np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):]
-
-
-def _stacked_rows(H, width: int) -> int:
-    """How many rows of H a read stacks at once: all of them from a dense
-    H or a source that holds its matrix whole, and one chunk of
-    ``kernels._ROW_CHUNK_ENTRIES`` entries from a source that computes
-    its rows, which keeps them, so that a stack is only a copy."""
-    if isinstance(H, np.ndarray) or getattr(H, "whole", None) is not None:
-        return width
-    return max(1, _ROW_CHUNK_ENTRIES // width)
 
 
 def _drop(B: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -150,22 +141,16 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
 
     The face gradient moves by the m x m block H_FF between pins, and G
     (= H z + p) and z are updated in place once, at the end, by
-    (cur - start) H[F].  H is read once, as the rows R = H[F], when they
-    fit in one read (``_stacked_rows``): always from a dense H or a whole
-    source.  A larger face of a source that computes its rows is read a
-    chunk at a time, twice: for H_FF, and for the update, whose chunks'
-    products are summed before G adds them.  Returns True if anything
-    moved.
+    (cur - start) H[F].  The rows H[F] are read H.chunk at a time (all
+    at once from an H without ``chunk``), twice: for H_FF, and for the
+    update, whose chunks' products are summed before G adds them.
+    Returns True if anything moved.
     """
     F = np.flatnonzero((z > 0) & (z < hi))
-    chunk = _stacked_rows(H, z.size)
-    R = H.take(F, 0) if F.size <= chunk else None
-    if R is None:
-        HF = np.empty((F.size, F.size))
-        for s in range(0, F.size, chunk):
-            HF[s:s + chunk] = H.take(F[s:s + chunk], 0)[:, F]
-    else:
-        HF = R[:, F]
+    chunk = getattr(H, "chunk", z.size)
+    HF = np.empty((F.size, F.size))
+    for s in range(0, F.size, chunk):
+        HF[s:s + chunk] = H.take(F[s:s + chunk], 0)[:, F]
     top = hi[F]
     start = z[F]
     cur = start.copy()
@@ -231,8 +216,7 @@ def _face_step(z: np.ndarray, G: np.ndarray, H: np.ndarray, A: np.ndarray,
             N, W = N[keep], W[keep]
     moved = not np.array_equal(cur, start)
     if moved:
-        G += (cur - start) @ R if R is not None else _sum_rows(
-            cur - start, H, F, chunk)
+        G += _sum_rows(cur - start, H, F, chunk)
         z[F] = cur
     return moved
 
@@ -281,7 +265,7 @@ def solve_qp(H: np.ndarray, p: np.ndarray, A: np.ndarray, hi: np.ndarray,
     outside = np.where(cls == np.arange(n_cls)[:, None], 0.0, inf)
     z = np.array(z0, dtype=float)
     nz = np.flatnonzero(z)
-    G = _sum_rows(z[nz], H, nz, _stacked_rows(H, z.size)) + p
+    G = _sum_rows(z[nz], H, nz, getattr(H, "chunk", z.size)) + p
     # outside, or +inf where a variable cannot move up (down); kept in step
     # with z, so G + up_pen and G - dn_pen are the candidates of each class
     up_pen = np.where(z < hi, outside, inf)

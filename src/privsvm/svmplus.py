@@ -22,7 +22,7 @@ the whole matrices it built once per kernel candidate (``_Q``, shared
 with the weighted SVM's grid, and ``_Kt``).  While both are whole
 the fit forms the dense H once; above 256 points the core reads H
 through a view that forms each row as it is read, with the bits of the
-dense H, and its face steps read that view a chunk of 2^15 entries at a
+dense H, and whose ``chunk`` has the core read it 2^15 entries at a
 time.  The three products a fit needs, the linear term Kt (C/g) 1,
 Q a and Kt at, are the sources' ``dot``: above 256 points Q a sums the
 support rows that the solve computed, one chunk at a time, and the
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PrivilegedSet
-from .kernels import KernelSpec, _Expansion, _KernelRows
+from .kernels import KernelSpec, _Expansion, _KernelRows, _row_chunk
 from .qp import solve_qp
 from .wsvm import DEFAULT_MAX_ITER, DEFAULT_TOL, _pick_offset, solve_wsvm
 
@@ -145,10 +145,15 @@ def _hessian(Q: _KernelRows, Kt: _KernelRows, gamma: float):
 class _HRows:
     """H over z = (a, b), one row at a time from Q and Kt (matrices or
     row sources); each row of Kt is divided by g as it is formed, with
-    the bits of the matrix Kt/g."""
+    the bits of the matrix Kt/g.  Over row sources, which keep the rows
+    of Q and Kt, a read of many rows stacks ``chunk`` of them at once."""
     Q: np.ndarray
     Kt: np.ndarray
     gamma: float
+
+    @property
+    def chunk(self) -> int:
+        return _row_chunk(2 * len(self.Q))
 
     def take(self, rows, axis=0):
         rows, n = np.asarray(rows), len(self.Q)

@@ -278,13 +278,6 @@ def test_row_source_gram_calls(n, signed, monkeypatch):
         for r, got in zip(requests, taken):
             np.testing.assert_array_equal(got,
                                           signs[r] * [fills[i] for i in r])
-        # one fill of more rows than a slab holds (109 of 300), one of them
-        # listed twice, keeps the bits of its gram call in every row
-        big = np.r_[10, 11, 10, 12:250]
-        got = rows.take(big, 0)
-        assert len(calls) == 3
-        np.testing.assert_array_equal(got,
-                                      signs[big] * full(spec, data.X[big], data))
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["K", "Q"])

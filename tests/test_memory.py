@@ -153,12 +153,12 @@ def test_svmplus_setup_streams_the_linear_term(monkeypatch):
 
 def test_svmplus_fit_peak():
     # a whole fit: the rows of Q and Kt that the core read (about 400 of
-    # 502 each here, 1.9 n^2 in their slabs) plus the closing product
-    # Kt at, a kernel expansion over one n x 256 block of points (1.35
-    # n^2); 3.28 n^2 in all.  A face step reads its rows of H 32 at a
-    # time (|F| up to 222 of the 1004 variables), so it adds no |F| x 2n
-    # copy of rows that Q and Kt hold; with one it took 3.69 to 3.84 n^2,
-    # 4.12 n^2 with dense Q and Kt and 14.8 n^2 with a dense 2n x 2n H
+    # 502 each here, about 1.6 n^2) plus the closing product Kt at, a
+    # kernel expansion over one n x 256 block of points (1.35 n^2); 3.13
+    # n^2 in all.  A face step reads its rows of H 32 at a time (|F| up
+    # to 222 of the 1004 variables), so it adds no |F| x 2n copy of rows
+    # that Q and Kt hold; with one it took 3.84 n^2, 4.12 n^2 with dense
+    # Q and Kt and 14.8 n^2 with a dense 2n x 2n H
     data, priv, spec = _svmplus_inputs()
 
     def fit():

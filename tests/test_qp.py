@@ -173,12 +173,15 @@ def _svmplus_problem(rng, K, y, Kt):
 
 class _TakeOnly:
     """An H that the QP core can read only through ``take``: it has no
-    ``__matmul__``, no ``copy`` and no indexing."""
+    ``__matmul__``, no ``copy`` and no indexing.  It passes on H's
+    ``chunk``, the rows a read may stack at once, where H has one."""
 
-    __slots__ = ("_H",)
+    __slots__ = ("_H", "chunk")
 
     def __init__(self, H):
         self._H = H
+        if hasattr(H, "chunk"):
+            self.chunk = H.chunk
 
     def take(self, rows, axis=0):
         return self._H.take(rows, axis)
