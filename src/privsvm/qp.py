@@ -6,7 +6,9 @@ Solves
 
 for a symmetric positive semidefinite H, one or two equality rows A with
 small integer entries, and upper bounds hi that may be infinite.  The
-module is internal: ``solve_wsvm`` and ``solve_svmplus`` are its callers.
+module is internal.  Its callers are ``solve_wsvm`` (a row source H),
+``solve_svmplus`` (a row source or a dense H) and
+``equivalence.family_membership`` (a dense H).
 
 Working set.  Variables are grouped into classes by their column of A,
 numbered in the lexicographic order of the columns; moving one variable

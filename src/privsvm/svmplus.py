@@ -135,7 +135,9 @@ def solve_svmplus(data: Dataset, priv: PrivilegedSet, spec: KernelSpec,
 def _hessian(Q: _KernelRows, Kt: _KernelRows, gamma: float):
     """H over z = (a, b): the dense matrix, every row formed once, when the
     row sources hold Q and Kt whole, else a view that forms each row as
-    the core reads it."""
+    the core reads it.  The view alone keeps every bit but is slower up to
+    256 points: the SVM+ fits of the ``study`` benchmark at seed 9001 took
+    1.07-1.13 s against 0.77-0.92 s (2 cores, one BLAS thread)."""
     if Q.whole is None or Kt.whole is None:
         return _HRows(Q, Kt, gamma)
     return _HRows(Q.whole, Kt.whole, gamma).take(np.arange(2 * len(Q)))
@@ -171,16 +173,17 @@ def _finish(data, priv, spec, priv_spec, C, gamma, alpha, beta, at,
     # the labels are +-1, so f0 has the bits of the same product over K
     f0 = y * q_alpha
 
-    # multiplier of the sum constraint, then the offsets
-    sup_b = beta > 1e-12
-    sup_a_pos = (alpha > 1e-12) & (y > 0)
-    sup_a_neg = (alpha > 1e-12) & (y < 0)
+    # multiplier of the sum constraint, then the offsets.  > 0 is exact: the
+    # QP core puts each blocking variable on its bound, and the KKT report
+    # reads these duals.  With beta = 0, 1'alpha = nC and y'alpha = 0 put
+    # positive alpha on both labels
+    sup_b = beta > 0
+    sup_a_pos = (alpha > 0) & (y > 0)
+    sup_a_neg = (alpha > 0) & (y < 0)
     if sup_b.any():
         mult = float(np.mean(gb[sup_b]))
-    elif sup_a_pos.any() and sup_a_neg.any():
-        mult = 0.5 * (float(np.mean(ga[sup_a_pos])) + float(np.mean(ga[sup_a_neg])))
     else:
-        mult = float(np.min(gb))
+        mult = 0.5 * (float(np.mean(ga[sup_a_pos])) + float(np.mean(ga[sup_a_neg])))
     b_tilde = -mult
     xi = gb - mult
 

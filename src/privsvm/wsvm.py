@@ -83,12 +83,10 @@ def _optimal_offset_interval(y: np.ndarray, c: np.ndarray,
                              f0: np.ndarray) -> tuple[float, float]:
     """Exact argmin interval of b -> sum_i c_i [1 - y_i (f0_i + b)]_+.
 
-    With the (unique) w fixed, the primal-optimal offsets are exactly the
-    minimizers of this piecewise-linear convex function.
+    With the (unique) w fixed and some c_i > 0, the primal-optimal offsets
+    are exactly the minimizers of this piecewise-linear convex function.
     """
     mask = c > 0
-    if not mask.any():
-        return (-np.inf, np.inf)
     yp = y[mask]
     cp = c[mask]
     fp = f0[mask]

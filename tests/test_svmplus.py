@@ -42,6 +42,28 @@ def test_feasibility_invariants(rng):
         np.testing.assert_allclose(
             model.alpha_tilde, model.alpha + model.beta - model.C,
             atol=1e-12)
+        # the offsets' support rule: some beta, or alpha on both labels
+        on, y = model.alpha > 0, model.data.y
+        assert np.any(model.beta > 0) or (np.any(on[y > 0])
+                                          and np.any(on[y < 0]))
+
+
+def test_finish_reads_every_positive_dual_as_support():
+    # beta_2 = 3e-13 is a support of b_tilde like beta_3: b_tilde is minus
+    # the mean of kt_at / gamma over both (-0.35), not over beta_3 alone
+    # (-0.4)
+    data = Dataset([[0.0], [1.0], [2.0], [3.0]], [1.0, -1.0, 1.0, -1.0])
+    priv = PrivilegedSet([[0.0], [1.0], [2.0], [3.0]])
+    lin = KernelSpec(LINEAR)
+    C, gamma = 1.0, 2.0
+    alpha = np.array([1.0, 1.0, 0.0, 0.0])
+    beta = np.array([0.0, 0.0, 3e-13, 2.0 - 3e-13])
+    kt_at = np.array([0.2, -0.4, 0.6, 0.8])
+    model = svmplus._finish(data, priv, lin, lin, C, gamma, alpha, beta,
+                            alpha + beta - C,
+                            np.array([0.5, -0.25, 0.75, 0.1]), kt_at, 0)
+    assert model.b_tilde == pytest.approx(-np.mean(kt_at[2:]) / gamma,
+                                          abs=1e-15)
 
 
 def test_kkt_residuals_on_random_instances(rng):

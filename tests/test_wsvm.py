@@ -42,14 +42,19 @@ def test_bounded_two_points_offset_interval():
     assert model.b == pytest.approx(-0.15, abs=1e-12)
 
 
-def test_single_class_interval_is_half_line():
-    data = Dataset([[0.0], [1.0]], [1.0, 1.0])
-    model = solve_wsvm(data, KernelSpec(LINEAR), [1.0, 1.0])
+@pytest.mark.parametrize("X, y, c, interval, b", [
+    ([[0.0], [1.0]], [1.0, 1.0], [1.0, 1.0], (1.0, np.inf), 1.0),
+    ([[0.0], [1.0]], [-1.0, -1.0], [1.0, 1.0], (-np.inf, -1.0), -1.0),
+    # zero weight on every positive point: only the negatives count
+    ([[0.0], [1.0], [2.0], [3.0]], [1.0, -1.0, 1.0, -1.0],
+     [0.0, 1.0, 0.0, 2.0], (-np.inf, -1.0), -1.0),
+], ids=["positive", "negative", "zero-weight-positives"])
+def test_single_class_interval_is_half_line(X, y, c, interval, b):
+    model = solve_wsvm(Dataset(X, y), KernelSpec(LINEAR), c)
     np.testing.assert_array_equal(model.alpha, 0.0)
-    lo, hi = model.b_interval
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert hi == np.inf
-    assert model.b == pytest.approx(1.0, abs=1e-12)
+    assert model.b_interval == pytest.approx(interval, abs=1e-12)
+    assert model.b == pytest.approx(b, abs=1e-12)
+    assert check_wsvm_kkt(model).passed
 
 
 def test_b_override():
